@@ -7,13 +7,13 @@ With --json-errors a machine-readable error object is printed to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 from . import regomax as regomax_mod
 from . import sensitivity as sens_mod
+from ._io import write_csv, write_json
 from .errors import ConvergenceError, EmptyDataError, ParseError, ValidationError
 from .google_matrix import DEFAULT_DAMPING, DIRECT, INVERTED, build_google
 from .ranks import (
@@ -154,7 +154,7 @@ def cmd_ingest(args) -> int:
         "duplicates_merged": result.duplicates_merged,
         "total_volume_usd": money.total_volume(),
     }
-    _write_json(summary, _out_path(args, "ingest_summary.json"))
+    write_json(summary, _out_path(args, "ingest_summary.json"))
     return EXIT_OK
 
 
@@ -173,7 +173,7 @@ def cmd_merge(args) -> int:
         "total_volume_before": result.money.total_volume(),
         "total_volume_after": merged.total_volume(),
     }
-    _write_json(summary, _out_path(args, "merge_summary.json"))
+    write_json(summary, _out_path(args, "merge_summary.json"))
     return EXIT_OK
 
 
@@ -196,13 +196,11 @@ def cmd_rank(args) -> int:
     ids = list(money.countries.ids)
     import_rank = assign_ranks(volumes.import_c, ids)
     export_rank = assign_ranks(volumes.export_c, ids)
-    with open(_out_path(args, "rank_plane.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["country", "pagerank_index", "cheirank_index",
-                         "importrank_index", "exportrank_index"])
-        for i, cid in enumerate(ids):
-            writer.writerow([cid, direct.country_rank[i], inverted.country_rank[i],
-                             import_rank[i], export_rank[i]])
+    header = ["country", "pagerank_index", "cheirank_index",
+              "importrank_index", "exportrank_index"]
+    rows = ([cid, direct.country_rank[i], inverted.country_rank[i],
+             import_rank[i], export_rank[i]] for i, cid in enumerate(ids))
+    write_csv(header, rows, _out_path(args, "rank_plane.csv"))
     return EXIT_OK
 
 
@@ -264,7 +262,7 @@ def cmd_regomax(args) -> int:
             "residuals": reduced.residuals,
             "k": args.k,
         }
-        _write_json(meta, _out_path(args, stem + ".json"))
+        write_json(meta, _out_path(args, stem + ".json"))
     return EXIT_OK
 
 
@@ -273,12 +271,6 @@ def cmd_synth(args) -> int:
                               args.year, args.density)
     write_trade_csv(money, _out_path(args, "trade.csv"))
     return EXIT_OK
-
-
-def _write_json(payload, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _report_error(exc: Exception, json_errors: bool) -> None:

@@ -8,12 +8,12 @@ vector, which weights products by their share of total traded volume.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
+from ._io import open_output, write_json
 from .errors import EmptyDataError, ValidationError
 from .trade_data import CountryRegistry, MoneyMatrixSet, ProductRegistry, matrix_volume
 
@@ -78,13 +78,14 @@ def personalization_vector(mm: MoneyMatrixSet) -> np.ndarray:
     v[(c, p)] = W_p / (n_c * W) with W_p the total traded volume of product p
     and W the grand total, uniform over countries within a product.
     """
-    total = mm.total_volume()
+    weights = [matrix_volume(m) for m in mm.matrices]
+    total = 0.0
+    for w in weights:  # in product order, as MoneyMatrixSet.total_volume adds them
+        total += w
     if total <= 0.0:
         raise EmptyDataError("zero total trade volume")
     n_c = mm.n_countries
-    weights = np.array([matrix_volume(m) for m in mm.matrices])
-    v = np.repeat(weights / (n_c * total), n_c)
-    return v
+    return np.repeat(np.array(weights) / (n_c * total), n_c)
 
 
 def build_google(mm: MoneyMatrixSet, direction: str = DIRECT,
@@ -99,8 +100,6 @@ def build_google(mm: MoneyMatrixSet, direction: str = DIRECT,
         raise ValidationError(f"damping must be in (0, 1], got {damping}")
     if direction not in (DIRECT, INVERTED):
         raise ValidationError(f"direction must be {DIRECT!r} or {INVERTED!r}")
-    if mm.n_countries == 0 or mm.n_products == 0 or mm.total_volume() <= 0.0:
-        raise EmptyDataError("empty money matrix set")
 
     v = personalization_vector(mm)
     blocks = []
@@ -133,7 +132,7 @@ def write_matrix_dump(g: GoogleMatrix, coord_path, sidecar_path) -> None:
     """
     coo = g.stochastic.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    with open(coord_path, "w", encoding="utf-8") as fh:
+    with open_output(coord_path) as fh:
         for k in order:
             fh.write(f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}\n")
     sidecar = {
@@ -142,6 +141,4 @@ def write_matrix_dump(g: GoogleMatrix, coord_path, sidecar_path) -> None:
         "node_index": [list(g.node_pair(i)) for i in range(g.n_nodes)],
         "personalization": [float(x) for x in g.personalization],
     }
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar, sidecar_path)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv, write_json
 from .errors import ConvergenceError, ValidationError
 from .google_matrix import GoogleMatrix
 from .trade_data import CountryRegistry, ProductRegistry, VolumeProbabilities
@@ -76,17 +76,14 @@ def pagerank(g: GoogleMatrix, tol: float = DEFAULT_TOL,
         After ``max_iter`` iterations above tolerance (carries the last
         residual).
     """
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    if not math.isfinite(tol) or tol <= 0.0:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
-    alpha = g.damping
-    v = g.personalization
-    s = g.stochastic
-    x = v.copy()
+    x = g.personalization.copy()
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        x_next = alpha * (s @ x) + (1.0 - alpha) * v * x.sum()
+        x_next = g.apply(x)
         residual = float(np.abs(x_next - x).sum())
         x = x_next
         if residual <= tol:
@@ -162,23 +159,9 @@ RANK_TABLE_COLUMNS = (
 
 
 def write_rank_table_csv(rows: list[dict], dest) -> None:
-    own = not hasattr(dest, "write")
-    stream = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        writer = csv.DictWriter(stream, fieldnames=RANK_TABLE_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if own:
-            stream.close()
+    write_csv(RANK_TABLE_COLUMNS, ([row[c] for c in RANK_TABLE_COLUMNS] for row in rows),
+              dest)
 
 
 def write_rank_table_json(rows: list[dict], dest) -> None:
-    own = not hasattr(dest, "write")
-    stream = open(dest, "w", encoding="utf-8") if own else dest
-    try:
-        json.dump(rows, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    finally:
-        if own:
-            stream.close()
+    write_json(rows, dest)

@@ -10,12 +10,12 @@ pathways.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
+from ._io import open_output, write_csv
 from .errors import ConvergenceError, ValidationError
 from .google_matrix import DIRECT, GoogleMatrix
 
@@ -177,16 +177,9 @@ def strongest_links(m, k: int) -> list[tuple[int, int, float]]:
 
 def write_matrix_csv(matrix: np.ndarray, labels, dest) -> None:
     """Dense labeled matrix dump; entry (row, col) is the col -> row weight."""
-    own = not hasattr(dest, "write")
-    stream = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["node", *labels])
-        for label, row in zip(labels, np.asarray(matrix)):
-            writer.writerow([label, *[repr(float(x)) for x in row]])
-    finally:
-        if own:
-            stream.close()
+    rows = ([label, *[repr(float(x)) for x in row]]
+            for label, row in zip(labels, np.asarray(matrix)))
+    write_csv(["node", *labels], rows, dest)
 
 
 def write_dot(edges, labels, direction: str, dest, name: str = "trade") -> None:
@@ -196,9 +189,7 @@ def write_dot(edges, labels, direction: str, dest, name: str = "trade") -> None:
     flow direction the reduced matrix was built from.
     """
     semantics = "B imports from A" if direction == DIRECT else "B exports to A"
-    own = not hasattr(dest, "write")
-    stream = open(dest, "w", encoding="utf-8") if own else dest
-    try:
+    with open_output(dest) as stream:
         stream.write(f"// strongest outgoing links of the reduced {direction} matrix\n")
         stream.write(f"// an arrow A -> B means: {semantics}\n")
         stream.write(f"digraph {name} {{\n")
@@ -207,6 +198,3 @@ def write_dot(edges, labels, direction: str, dest, name: str = "trade") -> None:
         for src, dst, weight in edges:
             stream.write(f'  "{labels[src]}" -> "{labels[dst]}" [weight={weight!r}];\n')
         stream.write("}\n")
-    finally:
-        if own:
-            stream.close()

@@ -8,13 +8,13 @@ the full pipeline (perturb, rebuild, re-rank, balance).
 
 from __future__ import annotations
 
-import csv
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
+from ._io import write_csv, write_json
 from .errors import ValidationError
 from .google_matrix import DEFAULT_DAMPING, DIRECT, INVERTED, build_google
 from .ranks import DEFAULT_MAX_ITER, DEFAULT_TOL, pagerank
@@ -184,8 +184,8 @@ def balance_sensitivity(mm: MoneyMatrixSet, perturbation: Perturbation,
     money matrices, so the result captures the network response, not just
     the direct flow change.
     """
-    if step <= 0.0:
-        raise ValidationError(f"step must be positive, got {step}")
+    if not math.isfinite(step) or step <= 0.0:
+        raise ValidationError(f"step must be positive and finite, got {step}")
     plus = balance_report(perturb_money(mm, perturbation, +step), description,
                           damping=damping, tol=tol, max_iter=max_iter)
     minus = balance_report(perturb_money(mm, perturbation, -step), description,
@@ -227,16 +227,8 @@ def labor_cost_matrix(mm: MoneyMatrixSet, description: str,
 
 
 def write_balance_csv(report: BalanceReport, dest) -> None:
-    own = not hasattr(dest, "write")
-    stream = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["country", "balance"])
-        for cid, value in zip(report.countries, report.balances):
-            writer.writerow([cid, repr(float(value))])
-    finally:
-        if own:
-            stream.close()
+    rows = ([cid, repr(float(value))] for cid, value in zip(report.countries, report.balances))
+    write_csv(["country", "balance"], rows, dest)
 
 
 def write_balance_json(report: BalanceReport, dest) -> None:
@@ -248,20 +240,13 @@ def write_balance_json(report: BalanceReport, dest) -> None:
             for cid, value in zip(report.countries, report.balances)
         ],
     }
-    _write_json(payload, dest)
+    write_json(payload, dest)
 
 
 def write_sensitivity_csv(report: SensitivityReport, dest) -> None:
-    own = not hasattr(dest, "write")
-    stream = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["country", "derivative", "is_diagonal"])
-        for cid, value, diag in zip(report.countries, report.derivatives, report.diagonal):
-            writer.writerow([cid, repr(float(value)), "true" if diag else "false"])
-    finally:
-        if own:
-            stream.close()
+    rows = ([cid, repr(float(value)), "true" if diag else "false"]
+            for cid, value, diag in zip(report.countries, report.derivatives, report.diagonal))
+    write_csv(["country", "derivative", "is_diagonal"], rows, dest)
 
 
 def write_sensitivity_json(report: SensitivityReport, dest) -> None:
@@ -280,15 +265,4 @@ def write_sensitivity_json(report: SensitivityReport, dest) -> None:
                                         report.diagonal)
         ],
     }
-    _write_json(payload, dest)
-
-
-def _write_json(payload, dest) -> None:
-    own = not hasattr(dest, "write")
-    stream = open(dest, "w", encoding="utf-8") if own else dest
-    try:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    finally:
-        if own:
-            stream.close()
+    write_json(payload, dest)

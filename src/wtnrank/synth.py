@@ -8,16 +8,10 @@ texture of real trade data while staying fully deterministic per seed.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ValidationError
-from .trade_data import (
-    CountryRegistry,
-    MoneyMatrixSet,
-    ProductRegistry,
-    SITC1_NAMES,
-    TradeFlowRecord,
-    money_from_records,
-)
+from .trade_data import CountryRegistry, MoneyMatrixSet, ProductRegistry, SITC1_NAMES
 
 DEFAULT_COUNTRIES = 12
 DEFAULT_PRODUCTS = 4
@@ -58,23 +52,19 @@ def gravity_money_set(seed: int, n_countries: int = DEFAULT_COUNTRIES,
     distance = rng.uniform(0.5, 2.5, size=(n_countries, n_countries))
     distance = (distance + distance.T) / 2.0
 
-    records = []
-    for p, code in enumerate(codes):
+    off_diagonal = ~np.eye(n_countries, dtype=bool)
+    matrices = []
+    for weight in product_weight:
         noise = rng.lognormal(mean=0.0, sigma=0.5, size=(n_countries, n_countries))
         linked = rng.random((n_countries, n_countries)) < density
-        for i in range(n_countries):  # exporter
-            for j in range(n_countries):  # importer
-                if i == j or not linked[i, j]:
-                    continue
-                value = product_weight[p] * mass[i] * mass[j] / distance[i, j]
-                # whole USD, as in real reporting; integer values keep merge
-                # sums exact in float64
-                value = float(round(value * noise[i, j] * 1e7))
-                if value > 0.0:
-                    records.append(TradeFlowRecord(year, ids[i], ids[j], code, value))
-    if not records:
+        # value[exporter, importer] in whole USD (rounded half to even), as in
+        # real reporting; integer values keep merge sums exact in float64
+        value = np.round(weight * mass[:, None] * mass[None, :] / distance * noise * 1e7)
+        value[~(linked & off_diagonal)] = 0.0
+        matrices.append(sparse.csc_matrix(value.T))  # rows import, columns export
+    if not any(m.nnz for m in matrices):
         raise ValidationError("synthetic parameters produced an empty network")
 
     countries = CountryRegistry.from_ids(ids)
     products = ProductRegistry.from_codes(codes)
-    return money_from_records(records, year, countries, products)
+    return MoneyMatrixSet(tuple(matrices), year, countries, products)

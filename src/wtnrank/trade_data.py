@@ -8,15 +8,18 @@ product, over a shared country registry.
 from __future__ import annotations
 
 import csv
-import io
+import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy import sparse
 
+from ._io import open_input, write_csv
 from .errors import EmptyDataError, ParseError, ValidationError
 
 CSV_HEADER = ("year", "exporter", "importer", "product", "value_usd")
@@ -57,15 +60,15 @@ class ProductRegistry:
     entries: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        codes = [code for code, _ in self.entries]
+        codes = self.codes
         if not codes:
             raise ValidationError("product registry is empty")
         for code in codes:
             if code not in SITC1_NAMES:
                 raise ValidationError(f"unknown product code {code!r}")
-        if len(set(codes)) != len(codes):
+        if len(self._index) != len(codes):
             raise ValidationError("duplicate product codes")
-        if codes != sorted(codes):
+        if list(codes) != sorted(codes):
             raise ValidationError("product codes must be sorted ascending")
 
     @classmethod
@@ -80,18 +83,19 @@ class ProductRegistry:
             raise ValidationError(f"unknown product codes {sorted(unknown)}")
         return cls(tuple((c, SITC1_NAMES[c]) for c in sorted(set(codes))))
 
-    @property
+    @cached_property
     def codes(self) -> tuple[str, ...]:
         return tuple(code for code, _ in self.entries)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {code: i for i, code in enumerate(self.codes)}
+
     def index_of(self, code: str) -> int:
         try:
-            return self.codes.index(code)
-        except ValueError:
+            return self._index[code]
+        except KeyError:
             raise ValidationError(f"product {code!r} not in registry") from None
-
-    def name_of(self, code: str) -> str:
-        return self.entries[self.index_of(code)][1]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -112,28 +116,35 @@ class CountryRegistry:
     short_codes: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        ids = [cid for cid, _ in self.entries]
-        if not ids:
+        if not self.entries:
             raise ValidationError("country registry is empty")
-        if len(set(ids)) != len(ids):
+        if len(self._index) != len(self.entries):
             raise ValidationError("duplicate country ids")
         for members in self.group_labels.values():
             for m in members:
-                if m in ids:
+                if m in self._index:
                     raise ValidationError(f"merged member {m!r} still active")
 
     @classmethod
     def from_ids(cls, ids: Iterable[str]) -> "CountryRegistry":
         return cls(tuple((cid, cid) for cid in sorted(set(ids))))
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(cid for cid, _ in self.entries)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {cid: i for i, cid in enumerate(self.ids)}
+
+    @cached_property
+    def _short_code_counts(self) -> Counter:
+        return Counter(self.short_code(cid) for cid in self.ids)
+
     def index_of(self, cid: str) -> int:
         try:
-            return self.ids.index(cid)
-        except ValueError:
+            return self._index[cid]
+        except KeyError:
             raise ValidationError(f"country {cid!r} not in registry") from None
 
     def display_name(self, cid: str) -> str:
@@ -147,12 +158,9 @@ class CountryRegistry:
         return "".join(letters[:2]).upper() or cid[:2]
 
     def display_code(self, cid: str) -> str:
-        """Short code, or the full id when another country shares the code."""
+        """Short code, or the full id when another registered country shares the code."""
         code = self.short_code(cid)
-        for other in self.ids:
-            if other != cid and self.short_code(other) == code:
-                return cid
-        return code
+        return cid if self._short_code_counts[code] > 1 else code
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -216,9 +224,6 @@ class MoneyMatrixSet:
     def matrix_for(self, code: str) -> sparse.csc_matrix:
         return self.matrices[self.products.index_of(code)]
 
-    def product_volume(self, code: str) -> float:
-        return matrix_volume(self.matrix_for(code))
-
     def total_volume(self) -> float:
         """Per-product ``matrix_volume`` totals, added one by one in product order.
 
@@ -265,16 +270,6 @@ class IngestResult:
     duplicates_merged: int
 
 
-def _open_text(source) -> IO[str]:
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8-sig"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    if hasattr(source, "read"):
-        return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-    return open(source, "r", encoding="utf-8-sig", newline="")
-
-
 def ingest_csv(source, year: int) -> IngestResult:
     """Read trade-flow CSV records for one year into a money matrix set.
 
@@ -289,55 +284,55 @@ def ingest_csv(source, year: int) -> IngestResult:
     the same (exporter, importer, product) key are summed. Unknown product
     codes, negative values, or malformed rows raise with the line number.
     """
-    stream = _open_text(source)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyDataError("no header row") from None
-    if tuple(h.strip().lstrip("﻿") for h in header) != CSV_HEADER:
-        raise ParseError(f"expected header {','.join(CSV_HEADER)}", line=1)
+    with open_input(source) as stream:
+        reader = csv.reader(stream)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyDataError("no header row") from None
+        if tuple(h.strip().lstrip("﻿") for h in header) != CSV_HEADER:
+            raise ParseError(f"expected header {','.join(CSV_HEADER)}", line=1)
 
-    flows: dict[tuple[str, str, str], float] = {}
-    rows_used = 0
-    self_flows = 0
-    duplicates = 0
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 5:
-            raise ParseError(f"expected 5 fields, got {len(row)}", line=lineno)
-        raw_year, raw_exp, raw_imp, raw_prod, raw_val = row
-        try:
-            row_year = int(raw_year.strip())
-        except ValueError:
-            raise ParseError(f"bad year {raw_year!r}", line=lineno) from None
-        try:
-            value = float(raw_val.strip())
-        except ValueError:
-            raise ParseError(f"bad value {raw_val!r}", line=lineno) from None
-        if not math.isfinite(value) or value < 0.0:
-            raise ValidationError(f"line {lineno}: negative or non-finite value {value!r}")
-        product = raw_prod.strip()
-        if product not in SITC1_NAMES:
-            raise ValidationError(f"line {lineno}: unknown product code {raw_prod!r}")
-        try:
-            exporter = canonical_country_id(raw_exp)
-            importer = canonical_country_id(raw_imp)
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-        if row_year != year:
-            continue
-        if exporter == importer:
-            self_flows += 1
-            continue
-        key = (exporter, importer, product)
-        if key in flows:
-            flows[key] += value
-            duplicates += 1
-        else:
-            flows[key] = value
-        rows_used += 1
+        flows: dict[tuple[str, str, str], float] = {}
+        rows_used = 0
+        self_flows = 0
+        duplicates = 0
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 5:
+                raise ParseError(f"expected 5 fields, got {len(row)}", line=lineno)
+            raw_year, raw_exp, raw_imp, raw_prod, raw_val = row
+            try:
+                row_year = int(raw_year.strip())
+            except ValueError:
+                raise ParseError(f"bad year {raw_year!r}", line=lineno) from None
+            try:
+                value = float(raw_val.strip())
+            except ValueError:
+                raise ParseError(f"bad value {raw_val!r}", line=lineno) from None
+            if not math.isfinite(value) or value < 0.0:
+                raise ValidationError(f"line {lineno}: negative or non-finite value {value!r}")
+            product = raw_prod.strip()
+            if product not in SITC1_NAMES:
+                raise ValidationError(f"line {lineno}: unknown product code {raw_prod!r}")
+            try:
+                exporter = canonical_country_id(raw_exp)
+                importer = canonical_country_id(raw_imp)
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from None
+            if row_year != year:
+                continue
+            if exporter == importer:
+                self_flows += 1
+                continue
+            key = (exporter, importer, product)
+            if key in flows:
+                flows[key] += value
+                duplicates += 1
+            else:
+                flows[key] = value
+            rows_used += 1
 
     if not flows:
         raise EmptyDataError(f"no usable rows for year {year}")
@@ -351,20 +346,18 @@ def ingest_csv(source, year: int) -> IngestResult:
 
 
 def _money_from_flows(flows, year, countries, products) -> MoneyMatrixSet:
-    n = len(countries)
-    cidx = {cid: i for i, cid in enumerate(countries.ids)}
-    per_product: dict[str, list[tuple[int, int, float]]] = {c: [] for c in products.codes}
-    for (exp, imp, prod), value in flows.items():
-        per_product[prod].append((cidx[imp], cidx[exp], value))
+    """Money matrices from summed flows; the registries look up (and validate) every key."""
+    n, count = len(countries), len(flows)
+    exp, imp, prod = zip(*flows) if flows else ((), (), ())
+    cols = np.fromiter(map(countries.index_of, exp), np.int64, count)
+    rows = np.fromiter(map(countries.index_of, imp), np.int64, count)
+    positions = np.fromiter(map(products.index_of, prod), np.int64, count)
+    values = np.fromiter(flows.values(), float, count)
     matrices = []
-    for code in products.codes:
-        triples = per_product[code]
-        if triples:
-            rows, cols, vals = zip(*triples)
-            m = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
-        else:
-            m = sparse.csc_matrix((n, n))
-        matrices.append(m)
+    for p in range(len(products)):
+        keep = positions == p  # flows keep their order within a product
+        matrices.append(sparse.coo_matrix(
+            (values[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsc())
     return MoneyMatrixSet(tuple(matrices), year, countries, products)
 
 
@@ -388,25 +381,14 @@ def money_from_records(records: Iterable[TradeFlowRecord], year: int,
         )
     if products is None:
         products = ProductRegistry.from_codes({p for _, _, p in flows})
-    for exp, imp, prod in flows:
-        countries.index_of(exp)
-        countries.index_of(imp)
-        products.index_of(prod)
     return _money_from_flows(flows, year, countries, products)
 
 
 def write_trade_csv(mm: MoneyMatrixSet, dest) -> None:
     """Serialize to the ingest CSV format (canonical row order, exact floats)."""
-    own = isinstance(dest, (str, bytes)) or not hasattr(dest, "write")
-    stream = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in mm.records():
-            writer.writerow([r.year, r.exporter, r.importer, r.product, repr(r.value_usd)])
-    finally:
-        if own:
-            stream.close()
+    rows = ([r.year, r.exporter, r.importer, r.product, repr(r.value_usd)]
+            for r in mm.records())
+    write_csv(CSV_HEADER, rows, dest)
 
 
 def merge_country_group(mm: MoneyMatrixSet, members: Iterable[str], label: str,
@@ -443,10 +425,9 @@ def merge_country_group(mm: MoneyMatrixSet, members: Iterable[str], label: str,
         short_codes[group_id] = short
     registry = CountryRegistry(new_entries, group_labels, short_codes)
 
-    old_to_new = np.empty(len(ids), dtype=np.int64)
-    new_index = {cid: i for i, cid in enumerate(new_ids)}
-    for i, cid in enumerate(ids):
-        old_to_new[i] = new_index[group_id if cid in member_set else cid]
+    old_to_new = np.array(
+        [registry.index_of(group_id if cid in member_set else cid) for cid in ids],
+        dtype=np.int64)
 
     n = len(new_ids)
     matrices = []
@@ -506,21 +487,20 @@ def volume_probabilities(mm: MoneyMatrixSet) -> VolumeProbabilities:
 
 def load_group_config(source) -> tuple[str, list[str], str | None]:
     """Read a group-merge JSON config: label, members, optional short code."""
-    import json
-
-    try:
-        if hasattr(source, "read"):
-            cfg = json.load(source)
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad group config: {exc}") from None
+    with open_input(source) as stream:
+        try:
+            cfg = json.load(stream)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"bad group config: {exc}") from None
     try:
         label = cfg["label"]
         members = list(cfg["members"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad group config: missing {exc}") from None
-    if not isinstance(label, str) or not members:
-        raise ValidationError("bad group config: need a label and a member list")
-    return label, members, cfg.get("short")
+    short = cfg.get("short")
+    if (not isinstance(label, str) or not members
+            or not all(isinstance(m, str) for m in members)
+            or not isinstance(short, (str, type(None)))):
+        raise ValidationError("bad group config: need a label, string members "
+                              "and an optional string short code")
+    return label, members, short

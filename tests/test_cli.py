@@ -58,9 +58,16 @@ def test_json_errors_flag(tmp_path, capsys):
     assert payload["message"]
 
 
-def test_zero_step_exits_2(trade_csv, tmp_path):
+@pytest.mark.parametrize("step", ["0", "nan", "inf"])
+def test_zero_step_exits_2(trade_csv, tmp_path, step):
     code = main(["sensitivity", "--input", trade_csv, "--year", "2018",
-                 "--perturb", "global", "--product", "0", "--step", "0",
+                 "--perturb", "global", "--product", "0", "--step", step,
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+
+
+def test_nan_tol_exits_2(trade_csv, tmp_path):
+    code = main(["rank", "--input", trade_csv, "--year", "2018", "--tol", "nan",
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
 
@@ -98,10 +105,13 @@ def test_malformed_merge_config_exits_2(trade_csv, tmp_path):
     assert main(["rank", "--input", trade_csv, "--year", "2018",
                  "--merge-config", str(cfg),
                  "--out-dir", str(tmp_path / "out")]) == 2
-    cfg.write_text('{"label": "G"}')  # missing members
-    assert main(["rank", "--input", trade_csv, "--year", "2018",
-                 "--merge-config", str(cfg),
-                 "--out-dir", str(tmp_path / "out")]) == 2
+    for bad in ('{"label": "G"}',  # missing members
+                '{"label": "G", "members": [1, 2]}',
+                '{"label": "G", "members": ["SAA", "SAB"], "short": 5}'):
+        cfg.write_text(bad)
+        assert main(["rank", "--input", trade_csv, "--year", "2018",
+                     "--merge-config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 2
 
 
 def test_rank_outputs(trade_csv, tmp_path):
@@ -179,7 +189,7 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_merge_with_bundled_group_config(tmp_path):
-    members = json.load(open(wtnrank.KEU9_CONFIG))["members"]
+    _, members, _ = wtnrank.load_group_config(wtnrank.KEU9_CONFIG)
     records = [TradeFlowRecord(2018, exp, "USA", "7", 1e9 + i)
                for i, exp in enumerate(members)]
     records += [TradeFlowRecord(2018, "USA", exp, "7", 5e8) for exp in members]

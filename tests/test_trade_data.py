@@ -1,4 +1,6 @@
+import gc
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from wtnrank import (
     ProductRegistry,
     TradeFlowRecord,
     ValidationError,
+    gravity_money_set,
     ingest_csv,
     merge_country_group,
     money_from_records,
@@ -23,6 +26,7 @@ from wtnrank import (
     volume_probabilities,
     write_trade_csv,
 )
+from wtnrank.synth import synth_country_ids
 from wtnrank.trade_data import matrix_volume
 
 HEADER = "year,exporter,importer,product,value_usd"
@@ -119,6 +123,26 @@ class TestIngest:
         data = (HEADER + "\n2018,FRA,USA,7,5e9\n").encode("utf-8")
         result = ingest_csv(io.BytesIO(data), 2018)
         assert result.money.total_volume() == 5e9
+
+    def test_closes_only_the_files_it_opened(self, tmp_path):
+        good = tmp_path / "good.csv"
+        good.write_text(HEADER + "\n2018,FRA,USA,7,5e9\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(HEADER + "\n2018,FRA,USA,7,oops\n")
+        text = csv_stream("2018,FRA,USA,7,5e9")
+        raw = io.BytesIO((HEADER + "\n2018,FRA,USA,7,5e9\n").encode("utf-8"))
+        out = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            ingest_csv(str(good), 2018)
+            with pytest.raises(ParseError):
+                ingest_csv(bad, 2018)
+            ingest_csv(text, 2018)
+            write_trade_csv(ingest_csv(raw, 2018).money, out)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert not text.closed and not raw.closed and not out.closed
+        assert out.getvalue().startswith(HEADER + "\n")
 
     def test_bom_and_crlf_tolerated(self):
         data = ("﻿" + HEADER + "\r\n2018,FRA,USA,7,5e9\r\n").encode("utf-8")
@@ -315,10 +339,6 @@ class TestMatrixVolume:
         assert total == bits(as_set(rebuilt).total_volume())
         assert total == bits(as_set(product).total_volume())
 
-    def test_product_volume_is_matrix_volume(self):
-        mm = small_money_set(1, 12, 2)
-        for code, m in zip(mm.products.codes, mm.matrices):
-            assert bits(mm.product_volume(code)) == bits(matrix_volume(m))
 
 
 class TestRegistries:
@@ -330,7 +350,62 @@ class TestRegistries:
         assert len(ProductRegistry.sitc1()) == 10
         assert ProductRegistry.sitc1().codes == tuple("0123456789")
 
+    def test_lookups_are_built_once(self):
+        reg = CountryRegistry.from_ids(["CCC", "AAA", "BBB"])
+        products = ProductRegistry.from_codes(["7", "0"])
+        assert reg.ids is reg.ids and products.codes is products.codes
+        assert [reg.index_of(cid) for cid in reg.ids] == [0, 1, 2]
+        assert [products.index_of(code) for code in products.codes] == [0, 1]
+        with pytest.raises(ValidationError):
+            products.index_of("5")
+
     def test_country_registry_unknown_lookup(self):
         reg = CountryRegistry.from_ids(["AAA"])
         with pytest.raises(ValidationError):
             reg.index_of("ZZZ")
+
+    def test_records_outside_given_registries_rejected(self):
+        countries = CountryRegistry.from_ids(["AAA", "BBB"])
+        products = ProductRegistry.from_codes(["0"])
+        for bad in (rec("AAA", "CCC", "0", 1.0), rec("CCC", "AAA", "0", 1.0),
+                    rec("AAA", "BBB", "1", 1.0)):
+            with pytest.raises(ValidationError):
+                money_from_records([bad], 2018, countries, products)
+
+
+def gravity_by_records(seed, n_countries, n_products, density=0.75, year=2018):
+    """The per-flow loop that ``gravity_money_set`` vectorizes, as its reference."""
+    rng = np.random.default_rng(seed)
+    ids = synth_country_ids(n_countries)
+    codes = sorted("0123456789")[:n_products]
+    mass = rng.lognormal(mean=0.0, sigma=1.2, size=n_countries)
+    product_weight = rng.lognormal(mean=0.0, sigma=0.8, size=n_products)
+    distance = rng.uniform(0.5, 2.5, size=(n_countries, n_countries))
+    distance = (distance + distance.T) / 2.0
+    records = []
+    for p, code in enumerate(codes):
+        noise = rng.lognormal(mean=0.0, sigma=0.5, size=(n_countries, n_countries))
+        linked = rng.random((n_countries, n_countries)) < density
+        for i in range(n_countries):  # exporter
+            for j in range(n_countries):  # importer
+                if i == j or not linked[i, j]:
+                    continue
+                value = product_weight[p] * mass[i] * mass[j] / distance[i, j]
+                value = float(round(value * noise[i, j] * 1e7))
+                if value > 0.0:
+                    records.append(TradeFlowRecord(year, ids[i], ids[j], code, value))
+    return money_from_records(records, year, CountryRegistry.from_ids(ids),
+                              ProductRegistry.from_codes(codes))
+
+
+@pytest.mark.parametrize("args, density", [
+    ((42, 12, 4), 0.75), ((0, 5, 1), 0.75), ((1, 40, 10), 0.75), ((7, 60, 3), 0.3),
+])
+def test_gravity_matches_per_flow_reference(args, density):
+    got = gravity_money_set(*args, density=density)
+    want = gravity_by_records(*args, density=density)
+    assert money_sets_equal(got, want)
+    for m, ref in zip(got.matrices, want.matrices):
+        assert np.array_equal(m.indptr, ref.indptr)
+        assert np.array_equal(m.indices, ref.indices)
+        assert np.array_equal(m.data.view(np.int64), ref.data.view(np.int64))
