@@ -242,14 +242,16 @@ def cmd_regomax(args) -> int:
     if not actors:
         raise ValidationError("empty actor list")
     selection = [(actor, code) for actor in actors for code in money.products.codes]
-    for direction, stem in ((DIRECT, "regomax_direct"), (INVERTED, "regomax_inverted")):
-        g = build_google(money, direction, args.alpha)
-        reduced = regomax_mod.reduce(g, selection)
+    # both directions are reduced and linked before any file is written
+    reductions = [regomax_mod.reduce(build_google(money, direction, args.alpha), selection)
+                  for direction in (DIRECT, INVERTED)]
+    links = [regomax_mod.strongest_links(reduced.g_r, args.k) for reduced in reductions]
+    for reduced, edges in zip(reductions, links):
+        direction, stem = reduced.direction, f"regomax_{reduced.direction}"
         for name, matrix in (("gr", reduced.g_r), ("grr", reduced.g_rr),
                              ("gpr", reduced.g_pr), ("gqr", reduced.g_qr)):
             regomax_mod.write_matrix_csv(
                 matrix, reduced.labels, _out_path(args, f"{stem}_{name}.csv"))
-        edges = regomax_mod.strongest_links(reduced.g_r, args.k)
         regomax_mod.write_dot(edges, reduced.labels, direction,
                               _out_path(args, stem + ".dot"))
         meta = {

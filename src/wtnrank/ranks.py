@@ -56,10 +56,6 @@ class RankVector:
     countries: CountryRegistry
     products: ProductRegistry
 
-    def countries_by_rank(self) -> tuple[str, ...]:
-        """Country ids ordered from rank 1 down."""
-        return tuple(np.asarray(self.countries.ids)[np.argsort(self.country_rank)])
-
 
 def pagerank(g: GoogleMatrix, tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER) -> RankVector:
@@ -127,6 +123,8 @@ def rank_table(direct: RankVector, inverted: RankVector,
     Columns: PageRank (direct), CheiRank (inverted), ImportRank and
     ExportRank (trade volume). ``top`` is clipped to the country count.
     """
+    if top < 1:
+        raise ValidationError(f"top must be at least 1, got {top}")
     registry = direct.countries
     for other in (inverted.countries, volumes.countries):
         if other.entries != registry.entries:

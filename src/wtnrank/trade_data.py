@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -237,27 +238,25 @@ class MoneyMatrixSet:
 
     def records(self) -> list[TradeFlowRecord]:
         """All nonzero flows, sorted by (product, exporter, importer)."""
-        ids = self.countries.ids
-        out = []
+        return [TradeFlowRecord(self.year, *flow) for flow in self._sorted_flows()]
+
+    def _sorted_flows(self):
+        """Nonzero (exporter, importer, product, value) flows, sorted by product and ids."""
+        ids = np.array(self.countries.ids, dtype=object)
+        id_rank = np.argsort(np.argsort(ids))  # position -> place in id order
         for code, m in zip(self.products.codes, self.matrices):
             coo = m.tocoo()
-            for imp, exp, val in zip(coo.row, coo.col, coo.data):
-                if val != 0.0:
-                    out.append(TradeFlowRecord(self.year, ids[exp], ids[imp], code, float(val)))
-        out.sort(key=lambda r: (r.product, r.exporter, r.importer))
-        return out
+            nonzero = coo.data != 0.0
+            exp, imp, values = coo.col[nonzero], coo.row[nonzero], coo.data[nonzero]
+            order = np.lexsort((id_rank[imp], id_rank[exp]))
+            yield from zip(ids[exp[order]], ids[imp[order]], repeat(code), values[order].tolist())
 
 
 def money_sets_equal(a: MoneyMatrixSet, b: MoneyMatrixSet) -> bool:
     """Exact structural equality (registries, year, and every stored entry)."""
-    if a.year != b.year or a.countries.entries != b.countries.entries:
-        return False
-    if a.products.entries != b.products.entries:
-        return False
-    for ma, mb in zip(a.matrices, b.matrices):
-        if (ma != mb).nnz != 0:
-            return False
-    return True
+    return (a.year == b.year and a.countries.entries == b.countries.entries
+            and a.products.entries == b.products.entries
+            and all((ma != mb).nnz == 0 for ma, mb in zip(a.matrices, b.matrices)))
 
 
 @dataclass(frozen=True)
@@ -293,10 +292,8 @@ def ingest_csv(source, year: int) -> IngestResult:
         if tuple(h.strip().lstrip("﻿") for h in header) != CSV_HEADER:
             raise ParseError(f"expected header {','.join(CSV_HEADER)}", line=1)
 
-        flows: dict[tuple[str, str, str], float] = {}
-        rows_used = 0
+        exporters, importers, codes, values = [], [], [], []
         self_flows = 0
-        duplicates = 0
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -326,68 +323,76 @@ def ingest_csv(source, year: int) -> IngestResult:
             if exporter == importer:
                 self_flows += 1
                 continue
-            key = (exporter, importer, product)
-            if key in flows:
-                flows[key] += value
-                duplicates += 1
-            else:
-                flows[key] = value
-            rows_used += 1
+            exporters.append(exporter)
+            importers.append(importer)
+            codes.append(product)
+            values.append(value)
 
-    if not flows:
+    if not values:
         raise EmptyDataError(f"no usable rows for year {year}")
-
-    countries = CountryRegistry.from_ids(
-        {exp for exp, _, _ in flows} | {imp for _, imp, _ in flows}
-    )
-    products = ProductRegistry.from_codes({prod for _, _, prod in flows})
-    money = _money_from_flows(flows, year, countries, products)
-    return IngestResult(money, rows_used, self_flows, duplicates)
+    money = _money_from_keys(exporters, importers, codes, values, year)
+    unique_keys = sum(m.nnz for m in money.matrices)
+    return IngestResult(money, len(values), self_flows, len(values) - unique_keys)
 
 
-def _money_from_flows(flows, year, countries, products) -> MoneyMatrixSet:
-    """Money matrices from summed flows; the registries look up (and validate) every key."""
-    n, count = len(countries), len(flows)
-    exp, imp, prod = zip(*flows) if flows else ((), (), ())
-    cols = np.fromiter(map(countries.index_of, exp), np.int64, count)
-    rows = np.fromiter(map(countries.index_of, imp), np.int64, count)
-    positions = np.fromiter(map(products.index_of, prod), np.int64, count)
-    values = np.fromiter(flows.values(), float, count)
-    matrices = []
-    for p in range(len(products)):
-        keep = positions == p  # flows keep their order within a product
-        matrices.append(sparse.coo_matrix(
-            (values[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsc())
-    return MoneyMatrixSet(tuple(matrices), year, countries, products)
+def _money_from_keys(exporters, importers, codes, values, year, countries=None,
+                     products=None) -> MoneyMatrixSet:
+    """Money matrices from per-flow ids and codes; the registry lookups reject unknown keys."""
+    if countries is None:
+        countries = CountryRegistry.from_ids({*exporters, *importers})
+    if products is None:
+        products = ProductRegistry.from_codes(codes)
+    country, count = countries.index_of, len(values)
+    return _money_from_columns(
+        np.fromiter(map(country, exporters), np.int64, count),
+        np.fromiter(map(country, importers), np.int64, count),
+        np.fromiter(map(products.index_of, codes), np.int64, count),
+        np.array(values, dtype=float), year, countries, products)
+
+
+def _money_from_columns(exporter, importer, product, value, year, countries,
+                        products) -> MoneyMatrixSet:
+    """Money matrices from flows given as registry positions, dropping self-flows.
+
+    Flows sharing a key are added one by one in input order from 0.0 (``bincount``
+    over the ``unique`` inverse), so no sum hangs on a library's summation order.
+    The sorted keys, (product, exporter, importer), are each product's CSC order.
+    """
+    n, n_p = len(countries), len(products)
+    keep = exporter != importer
+    keys = (product[keep] * n + exporter[keep]) * n + importer[keep]
+    unique, inverse = np.unique(keys, return_inverse=True)
+    sums = np.bincount(inverse, weights=value[keep])
+    columns, rows = np.divmod(unique, n)  # column of the side-by-side blocks
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(columns, minlength=n_p * n))))
+    blocks = sparse.csc_matrix((sums, rows, indptr), shape=(n, n_p * n))
+    matrices = tuple(blocks[:, p * n:(p + 1) * n] for p in range(n_p))
+    return MoneyMatrixSet(matrices, year, countries, products)
 
 
 def money_from_records(records: Iterable[TradeFlowRecord], year: int,
                        countries: CountryRegistry | None = None,
                        products: ProductRegistry | None = None) -> MoneyMatrixSet:
     """Assemble a money matrix set from in-memory records (duplicates summed)."""
-    flows: dict[tuple[str, str, str], float] = {}
+    exporters, importers, codes, values = [], [], [], []
     for r in records:
         if r.year != year or r.exporter == r.importer:
             continue
         if r.value_usd < 0.0:
             raise ValidationError(f"negative value for {r.exporter}->{r.importer}")
-        key = (r.exporter, r.importer, r.product)
-        flows[key] = flows.get(key, 0.0) + r.value_usd
-    if not flows and (countries is None or products is None):
+        exporters.append(r.exporter)
+        importers.append(r.importer)
+        codes.append(r.product)
+        values.append(r.value_usd)
+    if not values and (countries is None or products is None):
         raise EmptyDataError(f"no usable records for year {year}")
-    if countries is None:
-        countries = CountryRegistry.from_ids(
-            {e for e, _, _ in flows} | {i for _, i, _ in flows}
-        )
-    if products is None:
-        products = ProductRegistry.from_codes({p for _, _, p in flows})
-    return _money_from_flows(flows, year, countries, products)
+    return _money_from_keys(exporters, importers, codes, values, year, countries, products)
 
 
 def write_trade_csv(mm: MoneyMatrixSet, dest) -> None:
     """Serialize to the ingest CSV format (canonical row order, exact floats)."""
-    rows = ([r.year, r.exporter, r.importer, r.product, repr(r.value_usd)]
-            for r in mm.records())
+    rows = ([mm.year, exp, imp, code, repr(value)]
+            for exp, imp, code, value in mm._sorted_flows())
     write_csv(CSV_HEADER, rows, dest)
 
 
@@ -429,18 +434,12 @@ def merge_country_group(mm: MoneyMatrixSet, members: Iterable[str], label: str,
         [registry.index_of(group_id if cid in member_set else cid) for cid in ids],
         dtype=np.int64)
 
-    n = len(new_ids)
-    matrices = []
-    for m in mm.matrices:
-        coo = m.tocoo()
-        rows = old_to_new[coo.row]
-        cols = old_to_new[coo.col]
-        keep = rows != cols  # drops intra-group flows
-        merged = sparse.coo_matrix(
-            (coo.data[keep], (rows[keep], cols[keep])), shape=(n, n)
-        ).tocsc()
-        matrices.append(merged)
-    return MoneyMatrixSet(tuple(matrices), mm.year, registry, mm.products)
+    coos = [m.tocoo() for m in mm.matrices]  # each in storage order
+    product = np.repeat(np.arange(mm.n_products), [coo.nnz for coo in coos])
+    exporter, importer, value = (np.concatenate(part) for part in zip(
+        *[(old_to_new[coo.col], old_to_new[coo.row], coo.data) for coo in coos]))
+    # intra-group flows become self-flows of the group node and are dropped
+    return _money_from_columns(exporter, importer, product, value, mm.year, registry, mm.products)
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,15 @@ def test_zero_step_exits_2(trade_csv, tmp_path, step):
     assert code == 2
 
 
+@pytest.mark.parametrize("top", ["0", "-3"])
+def test_nonpositive_top_exits_2(trade_csv, tmp_path, top):
+    out = tmp_path / "out"
+    code = main(["rank", "--input", trade_csv, "--year", "2018", "--top", top,
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert not (out / "rank_table.csv").exists()
+
+
 def test_nan_tol_exits_2(trade_csv, tmp_path):
     code = main(["rank", "--input", trade_csv, "--year", "2018", "--tol", "nan",
                  "--out-dir", str(tmp_path / "out")])
@@ -77,6 +86,14 @@ def test_invalid_actor_exits_2(trade_csv, tmp_path, capsys):
                  "--actors", "SAA,NOPE", "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "NOPE" in capsys.readouterr().err
+
+
+def test_regomax_bad_k_writes_nothing(trade_csv, tmp_path):
+    out = tmp_path / "out"
+    code = main(["regomax", "--input", trade_csv, "--year", "2018",
+                 "--actors", "SAA,SAB", "--k", "0", "--out-dir", str(out)])
+    assert code == 2
+    assert not list(out.glob("regomax_*"))
 
 
 def test_solver_failure_exits_3(trade_csv, tmp_path, capsys):

@@ -263,6 +263,14 @@ def bits(x):
     return np.float64(x).view(np.int64)
 
 
+def same_bits(got, want):
+    """Matrices equal in structure and in every stored bit."""
+    for m, ref in zip(got.matrices, want.matrices, strict=True):
+        assert np.array_equal(m.indptr, ref.indptr)
+        assert np.array_equal(m.indices, ref.indices)
+        assert np.array_equal(m.data.view(np.int64), ref.data.view(np.int64))
+
+
 def off_grid_matrices(seed):
     """Seeded gravity matrices with every value moved off the whole-dollar grid.
 
@@ -405,7 +413,125 @@ def test_gravity_matches_per_flow_reference(args, density):
     got = gravity_money_set(*args, density=density)
     want = gravity_by_records(*args, density=density)
     assert money_sets_equal(got, want)
-    for m, ref in zip(got.matrices, want.matrices):
-        assert np.array_equal(m.indptr, ref.indptr)
-        assert np.array_equal(m.indices, ref.indices)
-        assert np.array_equal(m.data.view(np.int64), ref.data.view(np.int64))
+    same_bits(got, want)
+
+
+def money_by_dict(flows, year, countries, products):
+    """Money matrices from already summed ``{(exporter, importer, product): value}``."""
+    n = len(countries)
+    matrices = []
+    for code in products.codes:
+        keys = [k for k in flows if k[2] == code]
+        rows = [countries.index_of(imp) for _, imp, _ in keys]
+        cols = [countries.index_of(exp) for exp, _, _ in keys]
+        data = [flows[k] for k in keys]
+        # unique keys, so the conversion only sorts and sums nothing
+        matrices.append(sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc())
+    return MoneyMatrixSet(tuple(matrices), year, countries, products)
+
+
+def ingest_by_dict(rows, year):
+    """The dict aggregation that ingest used to run, kept as its reference."""
+    flows = {}
+    for row_year, exp, imp, prod, value in rows:
+        if row_year != year or exp == imp:
+            continue
+        key = (exp, imp, prod)
+        if key in flows:
+            flows[key] += value
+        else:
+            flows[key] = value
+    countries = CountryRegistry.from_ids({k[0] for k in flows} | {k[1] for k in flows})
+    products = ProductRegistry.from_codes({k[2] for k in flows})
+    return money_by_dict(flows, year, countries, products), flows
+
+
+def off_grid_rows(seed, n_rows=600):
+    """Flow rows with off-grid values, self-flows, another year, and one key
+    repeated 12 times, where the order of the additions shows."""
+    rng = np.random.default_rng(seed)
+    ids = synth_country_ids(9)
+    rows = [(2018 if rng.random() < 0.95 else 2017, ids[rng.integers(9)],
+             ids[rng.integers(9)], str(rng.integers(4)), float(rng.uniform(0.0, 1e6)))
+            for _ in range(n_rows)]
+    # each small value is under half an ulp of the first, so in input order none counts
+    heavy = [float(rng.uniform(1e16, 2e16))] + [float(v) for v in rng.uniform(0.1, 0.9, 11)]
+    for value in heavy:
+        rows.insert(int(rng.integers(len(rows))), (2018, ids[0], ids[1], "2", value))
+    forward = backward = 0.0
+    for value in heavy:
+        forward += value
+    for value in reversed(heavy):
+        backward += value
+    assert bits(forward) != bits(backward)  # so the order has to be right
+    return rows
+
+
+class TestInputOrderSums:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ingest_matches_dict_reference(self, seed):
+        rows = off_grid_rows(seed)
+        text = "".join(f"{y},{e},{i},{p},{v!r}\n" for y, e, i, p, v in rows)
+        result = ingest_csv(io.StringIO(HEADER + "\n" + text), 2018)
+        want, flows = ingest_by_dict(rows, 2018)
+        assert result.money.countries.entries == want.countries.entries
+        assert result.money.products.entries == want.products.entries
+        same_bits(result.money, want)
+        used = sum(1 for y, e, i, _, _ in rows if y == 2018 and e != i)
+        assert (result.rows_used, result.duplicates_merged) == (used, used - len(flows))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_records_match_dict_reference(self, seed):
+        rows = off_grid_rows(seed)
+        records = [TradeFlowRecord(*row) for row in rows]
+        got = money_from_records(records, 2018)
+        flows = {}
+        for r in records:
+            if r.year == 2018 and r.exporter != r.importer:
+                key = (r.exporter, r.importer, r.product)
+                flows[key] = flows.get(key, 0.0) + r.value_usd
+        same_bits(got, money_by_dict(flows, 2018, got.countries, got.products))
+        assert got.countries.ids == tuple(sorted({k[0] for k in flows} | {k[1] for k in flows}))
+
+    def test_merge_adds_in_input_order(self):
+        mm = gravity_money_set(1, 40, 2)
+        cents = MoneyMatrixSet(tuple(m / 100.0 for m in mm.matrices), mm.year,
+                               mm.countries, mm.products)
+        members = set(cents.countries.ids[:9])
+        merged = merge_country_group(cents, members, "GRP")
+
+        def new_id(cid):
+            return "GRP" if cid in members else cid
+
+        flows = {}
+        for code, m in zip(cents.products.codes, cents.matrices):
+            coo = m.tocoo()  # each column's entries in storage order
+            for imp, exp, value in zip(coo.row, coo.col, coo.data):
+                key = (new_id(cents.countries.ids[exp]), new_id(cents.countries.ids[imp]), code)
+                if key[0] != key[1]:
+                    flows[key] = flows.get(key, 0.0) + float(value)
+        same_bits(merged, money_by_dict(flows, mm.year, merged.countries, merged.products))
+
+    def test_rows_follow_ids_not_registry_positions(self):
+        countries = CountryRegistry((("CCC", "C"), ("AAA", "A"), ("DDD", "D"), ("BBB", "B")))
+        products = ProductRegistry.from_codes(["1", "4"])
+        rng = np.random.default_rng(0)
+        matrices = []
+        for _ in products.codes:
+            dense = np.round(rng.uniform(0.0, 10.0, (4, 4)), 2) * (rng.random((4, 4)) < 0.7)
+            np.fill_diagonal(dense, 0.0)
+            matrices.append(sparse.csc_matrix(dense))
+        mm = MoneyMatrixSet(tuple(matrices), 2018, countries, products)
+        ids = countries.ids
+        want = []
+        for code, m in zip(products.codes, matrices):
+            coo = m.tocoo()
+            want += [TradeFlowRecord(2018, ids[exp], ids[imp], code, float(v))
+                     for imp, exp, v in zip(coo.row, coo.col, coo.data) if v != 0.0]
+        want.sort(key=lambda r: (r.product, r.exporter, r.importer))
+        assert mm.records() == want
+        assert [r.exporter for r in want[:2]] == ["AAA", "AAA"]
+        out = io.StringIO()
+        write_trade_csv(mm, out)
+        assert out.getvalue().splitlines() == [HEADER] + [
+            f"2018,{r.exporter},{r.importer},{r.product},{r.value_usd!r}" for r in want]
