@@ -193,9 +193,9 @@ def cmd_rank(args) -> int:
     else:
         write_rank_table_csv(rows, _out_path(args, "rank_table.csv"))
 
-    ids = list(money.countries.ids)
-    import_rank = assign_ranks(volumes.import_c, ids)
-    export_rank = assign_ranks(volumes.export_c, ids)
+    ids, id_rank = money.countries.ids, money.countries.id_rank
+    import_rank = assign_ranks(volumes.import_c, id_rank)
+    export_rank = assign_ranks(volumes.export_c, id_rank)
     header = ["country", "pagerank_index", "cheirank_index",
               "importrank_index", "exportrank_index"]
     rows = ([cid, direct.country_rank[i], inverted.country_rank[i],

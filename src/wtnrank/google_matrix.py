@@ -102,24 +102,29 @@ def build_google(mm: MoneyMatrixSet, direction: str = DIRECT,
         raise ValidationError(f"direction must be {DIRECT!r} or {INVERTED!r}")
 
     v = personalization_vector(mm)
+    n_c, support = mm.n_countries, np.flatnonzero(v)
     blocks = []
-    for m in mm.matrices:
+    for p, m in enumerate(mm.matrices):
         flow = (m.T if direction == INVERTED else m).tocsc()
         colsum = np.asarray(flow.sum(axis=0)).ravel()
         scale = np.divide(1.0, colsum, out=np.zeros_like(colsum), where=colsum > 0)
-        blocks.append(flow @ sparse.diags(scale))
-    s = sparse.block_diag(blocks, format="csc")
-
-    colsum = np.asarray(s.sum(axis=0)).ravel()
-    dangling = np.flatnonzero(colsum == 0.0)
-    if dangling.size:
-        n = s.shape[0]
-        rows = np.tile(np.flatnonzero(v), dangling.size)
-        cols = np.repeat(dangling, np.count_nonzero(v))
-        data = np.tile(v[v != 0], dangling.size)
-        patch = sparse.coo_matrix((data, (rows, cols)), shape=s.shape)
-        s = (s + patch.tocsc()).tocsc()
-    s.sort_indices()
+        col = np.repeat(np.arange(n_c), np.diff(flow.indptr))
+        row, x = flow.indices, flow.data * scale[col]
+        if not flow.has_canonical_format:
+            # duplicates add one by one in storage order from 0.0, as in flow @ diag(scale)
+            unique, inverse = np.unique(col * n_c + row, return_inverse=True)
+            (col, row), x = np.divmod(unique, n_c), np.bincount(inverse, weights=x)
+        keep = x != 0.0  # zeros are not stored, so a zero-sum column keeps no entry
+        blocks.append((np.bincount(col[keep], minlength=n_c), row[keep] + p * n_c, x[keep]))
+    counts, rows, values = (np.concatenate(part) for part in zip(*blocks))
+    dangling = counts == 0
+    counts[dangling] = support.size
+    patch, k = np.repeat(dangling, counts), np.count_nonzero(dangling)
+    indices, data = np.empty(patch.size, dtype=np.int64), np.empty(patch.size)
+    indices[~patch], data[~patch] = rows, values
+    indices[patch], data[patch] = np.tile(support, k), np.tile(v[support], k)
+    s = sparse.csc_matrix((data, indices, np.concatenate(([0], np.cumsum(counts)))),
+                          shape=(counts.size, counts.size))
     return GoogleMatrix(s, float(damping), v, direction, mm.countries, mm.products)
 
 

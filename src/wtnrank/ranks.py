@@ -19,7 +19,7 @@ DEFAULT_MAX_ITER = 10_000
 def assign_ranks(probs, keys=None) -> np.ndarray:
     """Rank indexes 1..n by descending probability; ties by ascending key.
 
-    ``keys[i]`` is the tie-break key of entry ``i`` (defaults to position).
+    ``keys[i]`` is the tie-break key of entry ``i``, one scalar per entry (default: position).
     Returns an array where ``ranks[i]`` is the 1-based rank of entry ``i``.
     """
     p = np.asarray(probs, dtype=float)
@@ -27,12 +27,11 @@ def assign_ranks(probs, keys=None) -> np.ndarray:
         raise ValidationError("probabilities must be one-dimensional")
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise ValidationError("probabilities must be finite and nonnegative")
-    if keys is None:
-        keys = list(range(p.size))
-    order = sorted(range(p.size), key=lambda i: (-p[i], keys[i]))
+    keys = np.arange(p.size) if keys is None else np.asarray(keys)
+    if keys.shape != p.shape:
+        raise ValidationError("keys must be one-dimensional, one per probability")
     ranks = np.empty(p.size, dtype=np.int64)
-    for r, i in enumerate(order, start=1):
-        ranks[i] = r
+    ranks[np.lexsort((keys, -p))] = np.arange(1, p.size + 1)
     return ranks
 
 
@@ -100,15 +99,15 @@ def _rank_vector(g: GoogleMatrix, probs: np.ndarray, residual: float,
     joint = probs.reshape(n_p, n_c)
     country_probs = joint.sum(axis=0)
     product_probs = joint.sum(axis=1)
-    node_keys = [(cid, code) for code in g.products.codes for cid in g.countries.ids]
+    node_keys = g.countries.id_rank * n_p + np.arange(n_p)[:, None]  # id, then code
     return RankVector(
         direction=g.direction,
         node_probs=probs,
         country_probs=country_probs,
         product_probs=product_probs,
-        node_rank=assign_ranks(probs, node_keys),
-        country_rank=assign_ranks(country_probs, list(g.countries.ids)),
-        product_rank=assign_ranks(product_probs, list(g.products.codes)),
+        node_rank=assign_ranks(probs, node_keys.ravel()),
+        country_rank=assign_ranks(country_probs, g.countries.id_rank),
+        product_rank=assign_ranks(product_probs),  # codes are sorted: position order
         residual=residual,
         iterations=iterations,
         countries=g.countries,
@@ -129,20 +128,17 @@ def rank_table(direct: RankVector, inverted: RankVector,
     for other in (inverted.countries, volumes.countries):
         if other.entries != registry.entries:
             raise ValidationError("rank table inputs use different country registries")
-    ids = list(registry.ids)
-    import_rank = assign_ranks(volumes.import_c, ids)
-    export_rank = assign_ranks(volumes.export_c, ids)
     columns = {
         "pagerank_country": np.argsort(direct.country_rank),
         "cheirank_country": np.argsort(inverted.country_rank),
-        "importrank_country": np.argsort(import_rank),
-        "exportrank_country": np.argsort(export_rank),
+        "importrank_country": np.argsort(assign_ranks(volumes.import_c, registry.id_rank)),
+        "exportrank_country": np.argsort(assign_ranks(volumes.export_c, registry.id_rank)),
     }
     rows = []
-    for r in range(min(top, len(ids))):
+    for r in range(min(top, len(registry))):
         row = {"rank": r + 1}
         for name, order in columns.items():
-            row[name] = registry.display_name(ids[order[r]])
+            row[name] = registry.display_name(registry.ids[order[r]])
         rows.append(row)
     return rows
 

@@ -121,8 +121,8 @@ def balance(export_probs, import_probs, countries, description: str,
     ids = tuple(countries)
     if e.shape != i.shape or e.shape != (len(ids),):
         raise ValidationError("probability vectors do not match the country list")
-    if np.any(e < 0) or np.any(i < 0):
-        raise ValidationError("probabilities must be nonnegative")
+    if not np.all(np.isfinite(e) & np.isfinite(i)) or np.any(e < 0) or np.any(i < 0):
+        raise ValidationError("probabilities must be finite and nonnegative")
     present = (e + i) > 0.0
     values = (e[present] - i[present]) / (e[present] + i[present])
     kept = tuple(cid for cid, keep in zip(ids, present) if keep)
@@ -152,8 +152,8 @@ def perturb_money(mm: MoneyMatrixSet, perturbation: Perturbation,
     duplicates) with the sparsity pattern of the input, as ingest gives
     them, so the column sums taken downstream see entries in row order.
     """
-    if magnitude <= -1.0:
-        raise ValidationError(f"magnitude must exceed -1, got {magnitude}")
+    if not math.isfinite(magnitude) or magnitude <= -1.0:
+        raise ValidationError(f"magnitude must be finite and exceed -1, got {magnitude}")
     factor = 1.0 + magnitude
     scale = np.ones(mm.n_countries)
     if perturbation.target_country is None:
@@ -191,18 +191,11 @@ def balance_sensitivity(mm: MoneyMatrixSet, perturbation: Perturbation,
     minus = balance_report(perturb_money(mm, perturbation, -step), description,
                            damping=damping, tol=tol, max_iter=max_iter)
     if plus.countries != minus.countries:
-        # zero structure is scale invariant, so this only guards misuse
-        common = [c for c in plus.countries if c in set(minus.countries)]
-        plus_vals = np.array([plus.value(c) for c in common])
-        minus_vals = np.array([minus.value(c) for c in common])
-        countries = tuple(common)
-    else:
-        plus_vals, minus_vals = plus.balances, minus.balances
-        countries = plus.countries
-    derivatives = (plus_vals - minus_vals) / (2.0 * step)
-    diagonal = np.array([c == perturbation.target_country for c in countries])
+        raise ValidationError("the shocked flows changed the reported country set")
+    derivatives = (plus.balances - minus.balances) / (2.0 * step)
+    diagonal = np.array([c == perturbation.target_country for c in plus.countries])
     return SensitivityReport(description, perturbation, step, mm.year,
-                             countries, derivatives, diagonal)
+                             plus.countries, derivatives, diagonal)
 
 
 def labor_cost_matrix(mm: MoneyMatrixSet, description: str,

@@ -139,6 +139,13 @@ class CountryRegistry:
         return {cid: i for i, cid in enumerate(self.ids)}
 
     @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Read-only map of registry position -> place in ascending id order."""
+        rank = np.argsort(np.argsort(np.array(self.ids, dtype=object)))
+        rank.flags.writeable = False
+        return rank
+
+    @cached_property
     def _short_code_counts(self) -> Counter:
         return Counter(self.short_code(cid) for cid in self.ids)
 
@@ -242,8 +249,7 @@ class MoneyMatrixSet:
 
     def _sorted_flows(self):
         """Nonzero (exporter, importer, product, value) flows, sorted by product and ids."""
-        ids = np.array(self.countries.ids, dtype=object)
-        id_rank = np.argsort(np.argsort(ids))  # position -> place in id order
+        ids, id_rank = np.array(self.countries.ids, dtype=object), self.countries.id_rank
         for code, m in zip(self.products.codes, self.matrices):
             coo = m.tocoo()
             nonzero = coo.data != 0.0

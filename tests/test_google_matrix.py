@@ -3,18 +3,24 @@ import json
 import numpy as np
 import pytest
 from conftest import random_money_set, small_money_set
+from scipy import sparse
 
 from wtnrank import (
     CountryRegistry,
     DIRECT,
     EmptyDataError,
     INVERTED,
+    LABOR_COST,
+    MoneyMatrixSet,
+    Perturbation,
     ProductRegistry,
     TradeFlowRecord,
     ValidationError,
     build_google,
+    gravity_money_set,
     money_from_records,
     personalization_vector,
+    perturb_money,
     write_matrix_dump,
 )
 
@@ -155,6 +161,96 @@ class TestBuild:
             assert g.node_of(c, p) == i
         with pytest.raises(ValidationError):
             g.node_of("NOPE", "0")
+
+
+def reference_stochastic(mm, direction):
+    """The stochastic matrix as built through scipy products, sums and a patch."""
+    v = personalization_vector(mm)
+    blocks = []
+    for m in mm.matrices:
+        flow = (m.T if direction == INVERTED else m).tocsc()
+        colsum = np.asarray(flow.sum(axis=0)).ravel()
+        scale = np.divide(1.0, colsum, out=np.zeros_like(colsum), where=colsum > 0)
+        blocks.append(flow @ sparse.diags(scale))
+    s = sparse.block_diag(blocks, format="csc")
+    colsum = np.asarray(s.sum(axis=0)).ravel()
+    dangling = np.flatnonzero(colsum == 0.0)
+    if dangling.size:
+        rows = np.tile(np.flatnonzero(v), dangling.size)
+        cols = np.repeat(dangling, np.count_nonzero(v))
+        data = np.tile(v[v != 0], dangling.size)
+        patch = sparse.coo_matrix((data, (rows, cols)), shape=s.shape)
+        s = (s + patch.tocsc()).tocsc()
+    s.sort_indices()
+    return s
+
+
+def non_canonical(mm, seed):
+    """Each matrix with its column entries shuffled and one entry split in two
+    and another in three (the parts stored apart, in shuffled order)."""
+    rng = np.random.default_rng(seed)
+    matrices = []
+    for m in mm.matrices:
+        coo = m.tocoo()
+        row, col, data = coo.row, coo.col, coo.data.copy()
+        (a, b), fracs = rng.choice(coo.nnz, 2, replace=False), rng.uniform(0.1, 0.4, 3)
+        parts = [data[a] * fracs[0], data[b] * fracs[1], data[b] * fracs[2]]
+        data[a] -= parts[0]
+        data[b] -= parts[1] + parts[2]
+        row = np.concatenate((row, row[[a, b, b]]))
+        col = np.concatenate((col, col[[a, b, b]]))
+        data = np.concatenate((data, parts))
+        order = np.lexsort((rng.random(data.size), col))  # by column, shuffled within
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=m.shape[1]))))
+        matrices.append(sparse.csc_matrix((data[order], row[order], indptr), shape=m.shape))
+        assert not matrices[-1].has_canonical_format
+    return MoneyMatrixSet(tuple(matrices), mm.year, mm.countries, mm.products)
+
+
+def with_empty_product():
+    """Product 3 has no flows (zero volume) and one stored flow is 0.0."""
+    return money_from_records(
+        [rec("AAA", "BBB", "0", 4.0), rec("BBB", "CCC", "0", 2.5), rec("CCC", "AAA", "0", 0.0),
+         rec("CCC", "BBB", "7", 1.25)], 2018, products=ProductRegistry.from_codes(["0", "3", "7"]))
+
+
+def labor_shocked():
+    mm = gravity_money_set(42)
+    return perturb_money(mm, Perturbation(LABOR_COST, target_country=mm.countries.ids[5]), 0.01)
+
+
+ASSEMBLY_FIXTURES = {
+    "seed42": lambda: gravity_money_set(42),
+    "density0.05": lambda: gravity_money_set(3, 40, 5, density=0.05),
+    "empty-product": with_empty_product,
+    "labor-shocked": labor_shocked,
+    "non-canonical": lambda: non_canonical(gravity_money_set(42), 0),
+}
+
+
+class TestAssemblyReference:
+    """build_google assembles one CSC; it must match the scipy-built reference bit for bit."""
+
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    @pytest.mark.parametrize("name", list(ASSEMBLY_FIXTURES))
+    def test_bit_identical(self, name, direction):
+        mm = ASSEMBLY_FIXTURES[name]()
+        got = build_google(mm, direction).stochastic
+        want = reference_stochastic(mm, direction)
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices"):
+            assert getattr(got, attr).dtype == getattr(want, attr).dtype
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+        assert got.has_sorted_indices and want.has_sorted_indices
+
+    def test_fixtures_reach_the_edge_cases(self):
+        for direction in (DIRECT, INVERTED):
+            g = build_google(ASSEMBLY_FIXTURES["density0.05"](), direction)
+            assert np.any(np.diff(g.stochastic.indptr) == g.n_nodes)  # dangling columns
+        mm = with_empty_product()
+        assert np.count_nonzero(personalization_vector(mm)) == 6  # product 3 carries no volume
+        assert np.count_nonzero(mm.matrix_for("0").data == 0.0) == 1  # a stored zero
 
 
 class TestDump:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from conftest import random_money_set, small_money_set
+from scipy import sparse
 
 from wtnrank import (
     ConvergenceError,
     CountryRegistry,
     DIRECT,
     INVERTED,
+    MoneyMatrixSet,
     ProductRegistry,
     RankVector,
     TradeFlowRecord,
@@ -19,6 +21,15 @@ from wtnrank import (
     rank_table,
     volume_probabilities,
 )
+from wtnrank.ranks import _rank_vector
+
+
+def sorted_reference_ranks(probs, keys):
+    """Ranks from Python's sort on (-probability, key): the tie rule by definition."""
+    order = sorted(range(len(probs)), key=lambda i: (-probs[i], keys[i]))
+    ranks = np.empty(len(probs), dtype=np.int64)
+    ranks[order] = np.arange(1, len(probs) + 1)
+    return ranks
 
 
 def build(seed, n_c=None, n_p=None, direction=DIRECT, alpha=0.5):
@@ -114,6 +125,27 @@ class TestAssignRanks:
         with pytest.raises(ValidationError):
             assign_ranks([0.1, np.nan])
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("key_kind", ["string", "integer", "default"])
+    def test_matches_sorted_reference_with_ties(self, seed, key_kind):
+        rng = np.random.default_rng(seed)
+        p = rng.choice([0.0, 0.125, 0.3], size=60)  # many ties
+        keys = {
+            "string": ["".join(rng.choice(list("ABCD"), 3)) for _ in range(p.size)],
+            "integer": list(rng.integers(-5, 5, p.size)),  # repeated keys too
+            "default": None,
+        }[key_kind]
+        want = sorted_reference_ranks(p, range(p.size) if keys is None else keys)
+        got = assign_ranks(p, keys)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("keys", [["A", "B"], ["A", "B", "C", "D"],
+                                      [("A", "0"), ("B", "0"), ("C", "0")], [[1, 2, 3]]])
+    def test_keys_must_be_one_per_probability(self, keys):
+        with pytest.raises(ValidationError):
+            assign_ranks([0.5, 0.3, 0.2], keys)
+
 
 def _hand_rank_vector(registry, products, country_probs, direction=DIRECT):
     country_probs = np.asarray(country_probs, dtype=float)
@@ -132,6 +164,60 @@ def _hand_rank_vector(registry, products, country_probs, direction=DIRECT):
         countries=registry,
         products=products,
     )
+
+
+def unsorted_registry_set():
+    """Four countries registered out of id order; every flow is 1.0, so ranks tie."""
+    countries = CountryRegistry((("CCC", "C"), ("AAA", "A"), ("DDD", "D"), ("BBB", "B")))
+    products = ProductRegistry.from_codes(["2", "5"])
+    dense = np.ones((4, 4))
+    np.fill_diagonal(dense, 0.0)
+    dense[:, 2] = 0.0  # DDD exports nothing
+    return MoneyMatrixSet((sparse.csc_matrix(dense),) * 2, 2018, countries, products)
+
+
+class TestUnsortedRegistryTies:
+    """Ties break by country id, then product code, whatever the registry order."""
+
+    def node_keys(self, g):
+        return [(cid, code) for code in g.products.codes for cid in g.countries.ids]
+
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    def test_pagerank_ties(self, direction):
+        g = build_google(unsorted_registry_set(), direction)
+        rv = pagerank(g)
+        assert len(set(rv.node_probs)) < rv.node_probs.size  # there are ties to break
+        np.testing.assert_array_equal(
+            rv.node_rank, sorted_reference_ranks(rv.node_probs, self.node_keys(g)))
+        np.testing.assert_array_equal(
+            rv.country_rank, sorted_reference_ranks(rv.country_probs, g.countries.ids))
+        np.testing.assert_array_equal(
+            rv.product_rank, sorted_reference_ranks(rv.product_probs, g.products.codes))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_drawn_ties(self, seed):
+        g = build_google(unsorted_registry_set())
+        probs = np.random.default_rng(seed).choice([0.05, 0.1, 0.2], size=g.n_nodes)
+        rv = _rank_vector(g, probs / probs.sum(), 0.0, 1)
+        np.testing.assert_array_equal(
+            rv.node_rank, sorted_reference_ranks(rv.node_probs, self.node_keys(g)))
+        np.testing.assert_array_equal(
+            rv.country_rank, sorted_reference_ranks(rv.country_probs, g.countries.ids))
+
+    def test_rank_table(self):
+        mm = unsorted_registry_set()
+        direct, inverted = pagerank(build_google(mm, DIRECT)), pagerank(build_google(mm, INVERTED))
+        vp = volume_probabilities(mm)
+        rows = rank_table(direct, inverted, vp, top=4)
+        registry = mm.countries
+        for column, probs in (("pagerank_country", direct.country_probs),
+                              ("cheirank_country", inverted.country_probs),
+                              ("importrank_country", vp.import_c),
+                              ("exportrank_country", vp.export_c)):
+            want = np.argsort(sorted_reference_ranks(probs, registry.ids))
+            assert [r[column] for r in rows] == [registry.entries[i][1] for i in want]
+        # DDD imports most; AAA, BBB and CCC tie and follow in id order
+        assert [r["importrank_country"] for r in rows] == ["D", "A", "B", "C"]
 
 
 class TestRankTable:

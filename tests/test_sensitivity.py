@@ -46,6 +46,14 @@ class TestBalance:
                          ["AAA", "BBB", "CCC"], VOLUME_BASED, 2018)
         assert report.countries == ("AAA", "CCC")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # nan > 0 is False: without the check country AAA would be dropped silently
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            balance([bad, 0.5], [0.5, 0.5], ["AAA", "BBB"], VOLUME_BASED, 2018)
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            balance([0.5, 0.5], [0.5, bad], ["AAA", "BBB"], VOLUME_BASED, 2018)
+
     def test_bounds(self):
         mm = random_money_set(21, max_countries=10)
         for desc in (RANK_BASED, VOLUME_BASED):
@@ -117,6 +125,12 @@ class TestPerturb:
         with pytest.raises(ValidationError):
             perturb_money(mm, Perturbation(GLOBAL_PRODUCT, product="0"), -1.0)
 
+    @pytest.mark.parametrize("magnitude", [np.nan, np.inf])
+    def test_magnitude_must_be_finite(self, magnitude):
+        mm = two_country()
+        with pytest.raises(ValidationError):
+            perturb_money(mm, Perturbation(GLOBAL_PRODUCT, product="0"), magnitude)
+
     def test_perturbation_kind_validation(self):
         with pytest.raises(ValidationError):
             Perturbation("weird")
@@ -182,6 +196,17 @@ class TestBalanceSensitivity:
         report = balance_sensitivity(
             mm, Perturbation(GLOBAL_PRODUCT, product=mm.products.codes[0]), RANK_BASED)
         assert not report.diagonal.any()
+
+    def test_country_set_change_rejected(self):
+        # at -h the subnormal flow rounds to 0.0 and CCC leaves the volume report;
+        # at +h it stays, so the two sides cannot be differenced country by country
+        mm = money_from_records([rec("AAA", "BBB", "1", 1.3), rec("BBB", "AAA", "1", 0.5),
+                                 rec("CCC", "AAA", "1", 5e-324)], 2018)
+        shock = Perturbation(GLOBAL_PRODUCT, product="1")
+        assert "CCC" in balance_report(perturb_money(mm, shock, 0.5), VOLUME_BASED).countries
+        assert "CCC" not in balance_report(perturb_money(mm, shock, -0.5), VOLUME_BASED).countries
+        with pytest.raises(ValidationError, match="country set"):
+            balance_sensitivity(mm, shock, VOLUME_BASED, 0.5)
 
 
 class TestLaborCostMatrix:
