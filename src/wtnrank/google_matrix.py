@@ -66,7 +66,7 @@ class GoogleMatrix:
             + (1.0 - self.damping) * self.personalization * x.sum()
 
     def effective_dense(self) -> np.ndarray:
-        """Dense effective matrix; intended for node counts up to a few thousand."""
+        """Dense effective matrix, the tests' oracle; the library never builds it."""
         g = self.damping * self.stochastic.toarray()
         g += (1.0 - self.damping) * self.personalization[:, None]
         return g
@@ -107,9 +107,12 @@ def build_google(mm: MoneyMatrixSet, direction: str = DIRECT,
     for p, m in enumerate(mm.matrices):
         flow = (m.T if direction == INVERTED else m).tocsc()
         colsum = np.asarray(flow.sum(axis=0)).ravel()
-        scale = np.divide(1.0, colsum, out=np.zeros_like(colsum), where=colsum > 0)
         col = np.repeat(np.arange(n_c), np.diff(flow.indptr))
-        row, x = flow.indices, flow.data * scale[col]
+        with np.errstate(over="ignore", invalid="ignore"):  # 1 / a subnormal sum is inf
+            scale = np.divide(1.0, colsum, out=np.zeros_like(colsum), where=colsum > 0)
+            row, x = flow.indices, flow.data * scale[col]
+        for j in np.flatnonzero(np.isinf(scale)):  # there a / colsum is still finite
+            x[col == j] = flow.data[col == j] / colsum[j]
         if not flow.has_canonical_format:
             # duplicates add one by one in storage order from 0.0, as in flow @ diag(scale)
             unique, inverse = np.unique(col * n_c + row, return_inverse=True)

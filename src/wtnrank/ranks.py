@@ -68,8 +68,8 @@ def pagerank(g: GoogleMatrix, tol: float = DEFAULT_TOL,
     Raises
     ------
     ConvergenceError
-        After ``max_iter`` iterations above tolerance (carries the last
-        residual).
+        After ``max_iter`` iterations above tolerance, or at the first
+        non-finite residual (carries the last residual and iteration count).
     """
     if not math.isfinite(tol) or tol <= 0.0:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
@@ -81,6 +81,9 @@ def pagerank(g: GoogleMatrix, tol: float = DEFAULT_TOL,
         x_next = g.apply(x)
         residual = float(np.abs(x_next - x).sum())
         x = x_next
+        if not math.isfinite(residual):
+            raise ConvergenceError(f"power iteration residual is {residual} at iteration "
+                                   f"{iteration}", residual=residual, iterations=iteration)
         if residual <= tol:
             x = x / x.sum()
             return _rank_vector(g, x, residual, iteration)

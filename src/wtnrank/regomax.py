@@ -3,9 +3,9 @@
 For a partition of the nodes into a reduced set r and a scattering set s,
 the reduced matrix G_R = G_rr + G_rs (I - G_ss)^-1 G_sr captures every
 direct and indirect transition between reduced nodes. Deflating the leading
-eigenmode of the scattering block splits the indirect part into a
-rank-one projector term and a rapidly converging series of true multi-step
-pathways.
+eigenmode of the scattering block splits the indirect part into a rank-one
+term along that mode and a rapidly converging series of true multi-step pathways.
+All of it works on the sparse links plus the rank-one teleport term.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, splu
 
 from ._io import open_output, write_csv
 from .errors import ConvergenceError, ValidationError
@@ -53,10 +54,9 @@ class ReducedGoogleMatrix:
 def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
     """Reduce the Google matrix onto the selected (country, product) nodes.
 
-    The reduced matrix is obtained from one LU factorization of
-    (I - G_ss) and one solve per reduced node, which is exact up to solver
-    precision; the series form enters only the pathway component g_qr,
-    where the leading scattering eigenmode has been deflated.
+    No dense N x N copy: G_ss = damping * S_ss + u 1^T, u = (1 - damping) * v_s, so one
+    sparse LU of I - damping * S_ss and a Sherman-Morrison step give (I - G_ss)^-1 G_sr,
+    and the same operator drives the eigenpair and the deflated pathway series g_qr.
     """
     nodes = [(c, p) for c, p in selection]
     if not nodes:
@@ -66,10 +66,10 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
         raise ValidationError("node selection contains duplicates")
     labels = tuple(g.node_label(i) for i in idx)
 
-    full = g.effective_dense()
-    n = full.shape[0]
-    scatter = np.setdiff1d(np.arange(n), idx)
-    g_rr = full[np.ix_(idx, idx)]
+    a, s, v = g.damping, g.stochastic, g.personalization
+    scatter = np.setdiff1d(np.arange(g.n_nodes), idx)
+    g_r_cols = a * s[:, idx].toarray() + (1.0 - a) * v[:, None]  # G[:, r]
+    g_rr, g_sr = g_r_cols[idx], g_r_cols[scatter]
 
     if scatter.size == 0:
         zero = np.zeros_like(g_rr)
@@ -79,24 +79,27 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
             {"solve": 0.0, "eigen": 0.0, "series_tail": 0.0, "closure": 0.0},
         )
 
-    g_rs = full[np.ix_(idx, scatter)]
-    g_sr = full[np.ix_(scatter, idx)]
-    g_ss = full[np.ix_(scatter, scatter)]
-
-    system = np.eye(scatter.size) - g_ss
-    lu, piv = linalg.lu_factor(system)
-    paths = linalg.lu_solve((lu, piv), g_sr)
-    if not np.all(np.isfinite(paths)):  # impossible at damping < 1, guarded anyway
+    g_rs = a * s[idx][:, scatter].toarray() + (1.0 - a) * v[idx, None]
+    s_ss, u = a * s[scatter][:, scatter], (1.0 - a) * v[scatter]
+    ones = aslinearoperator(np.ones((1, scatter.size)))
+    g_ss = aslinearoperator(s_ss) + aslinearoperator(u[:, None]) @ ones  # never dense
+    try:  # exactly singular only at damping 1, where G_ss = S_ss
+        lu = splu(sparse.identity(scatter.size, format="csc") - s_ss)
+    except RuntimeError:
+        raise ConvergenceError("(I - G_ss) is singular") from None
+    y, z = lu.solve(g_sr), lu.solve(u)
+    denominator = 1.0 - z.sum()  # Sherman-Morrison; N_s * eps is the rounding of 1^T z
+    if not (denominator > scatter.size * np.finfo(float).eps and np.isfinite(y).all()):
         raise ConvergenceError("(I - G_ss) is singular")
-    solve_residual = float(np.abs(system @ paths - g_sr).max())
+    paths = y + np.outer(z, y.sum(axis=0) / denominator)
+    solve_residual = float(np.abs(paths - g_ss @ paths - g_sr).max())
     g_r = g_rr + g_rs @ paths
 
     lam, psi_r, psi_l, eigen_residual = _leading_eigenpair(g_ss)
     weight = float(psi_l @ psi_r)
     if weight <= 0.0:
         raise ConvergenceError("degenerate scattering eigenvectors")
-    projector = np.outer(psi_r, psi_l) / weight
-    g_pr = g_rs @ (projector @ g_sr) / (1.0 - lam)
+    g_pr = np.outer(g_rs @ psi_r, psi_l @ g_sr) / (weight * (1.0 - lam))
 
     def deflate(m):
         return m - np.outer(psi_r, psi_l @ m) / weight
@@ -127,14 +130,14 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
     )
 
 
-def _leading_eigenpair(m: np.ndarray):
+def _leading_eigenpair(m: LinearOperator):
     """Perron eigenvalue and right/left eigenvectors by power iteration."""
     lam_r, psi_r, res_r = _power_iteration(m)
     _, psi_l, res_l = _power_iteration(m.T)
     return lam_r, psi_r, psi_l, max(res_r, res_l)
 
 
-def _power_iteration(m: np.ndarray):
+def _power_iteration(m: LinearOperator):
     n = m.shape[0]
     x = np.full(n, 1.0 / n)
     lam = 0.0

@@ -96,6 +96,18 @@ def test_regomax_bad_k_writes_nothing(trade_csv, tmp_path):
     assert not list(out.glob("regomax_*"))
 
 
+def test_regomax_singular_scattering_exits_3(tmp_path, capsys):
+    # at damping 1 the AAA <-> BBB cycle is closed once CCC is reduced out
+    path = tmp_path / "cycle.csv"
+    path.write_text(f"{HEADER}\n2018,AAA,BBB,0,5\n2018,BBB,AAA,0,5\n2018,CCC,AAA,0,3\n")
+    out = tmp_path / "out"
+    code = main(["regomax", "--input", str(path), "--year", "2018", "--alpha", "1.0",
+                 "--actors", "CCC", "--out-dir", str(out)])
+    assert code == 3
+    assert "singular" in capsys.readouterr().err
+    assert not list(out.glob("regomax_*"))
+
+
 def test_solver_failure_exits_3(trade_csv, tmp_path, capsys):
     code = main(["rank", "--input", trade_csv, "--year", "2018",
                  "--tol", "1e-15", "--max-iter", "2",

@@ -77,6 +77,14 @@ class TestBuild:
         # BBB exports nothing: its column is the teleportation vector
         np.testing.assert_array_equal(s[:, 1], g.personalization)
 
+    def test_subnormal_column_sum_stays_finite(self):
+        # 1 / 5e-324 overflows to inf, so CCC's column is divided by its sum instead
+        mm = money_from_records([rec("AAA", "BBB", "1", 13.0), rec("BBB", "AAA", "1", 5.0),
+                                 rec("CCC", "AAA", "1", 5e-324)], 2018)
+        s = build_google(mm).stochastic
+        assert np.all(np.isfinite(s.data))
+        np.testing.assert_array_equal(s[:, 2].toarray().ravel(), [1.0, 0.0, 0.0])
+
     @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_columns_sum_to_one(self, seed, direction):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import random_money_set, small_money_set
@@ -83,6 +85,15 @@ class TestPagerank:
             pagerank(g, tol=1e-15, max_iter=2)
         assert err.value.residual > 0
         assert err.value.iterations == 2
+
+    def test_non_finite_residual_stops_at_once(self):
+        g = build(8)
+        s = g.stochastic.copy()
+        s.data[0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError) as err:
+            pagerank(dataclasses.replace(g, stochastic=s))
+        assert not np.isfinite(err.value.residual)
+        assert err.value.iterations <= 2
 
     def test_bad_arguments(self):
         g = build(0, 3, 1)

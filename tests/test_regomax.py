@@ -1,15 +1,23 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import small_money_set
+from scipy import sparse
 
 from wtnrank import (
     DIRECT,
     INVERTED,
+    ConvergenceError,
+    GoogleMatrix,
+    MoneyMatrixSet,
+    ProductRegistry,
+    TradeFlowRecord,
     ValidationError,
     build_google,
     merge_country_group,
+    money_from_records,
     pagerank,
     reduce,
     strongest_links,
@@ -17,23 +25,58 @@ from wtnrank import (
 from wtnrank.regomax import write_dot, write_matrix_csv
 
 
-def reduced_case(seed, n_c, n_p, n_actors, direction=DIRECT, density=0.7):
+def reduced_case(seed, n_c, n_p, n_actors, direction=DIRECT, density=0.7, damping=0.5):
     mm = small_money_set(seed, n_c, n_p, density=density)
-    g = build_google(mm, direction)
+    g = build_google(mm, direction, damping)
     selection = [(c, p) for c in mm.countries.ids[:n_actors] for p in mm.products.codes]
     return g, selection
 
 
-def dense_oracle(g, selection):
-    """G_rr + G_rs (I - G_ss)^-1 G_sr via explicit inversion."""
+def dangling_money_set(seed, n_c, n_p):
+    """Gravity set where the first and last countries export nothing in product 0
+    and import nothing in the last product, plus a product "9" with no volume.
+
+    A selection of the first countries then has dangling columns in both the
+    reduced and the scattering set, in both flow directions.
+    """
+    mm = small_money_set(seed, n_c, n_p, density=0.7)
+    keep = np.ones(n_c)
+    keep[[0, -1]] = 0.0
+    cut = sparse.diags(keep)
+    matrices = [m @ cut if p == 0 else cut @ m if p == n_p - 1 else m
+                for p, m in enumerate(mm.matrices)]
+    matrices = [sparse.csc_matrix(m) for m in matrices] + [sparse.csc_matrix((n_c, n_c))]
+    products = ProductRegistry.from_codes([*mm.products.codes, "9"])
+    return MoneyMatrixSet(tuple(matrices), mm.year, mm.countries, products)
+
+
+# seeded cases 0-3 and the dangling set; the ids at damping 0.5 carry no damping
+ORACLE_CASES = [
+    pytest.param(case, damping, id=f"{case}" if damping == 0.5 else f"{case}-{damping}")
+    for damping in (0.5, 0.85, 1.0) for case in (0, 1, 2, 3, "dangling")]
+
+
+def oracle_case(case, direction, damping):
+    if case == "dangling":
+        mm = dangling_money_set(7, 8, 3)
+        g = build_google(mm, direction, damping)
+        return g, [(c, p) for c in mm.countries.ids[:2] for p in mm.products.codes]
+    return reduced_case(case, 8, 3, 2, direction, damping=damping)  # N=24, N_r=6
+
+
+def dense_blocks(g, selection):
+    """G_rr, G_rs, G_sr, G_ss cut from the dense effective matrix."""
     full = g.effective_dense()
     idx = np.array([g.node_of(c, p) for c, p in selection])
     sc = np.setdiff1d(np.arange(full.shape[0]), idx)
-    g_rr = full[np.ix_(idx, idx)]
-    g_rs = full[np.ix_(idx, sc)]
-    g_sr = full[np.ix_(sc, idx)]
-    g_ss = full[np.ix_(sc, sc)]
-    return g_rr + g_rs @ np.linalg.inv(np.eye(sc.size) - g_ss) @ g_sr
+    return (full[np.ix_(idx, idx)], full[np.ix_(idx, sc)], full[np.ix_(sc, idx)],
+            full[np.ix_(sc, sc)])
+
+
+def dense_oracle(g, selection):
+    """G_rr + G_rs (I - G_ss)^-1 G_sr via explicit inversion."""
+    g_rr, g_rs, g_sr, g_ss = dense_blocks(g, selection)
+    return g_rr + g_rs @ np.linalg.inv(np.eye(g_ss.shape[0]) - g_ss) @ g_sr
 
 
 class TestReduce:
@@ -47,12 +90,66 @@ class TestReduce:
         assert r.lambda_c is None
         assert r.series_terms == 0
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case, damping", ORACLE_CASES)
     @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
-    def test_matches_dense_inverse(self, seed, direction):
-        g, selection = reduced_case(seed, 8, 3, 2, direction)  # N=24, N_r=6
+    def test_matches_dense_inverse(self, case, direction, damping):
+        g, selection = oracle_case(case, direction, damping)
         r = reduce(g, selection)
         np.testing.assert_allclose(r.g_r, dense_oracle(g, selection), atol=1e-10)
+
+    @pytest.mark.parametrize("case, damping", ORACLE_CASES)
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    def test_parts_match_dense_eigendecomposition(self, case, direction, damping):
+        g, selection = oracle_case(case, direction, damping)
+        _, g_rs, g_sr, g_ss = dense_blocks(g, selection)
+        values, right = np.linalg.eig(g_ss)
+        left_values, left = np.linalg.eig(g_ss.T)
+        lam = values.real.max()
+        psi_r = right[:, np.argmax(values.real)].real
+        psi_l = left[:, np.argmax(left_values.real)].real
+        projector = np.outer(psi_r, psi_l) / (psi_l @ psi_r)
+        complement = np.eye(g_ss.shape[0]) - projector
+        r = reduce(g, selection)
+        assert abs(r.lambda_c - lam) <= 1e-10
+        np.testing.assert_allclose(r.g_pr, g_rs @ projector @ g_sr / (1.0 - lam),
+                                   rtol=0, atol=1e-10)
+        pathways = g_rs @ complement @ np.linalg.inv(np.eye(g_ss.shape[0]) - g_ss) @ g_sr
+        np.testing.assert_allclose(r.g_qr, pathways, rtol=0, atol=1e-10)
+
+    def test_oracle_fixture_reaches_the_edge_cases(self):
+        g, selection = oracle_case("dangling", DIRECT, 0.5)
+        idx = {g.node_of(c, p) for c, p in selection}
+        dangling = {j for j in range(g.n_nodes)
+                    if g.stochastic[:, j].nnz == np.count_nonzero(g.personalization)}
+        assert dangling & idx and dangling - idx
+        assert not g.personalization[g.node_of("SAA", "9")]  # a zero-volume product
+
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    def test_singular_rank_one_update_raises(self, direction):
+        # product 1 has no volume, so its columns teleport into product 0, whose
+        # two nodes then form a closed class inside the scattering set
+        mm = money_from_records([TradeFlowRecord(2018, "AAA", "BBB", "0", 5.0)], 2018,
+                                products=ProductRegistry.from_codes(["0", "1"]))
+        with pytest.raises(ConvergenceError, match="singular"):
+            reduce(build_google(mm, direction, 0.5), [("AAA", "1")])
+
+    def test_no_dense_matrix_is_built(self, monkeypatch):
+        mm = dangling_money_set(11, 100, 9)  # N = 1000, one N x N float64 is 8 MB
+        g = build_google(mm)
+        selection = [(c, p) for c in mm.countries.ids[:4] for p in mm.products.codes]
+
+        def refuse(self):
+            raise AssertionError("reduce built the dense effective matrix")
+
+        monkeypatch.setattr(GoogleMatrix, "effective_dense", refuse)
+        tracemalloc.start()
+        try:
+            r = reduce(g, selection)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.n_nodes == 40
+        assert peak < g.n_nodes ** 2 * 8
 
     @pytest.mark.parametrize("seed", range(4))
     def test_decomposition_closure(self, seed):

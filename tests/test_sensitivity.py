@@ -208,6 +208,15 @@ class TestBalanceSensitivity:
         with pytest.raises(ValidationError, match="country set"):
             balance_sensitivity(mm, shock, VOLUME_BASED, 0.5)
 
+    def test_subnormal_flow_keeps_rank_sensitivity_finite(self):
+        # CCC's only flow is subnormal: its Google matrix column must not hold inf
+        mm = money_from_records([rec("AAA", "BBB", "1", 13.0), rec("BBB", "AAA", "1", 5.0),
+                                 rec("CCC", "AAA", "1", 5e-324)], 2018)
+        report = balance_sensitivity(mm, Perturbation(GLOBAL_PRODUCT, product="1"),
+                                     RANK_BASED, 0.5)
+        assert report.countries == ("AAA", "BBB", "CCC")
+        assert np.all(np.isfinite(report.derivatives))
+
 
 class TestLaborCostMatrix:
     def test_matches_one_at_a_time_calls(self):
