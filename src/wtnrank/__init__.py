@@ -20,7 +20,6 @@ from .google_matrix import (
     GoogleMatrix,
     build_google,
     personalization_vector,
-    write_matrix_dump,
 )
 from .ranks import RankVector, assign_ranks, pagerank, rank_table
 from .regomax import ReducedGoogleMatrix, reduce, strongest_links

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from ._io import open_output, write_json
 from .errors import EmptyDataError, ValidationError
 from .trade_data import CountryRegistry, MoneyMatrixSet, ProductRegistry, matrix_volume
 
@@ -113,10 +112,6 @@ def build_google(mm: MoneyMatrixSet, direction: str = DIRECT,
             row, x = flow.indices, flow.data * scale[col]
         for j in np.flatnonzero(np.isinf(scale)):  # there a / colsum is still finite
             x[col == j] = flow.data[col == j] / colsum[j]
-        if not flow.has_canonical_format:
-            # duplicates add one by one in storage order from 0.0, as in flow @ diag(scale)
-            unique, inverse = np.unique(col * n_c + row, return_inverse=True)
-            (col, row), x = np.divmod(unique, n_c), np.bincount(inverse, weights=x)
         keep = x != 0.0  # zeros are not stored, so a zero-sum column keeps no entry
         blocks.append((np.bincount(col[keep], minlength=n_c), row[keep] + p * n_c, x[keep]))
     counts, rows, values = (np.concatenate(part) for part in zip(*blocks))
@@ -130,23 +125,3 @@ def build_google(mm: MoneyMatrixSet, direction: str = DIRECT,
                           shape=(counts.size, counts.size))
     return GoogleMatrix(s, float(damping), v, direction, mm.countries, mm.products)
 
-
-def write_matrix_dump(g: GoogleMatrix, coord_path, sidecar_path) -> None:
-    """Dump the stochastic part as `row col value` triples plus a JSON sidecar.
-
-    Triples are zero-based and sorted row-major; the sidecar carries the
-    node index (country, product per node), damping, and teleportation
-    vector needed to rebuild the effective matrix.
-    """
-    coo = g.stochastic.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open_output(coord_path) as fh:
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}\n")
-    sidecar = {
-        "direction": g.direction,
-        "damping": g.damping,
-        "node_index": [list(g.node_pair(i)) for i in range(g.n_nodes)],
-        "personalization": [float(x) for x in g.personalization],
-    }
-    write_json(sidecar, sidecar_path)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ._io import write_csv, write_json
 from .errors import ValidationError
@@ -148,9 +147,7 @@ def perturb_money(mm: MoneyMatrixSet, perturbation: Perturbation,
                   magnitude: float) -> MoneyMatrixSet:
     """Scale the selected flows by (1 + magnitude); everything else untouched.
 
-    Shocked matrices come back as canonical CSC (sorted indices, no
-    duplicates) with the sparsity pattern of the input, as ingest gives
-    them, so the column sums taken downstream see entries in row order.
+    Shocked matrices keep the sparsity pattern of the input.
     """
     if not math.isfinite(magnitude) or magnitude <= -1.0:
         raise ValidationError(f"magnitude must be finite and exceed -1, got {magnitude}")
@@ -167,8 +164,7 @@ def perturb_money(mm: MoneyMatrixSet, perturbation: Perturbation,
     matrices = []
     for p, m in enumerate(mm.matrices):
         if p_idx is None or p == p_idx:  # labor-cost shocks every product
-            m = sparse.csc_matrix(m, copy=True)
-            m.sum_duplicates()
+            m = m.copy()
             m.data *= np.repeat(scale, np.diff(m.indptr))
         matrices.append(m)
     return MoneyMatrixSet(tuple(matrices), mm.year, mm.countries, mm.products)

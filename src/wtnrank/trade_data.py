@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ _ID_RE = re.compile(r"^[A-Z0-9][A-Z0-9_-]*$")
 
 def canonical_country_id(raw: str) -> str:
     """Normalize a country key (ISO alpha-3 in real data, any stable token otherwise)."""
-    cid = raw.strip().upper()
+    cid = raw.strip().upper() if isinstance(raw, str) else ""
     if not _ID_RE.match(cid):
         raise ValidationError(f"invalid country id {raw!r}")
     return cid
@@ -121,6 +122,9 @@ class CountryRegistry:
             raise ValidationError("country registry is empty")
         if len(self._index) != len(self.entries):
             raise ValidationError("duplicate country ids")
+        for cid in self.ids:
+            if canonical_country_id(cid) != cid:
+                raise ValidationError(f"country id {cid!r} is not canonical")
         for members in self.group_labels.values():
             for m in members:
                 if m in self._index:
@@ -205,7 +209,11 @@ class MoneyMatrixSet:
     """Per-product sparse money matrices over a shared country registry.
 
     ``matrices[p][c, c']`` is the USD flow of product ``p`` from exporter
-    ``c'`` to importer ``c``. Diagonals are zero; entries are nonnegative.
+    ``c'`` to importer ``c``. Construction is the one gate: every matrix must
+    be sparse and n x n, with finite, nonnegative entries and no nonzero
+    diagonal entry, or ``ValidationError`` names the product. The set then
+    holds canonical float64 CSC (sorted indices, no duplicates); any other
+    input is rebuilt, its duplicates added one by one in storage order from 0.0.
     """
 
     matrices: tuple[sparse.csc_matrix, ...]
@@ -216,10 +224,22 @@ class MoneyMatrixSet:
     def __post_init__(self):
         if len(self.matrices) != len(self.products):
             raise ValidationError("matrix count does not match product registry")
-        n = len(self.countries)
-        for m in self.matrices:
-            if m.shape != (n, n):
-                raise ValidationError("matrix shape does not match country registry")
+        n, canonical = len(self.countries), True
+        for code, m in zip(self.products.codes, self.matrices):
+            if not sparse.issparse(m) or m.shape != (n, n):
+                raise ValidationError(f"product {code!r}: not a sparse {n}x{n} matrix")
+            if not (isinstance(m, sparse.csc_matrix) and m.dtype == np.float64
+                    and m.has_canonical_format):
+                canonical, m = False, m.tocoo()
+            bad = m.data[~(np.isfinite(m.data) & (m.data >= 0.0))]
+            if bad.size:
+                raise ValidationError(f"product {code!r}: negative or non-finite flow {bad[0]}")
+            if np.any(m.diagonal()):  # duplicates summed, but every part is >= 0
+                raise ValidationError(f"product {code!r}: nonzero self-flow on the diagonal")
+        if not canonical:
+            rebuilt = _money_from_columns(*_stored_flows(self.matrices), self.year,
+                                          self.countries, self.products)
+            object.__setattr__(self, "matrices", rebuilt.matrices)
 
     @property
     def n_countries(self) -> int:
@@ -371,23 +391,41 @@ def _money_from_columns(exporter, importer, product, value, year, countries,
     sums = np.bincount(inverse, weights=value[keep])
     columns, rows = np.divmod(unique, n)  # column of the side-by-side blocks
     indptr = np.concatenate(([0], np.cumsum(np.bincount(columns, minlength=n_p * n))))
-    blocks = sparse.csc_matrix((sums, rows, indptr), shape=(n, n_p * n))
+    # dtype: the bincount of no flows at all comes back as int64
+    blocks = sparse.csc_matrix((sums, rows, indptr), shape=(n, n_p * n), dtype=float)
     matrices = tuple(blocks[:, p * n:(p + 1) * n] for p in range(n_p))
     return MoneyMatrixSet(matrices, year, countries, products)
+
+
+def _stored_flows(matrices):
+    """(exporter, importer, product, value) of every stored entry, product by
+    product, each matrix's entries in storage order."""
+    coos = [m.tocoo() for m in matrices]
+    product = np.repeat(np.arange(len(coos)), [coo.nnz for coo in coos])
+    exporter, importer, value = (np.concatenate(part) for part in zip(
+        *[(coo.col, coo.row, coo.data) for coo in coos]))
+    return exporter, importer, product, value
 
 
 def money_from_records(records: Iterable[TradeFlowRecord], year: int,
                        countries: CountryRegistry | None = None,
                        products: ProductRegistry | None = None) -> MoneyMatrixSet:
-    """Assemble a money matrix set from in-memory records (duplicates summed)."""
+    """Assemble a money matrix set from in-memory records.
+
+    Ids are canonicalized and self-flows dropped. Each value must be a finite,
+    nonnegative number, as each ingest row must; records sharing a key are
+    then summed.
+    """
     exporters, importers, codes, values = [], [], [], []
     for r in records:
-        if r.year != year or r.exporter == r.importer:
+        exporter, importer = canonical_country_id(r.exporter), canonical_country_id(r.importer)
+        if r.year != year or exporter == importer:
             continue
-        if r.value_usd < 0.0:
-            raise ValidationError(f"negative value for {r.exporter}->{r.importer}")
-        exporters.append(r.exporter)
-        importers.append(r.importer)
+        if not isinstance(r.value_usd, numbers.Real) or not 0.0 <= r.value_usd < math.inf:
+            raise ValidationError(f"value {r.value_usd!r} for {exporter}->{importer} "
+                                  "is not a finite, nonnegative number")
+        exporters.append(exporter)
+        importers.append(importer)
         codes.append(r.product)
         values.append(r.value_usd)
     if not values and (countries is None or products is None):
@@ -440,12 +478,10 @@ def merge_country_group(mm: MoneyMatrixSet, members: Iterable[str], label: str,
         [registry.index_of(group_id if cid in member_set else cid) for cid in ids],
         dtype=np.int64)
 
-    coos = [m.tocoo() for m in mm.matrices]  # each in storage order
-    product = np.repeat(np.arange(mm.n_products), [coo.nnz for coo in coos])
-    exporter, importer, value = (np.concatenate(part) for part in zip(
-        *[(old_to_new[coo.col], old_to_new[coo.row], coo.data) for coo in coos]))
+    exporter, importer, product, value = _stored_flows(mm.matrices)
     # intra-group flows become self-flows of the group node and are dropped
-    return _money_from_columns(exporter, importer, product, value, mm.year, registry, mm.products)
+    return _money_from_columns(old_to_new[exporter], old_to_new[importer], product, value,
+                               mm.year, registry, mm.products)
 
 
 @dataclass(frozen=True)

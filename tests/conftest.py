@@ -1,8 +1,9 @@
 """Shared fixtures and seeded-network helpers."""
 
 import numpy as np
+from scipy import sparse
 
-from wtnrank import gravity_money_set
+from wtnrank import MoneyMatrixSet, gravity_money_set
 
 
 def random_money_set(seed, min_countries=3, max_countries=30, max_products=4):
@@ -16,3 +17,30 @@ def random_money_set(seed, min_countries=3, max_countries=30, max_products=4):
 
 def small_money_set(seed, n_countries, n_products, density=0.8):
     return gravity_money_set(seed, n_countries, n_products, density=density)
+
+
+def non_canonical_matrices(mm, seed):
+    """Each matrix with its column entries shuffled and one entry split in two
+    and another in three (the parts stored apart, in shuffled order)."""
+    rng = np.random.default_rng(seed)
+    matrices = []
+    for m in mm.matrices:
+        coo = m.tocoo()
+        row, col, data = coo.row, coo.col, coo.data.copy()
+        (a, b), fracs = rng.choice(coo.nnz, 2, replace=False), rng.uniform(0.1, 0.4, 3)
+        parts = [data[a] * fracs[0], data[b] * fracs[1], data[b] * fracs[2]]
+        data[a] -= parts[0]
+        data[b] -= parts[1] + parts[2]
+        row = np.concatenate((row, row[[a, b, b]]))
+        col = np.concatenate((col, col[[a, b, b]]))
+        data = np.concatenate((data, parts))
+        order = np.lexsort((rng.random(data.size), col))  # by column, shuffled within
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=m.shape[1]))))
+        matrices.append(sparse.csc_matrix((data[order], row[order], indptr), shape=m.shape))
+        assert not matrices[-1].has_canonical_format
+    return tuple(matrices)
+
+
+def non_canonical(mm, seed):
+    """``mm`` handed to ``MoneyMatrixSet`` as the matrices of ``non_canonical_matrices``."""
+    return MoneyMatrixSet(non_canonical_matrices(mm, seed), mm.year, mm.countries, mm.products)

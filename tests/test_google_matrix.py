@@ -1,8 +1,6 @@
-import json
-
 import numpy as np
 import pytest
-from conftest import random_money_set, small_money_set
+from conftest import non_canonical, random_money_set, small_money_set
 from scipy import sparse
 
 from wtnrank import (
@@ -11,7 +9,6 @@ from wtnrank import (
     EmptyDataError,
     INVERTED,
     LABOR_COST,
-    MoneyMatrixSet,
     Perturbation,
     ProductRegistry,
     TradeFlowRecord,
@@ -21,7 +18,6 @@ from wtnrank import (
     money_from_records,
     personalization_vector,
     perturb_money,
-    write_matrix_dump,
 )
 
 
@@ -193,28 +189,6 @@ def reference_stochastic(mm, direction):
     return s
 
 
-def non_canonical(mm, seed):
-    """Each matrix with its column entries shuffled and one entry split in two
-    and another in three (the parts stored apart, in shuffled order)."""
-    rng = np.random.default_rng(seed)
-    matrices = []
-    for m in mm.matrices:
-        coo = m.tocoo()
-        row, col, data = coo.row, coo.col, coo.data.copy()
-        (a, b), fracs = rng.choice(coo.nnz, 2, replace=False), rng.uniform(0.1, 0.4, 3)
-        parts = [data[a] * fracs[0], data[b] * fracs[1], data[b] * fracs[2]]
-        data[a] -= parts[0]
-        data[b] -= parts[1] + parts[2]
-        row = np.concatenate((row, row[[a, b, b]]))
-        col = np.concatenate((col, col[[a, b, b]]))
-        data = np.concatenate((data, parts))
-        order = np.lexsort((rng.random(data.size), col))  # by column, shuffled within
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=m.shape[1]))))
-        matrices.append(sparse.csc_matrix((data[order], row[order], indptr), shape=m.shape))
-        assert not matrices[-1].has_canonical_format
-    return MoneyMatrixSet(tuple(matrices), mm.year, mm.countries, mm.products)
-
-
 def with_empty_product():
     """Product 3 has no flows (zero volume) and one stored flow is 0.0."""
     return money_from_records(
@@ -260,27 +234,3 @@ class TestAssemblyReference:
         assert np.count_nonzero(personalization_vector(mm)) == 6  # product 3 carries no volume
         assert np.count_nonzero(mm.matrix_for("0").data == 0.0) == 1  # a stored zero
 
-
-class TestDump:
-    def test_dump_rebuilds_matrix(self, tmp_path):
-        mm = small_money_set(5, 3, 2, density=0.7)
-        g = build_google(mm)
-        coord = tmp_path / "matrix.txt"
-        sidecar = tmp_path / "matrix.json"
-        write_matrix_dump(g, coord, sidecar)
-
-        rebuilt = np.zeros((g.n_nodes, g.n_nodes))
-        last = None
-        for line in coord.read_text().splitlines():
-            r, c, val = line.split()
-            key = (int(r), int(c))
-            assert last is None or key > last  # sorted row-major
-            last = key
-            rebuilt[key] = float(val)
-        np.testing.assert_array_equal(rebuilt, g.stochastic.toarray())
-
-        meta = json.loads(sidecar.read_text())
-        assert meta["damping"] == g.damping
-        assert len(meta["node_index"]) == g.n_nodes
-        assert meta["node_index"][0] == [mm.countries.ids[0], mm.products.codes[0]]
-        np.testing.assert_allclose(meta["personalization"], g.personalization)

@@ -4,10 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import random_money_set, small_money_set
+from conftest import non_canonical, non_canonical_matrices, random_money_set, small_money_set
 from scipy import sparse
 
 from wtnrank import (
+    DIRECT,
+    INVERTED,
     LABOR_COST,
     CountryRegistry,
     EmptyDataError,
@@ -17,6 +19,7 @@ from wtnrank import (
     ProductRegistry,
     TradeFlowRecord,
     ValidationError,
+    build_google,
     gravity_money_set,
     ingest_csv,
     merge_country_group,
@@ -380,6 +383,21 @@ class TestRegistries:
             with pytest.raises(ValidationError):
                 money_from_records([bad], 2018, countries, products)
 
+    @pytest.mark.parametrize("cid", ["aaa", " AAA", "A B", "-AA"])
+    def test_country_registry_rejects_non_canonical_ids(self, cid):
+        with pytest.raises(ValidationError):
+            CountryRegistry.from_ids([cid, "BBB"])
+
+    def test_records_ids_canonicalized_as_in_ingest(self):
+        mm = money_from_records([rec("aaa", " bbb ", "0", 1.0), rec("AAA", "ccc", "0", 2.0)], 2018)
+        assert mm.countries.ids == ("AAA", "BBB", "CCC")
+        assert mm.countries.ids == ingest_csv(csv_stream(
+            "2018,aaa, bbb ,0,1.0", "2018,AAA,ccc,0,2.0"), 2018).money.countries.ids
+        with pytest.raises(ValidationError, match="invalid country id"):
+            money_from_records([rec("a b", "BBB", "0", 1.0)], 2018)
+        assert money_from_records([rec("aaa", "AAA", "0", 1.0), rec("AAA", "BBB", "0", 2.0)],
+                                  2018).matrices[0].nnz == 1  # a self-flow after canonicalizing
+
 
 def gravity_by_records(seed, n_countries, n_products, density=0.75, year=2018):
     """The per-flow loop that ``gravity_money_set`` vectorizes, as its reference."""
@@ -535,3 +553,129 @@ class TestInputOrderSums:
         write_trade_csv(mm, out)
         assert out.getvalue().splitlines() == [HEADER] + [
             f"2018,{r.exporter},{r.importer},{r.product},{r.value_usd!r}" for r in want]
+
+
+def storage_order_twin(matrices, mm):
+    """The canonical set whose entries sum each key's stored parts one by one,
+    in storage order, from 0.0."""
+    flows = {}
+    for code, m in zip(mm.products.codes, matrices):
+        coo = m.tocoo()
+        for imp, exp, value in zip(coo.row, coo.col, coo.data):
+            key = (mm.countries.ids[exp], mm.countries.ids[imp], code)
+            flows[key] = flows.get(key, 0.0) + float(value)
+    return money_by_dict(flows, mm.year, mm.countries, mm.products)
+
+
+def labor_shock(mm):
+    return Perturbation(LABOR_COST, target_country=mm.countries.ids[3])
+
+
+GATE_CONSTRUCTORS = {
+    "ingest_csv": lambda: ingest_csv(io.StringIO(HEADER + "\n" + "".join(
+        f"{y},{e},{i},{p},{v!r}\n" for y, e, i, p, v in off_grid_rows(0))), 2018).money,
+    "money_from_records": lambda: money_from_records(
+        [TradeFlowRecord(*row) for row in off_grid_rows(1)], 2018),
+    "merge_country_group": lambda: merge_country_group(
+        non_canonical(gravity_money_set(2, 30, 3), 2), synth_country_ids(5), "GRP"),
+    "perturb_money": lambda: perturb_money(
+        non_canonical(gravity_money_set(3, 30, 3), 3), labor_shock(gravity_money_set(3)), 0.01),
+    "gravity_money_set": lambda: gravity_money_set(4, 30, 3),
+    "MoneyMatrixSet": lambda: non_canonical(gravity_money_set(42), 0),
+    "MoneyMatrixSet-int64": lambda: MoneyMatrixSet(
+        (sparse.csc_matrix(np.array([[0, 7], [3, 0]])),), 2018,
+        CountryRegistry.from_ids(["AAA", "BBB"]), ProductRegistry.from_codes(["0"])),
+}
+
+
+class TestGate:
+    """MoneyMatrixSet construction checks every flow and holds canonical CSC."""
+
+    @pytest.mark.parametrize("name", list(GATE_CONSTRUCTORS))
+    def test_every_constructor_gives_canonical_csc(self, name):
+        mm = GATE_CONSTRUCTORS[name]()
+        n = mm.n_countries
+        for m in mm.matrices:
+            assert type(m) is sparse.csc_matrix and m.dtype == np.float64
+            assert m.indptr.size == n + 1 and m.indptr[0] == 0 and m.indptr[-1] == m.data.size
+            keys = np.repeat(np.arange(n), np.diff(m.indptr)) * n + m.indices
+            assert np.all(np.diff(keys) > 0)  # rows sorted within each column, none twice
+
+    def test_non_canonical_sums_follow_storage_order(self):
+        mm = gravity_money_set(42)
+        raw = non_canonical_matrices(mm, 0)
+        same_bits(MoneyMatrixSet(raw, mm.year, mm.countries, mm.products),
+                  storage_order_twin(raw, mm))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_non_canonical_set_behaves_as_its_canonical_twin(self, seed):
+        mm = gravity_money_set(42, 40, 10)
+        raw = non_canonical_matrices(mm, seed)
+        got = MoneyMatrixSet(raw, mm.year, mm.countries, mm.products)
+        twin = storage_order_twin(raw, mm)
+        same_bits(perturb_money(got, labor_shock(mm), 0.0), twin)
+        for direction in (DIRECT, INVERTED):
+            g = build_google(got, direction).stochastic
+            want = build_google(twin, direction).stochastic
+            for attr in ("indptr", "indices"):
+                assert np.array_equal(getattr(g, attr), getattr(want, attr))
+            assert np.array_equal(g.data.view(np.int64), want.data.view(np.int64))
+        members = mm.countries.ids[:3]
+        same_bits(merge_country_group(got, members, "GRP"),
+                  merge_country_group(twin, members, "GRP"))
+
+    @pytest.mark.parametrize("value", [-3.0, np.nan, np.inf])
+    @pytest.mark.parametrize("layout", ["canonical", "duplicate"])
+    def test_bad_flow_rejected(self, value, layout):
+        countries = CountryRegistry.from_ids(["AAA", "BBB", "CCC"])
+        products = ProductRegistry.from_codes(["0", "4"])
+        ok = sparse.csc_matrix(np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 5.0, 0.0]]))
+        if layout == "canonical":
+            bad = sparse.csc_matrix(([value], ([1], [0])), shape=(3, 3))
+        else:  # a positive part stored beside the bad one must not hide it
+            bad = sparse.coo_matrix(([9.0, value], ([1, 1], [0, 0])), shape=(3, 3))
+        match = f"product '4': negative or non-finite flow {value}"
+        with pytest.raises(ValidationError, match=match):
+            MoneyMatrixSet((ok, bad), 2018, countries, products)
+
+    @pytest.mark.parametrize("layout", ["canonical", "duplicate"])
+    def test_diagonal_entry_rejected(self, layout):
+        countries = CountryRegistry.from_ids(["AAA", "BBB"])
+        products = ProductRegistry.from_codes(["0"])
+        if layout == "canonical":
+            m = sparse.csc_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
+        else:
+            m = sparse.coo_matrix(([0.0, 1.0, 2.0], ([1, 0, 1], [1, 1, 1])), shape=(2, 2))
+        with pytest.raises(ValidationError, match="product '0': nonzero self-flow"):
+            MoneyMatrixSet((m,), 2018, countries, products)
+
+    def test_stored_zero_on_the_diagonal_is_accepted(self):
+        countries = CountryRegistry.from_ids(["AAA", "BBB"])
+        m = sparse.coo_matrix(([0.0, 1.0], ([0, 0], [0, 1])), shape=(2, 2))
+        mm = MoneyMatrixSet((m,), 2018, countries, ProductRegistry.from_codes(["0"]))
+        assert mm.matrices[0].toarray().tolist() == [[0.0, 1.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("matrix", [np.zeros((2, 2)), sparse.csc_matrix((2, 3))])
+    def test_dense_or_misshapen_matrix_rejected(self, matrix):
+        with pytest.raises(ValidationError, match="not a sparse 2x2 matrix"):
+            MoneyMatrixSet((matrix,), 2018, CountryRegistry.from_ids(["AAA", "BBB"]),
+                           ProductRegistry.from_codes(["0"]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -3.0, "1e3", None])
+    def test_records_reject_bad_values_at_the_door(self, value):
+        records = [rec("AAA", "BBB", "0", 5.0), rec("AAA", "CCC", "0", value)]
+        with pytest.raises(ValidationError, match="AAA->CCC is not a finite, nonnegative"):
+            money_from_records(records, 2018)
+
+    @pytest.mark.parametrize("value", [-3.0, -5.0])
+    def test_records_reject_a_negative_outweighed_on_its_key(self, value):
+        # The gate sees only each key's sum (2.0 or 0.0 here), so the records
+        # check each value before summing, as ingest checks each row.
+        records = [rec("AAA", "BBB", "0", 5.0), rec("AAA", "BBB", "0", value)]
+        with pytest.raises(ValidationError, match=f"value {value!r} for AAA->BBB"):
+            money_from_records(records, 2018)
+
+    @pytest.mark.parametrize("cid", [None, 3])
+    def test_records_reject_a_non_string_id(self, cid):
+        with pytest.raises(ValidationError, match=f"invalid country id {cid!r}"):
+            money_from_records([rec(cid, "BBB", "0", 1.0)], 2018)
