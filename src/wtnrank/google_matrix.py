@@ -24,23 +24,24 @@ INVERTED = "inverted"
 
 @dataclass(frozen=True, eq=False)
 class GoogleMatrix:
-    """Column-stochastic transition structure of one flow direction.
+    """Google matrix of one flow direction, stored as sparse links plus a dangling mask.
 
-    ``stochastic`` already has dangling columns replaced by the
-    teleportation vector, so the effective matrix is
-    ``damping * stochastic + (1 - damping) * v @ ones.T``.
+    ``links`` is S0 (each product block column-normalized, dangling columns left empty),
+    ``dangling`` is d and ``personalization`` is v. The effective matrix is
+    ``damping * S0 + v @ w.T`` with w = damping * d + (1 - damping).
     """
 
-    stochastic: sparse.csc_matrix
+    links: sparse.csc_matrix
     damping: float
     personalization: np.ndarray
+    dangling: np.ndarray
     direction: str
     countries: CountryRegistry
     products: ProductRegistry
 
     @property
     def n_nodes(self) -> int:
-        return self.stochastic.shape[0]
+        return self.links.shape[0]
 
     def node_of(self, country: str, product: str) -> int:
         p = self.products.index_of(product)
@@ -61,13 +62,19 @@ class GoogleMatrix:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One multiplication by the effective matrix (x treated as a column)."""
-        return self.damping * (self.stochastic @ x) \
-            + (1.0 - self.damping) * self.personalization * x.sum()
+        teleport = self.damping * x[self.dangling].sum() + (1.0 - self.damping) * x.sum()
+        return self.damping * (self.links @ x) + self.personalization * teleport
+
+    @property
+    def stochastic(self) -> sparse.csc_matrix:
+        """S = S0 + v @ d.T, assembled for checks; the library never uses it."""
+        v, d = sparse.csc_matrix(self.personalization[:, None]), self.dangling[None, :]
+        return self.links + v @ sparse.csc_matrix(d, dtype=float)
 
     def effective_dense(self) -> np.ndarray:
         """Dense effective matrix, the tests' oracle; the library never builds it."""
-        g = self.damping * self.stochastic.toarray()
-        g += (1.0 - self.damping) * self.personalization[:, None]
+        g = self.damping * self.links.toarray()
+        g += np.outer(self.personalization, self.damping * self.dangling + (1.0 - self.damping))
         return g
 
 
@@ -101,7 +108,7 @@ def build_google(mm: MoneyMatrixSet, direction: str = DIRECT,
         raise ValidationError(f"direction must be {DIRECT!r} or {INVERTED!r}")
 
     v = personalization_vector(mm)
-    n_c, support = mm.n_countries, np.flatnonzero(v)
+    n_c = mm.n_countries
     blocks = []
     for p, m in enumerate(mm.matrices):
         flow = (m.T if direction == INVERTED else m).tocsc()
@@ -115,13 +122,7 @@ def build_google(mm: MoneyMatrixSet, direction: str = DIRECT,
         keep = x != 0.0  # zeros are not stored, so a zero-sum column keeps no entry
         blocks.append((np.bincount(col[keep], minlength=n_c), row[keep] + p * n_c, x[keep]))
     counts, rows, values = (np.concatenate(part) for part in zip(*blocks))
-    dangling = counts == 0
-    counts[dangling] = support.size
-    patch, k = np.repeat(dangling, counts), np.count_nonzero(dangling)
-    indices, data = np.empty(patch.size, dtype=np.int64), np.empty(patch.size)
-    indices[~patch], data[~patch] = rows, values
-    indices[patch], data[patch] = np.tile(support, k), np.tile(v[support], k)
-    s = sparse.csc_matrix((data, indices, np.concatenate(([0], np.cumsum(counts)))),
-                          shape=(counts.size, counts.size))
-    return GoogleMatrix(s, float(damping), v, direction, mm.countries, mm.products)
-
+    links = sparse.csc_matrix((values, rows, np.concatenate(([0], np.cumsum(counts)))),
+                              shape=(counts.size, counts.size))
+    return GoogleMatrix(links, float(damping), v, counts == 0, direction, mm.countries,
+                        mm.products)

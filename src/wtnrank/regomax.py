@@ -54,9 +54,9 @@ class ReducedGoogleMatrix:
 def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
     """Reduce the Google matrix onto the selected (country, product) nodes.
 
-    No dense N x N copy: G_ss = damping * S_ss + u 1^T, u = (1 - damping) * v_s, so one
-    sparse LU of I - damping * S_ss and a Sherman-Morrison step give (I - G_ss)^-1 G_sr,
-    and the same operator drives the eigenpair and the deflated pathway series g_qr.
+    No dense N x N copy: G_ss = damping * S0_ss + v_s w_s^T, so a sparse LU of
+    I - damping * S0_ss (block-diagonal by product) and a Sherman-Morrison step give
+    (I - G_ss)^-1 G_sr; the same operator drives the eigenpair and the pathway series g_qr.
     """
     nodes = [(c, p) for c, p in selection]
     if not nodes:
@@ -66,32 +66,31 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
         raise ValidationError("node selection contains duplicates")
     labels = tuple(g.node_label(i) for i in idx)
 
-    a, s, v = g.damping, g.stochastic, g.personalization
+    a, s, v = g.damping, g.links, g.personalization
+    w = a * g.dangling + (1.0 - a)
     scatter = np.setdiff1d(np.arange(g.n_nodes), idx)
-    g_r_cols = a * s[:, idx].toarray() + (1.0 - a) * v[:, None]  # G[:, r]
+    g_r_cols = a * s[:, idx].toarray() + v[:, None] * w[idx]  # G[:, r]
     g_rr, g_sr = g_r_cols[idx], g_r_cols[scatter]
 
     if scatter.size == 0:
         zero = np.zeros_like(g_rr)
         return ReducedGoogleMatrix(
-            g.direction, tuple(nodes), labels, g_rr.copy(), g_rr, zero,
-            zero.copy(), None, 0,
-            {"solve": 0.0, "eigen": 0.0, "series_tail": 0.0, "closure": 0.0},
-        )
+            g.direction, tuple(nodes), labels, g_rr.copy(), g_rr, zero, zero.copy(), None, 0,
+            {"solve": 0.0, "eigen": 0.0, "series_tail": 0.0, "closure": 0.0})
 
-    g_rs = a * s[idx][:, scatter].toarray() + (1.0 - a) * v[idx, None]
-    s_ss, u = a * s[scatter][:, scatter], (1.0 - a) * v[scatter]
-    ones = aslinearoperator(np.ones((1, scatter.size)))
-    g_ss = aslinearoperator(s_ss) + aslinearoperator(u[:, None]) @ ones  # never dense
-    try:  # exactly singular only at damping 1, where G_ss = S_ss
+    g_rs = a * s[idx][:, scatter].toarray()
+    g_rs += v[idx, None] * w[scatter]  # in place, keeping toarray's F order for the BLAS sums
+    s_ss, v_s, w_s = a * s[scatter][:, scatter], v[scatter], w[scatter]
+    g_ss = aslinearoperator(s_ss) + aslinearoperator(v_s[:, None]) @ aslinearoperator(w_s[None])
+    try:  # singular only at damping 1, on a closed class of S0 inside the scattering set
         lu = splu(sparse.identity(scatter.size, format="csc") - s_ss)
     except RuntimeError:
         raise ConvergenceError("(I - G_ss) is singular") from None
-    y, z = lu.solve(g_sr), lu.solve(u)
-    denominator = 1.0 - z.sum()  # Sherman-Morrison; N_s * eps is the rounding of 1^T z
+    y, z = lu.solve(g_sr), lu.solve(v_s)
+    denominator = 1.0 - (w_s * z).sum()  # Sherman-Morrison; N_s * eps is its rounding
     if not (denominator > scatter.size * np.finfo(float).eps and np.isfinite(y).all()):
         raise ConvergenceError("(I - G_ss) is singular")
-    paths = y + np.outer(z, y.sum(axis=0) / denominator)
+    paths = y + np.outer(z, (w_s[:, None] * y).sum(axis=0) / denominator)
     solve_residual = float(np.abs(paths - g_ss @ paths - g_sr).max())
     g_r = g_rr + g_rs @ paths
 
@@ -185,7 +184,7 @@ def write_matrix_csv(matrix: np.ndarray, labels, dest) -> None:
     write_csv(["node", *labels], rows, dest)
 
 
-def write_dot(edges, labels, direction: str, dest, name: str = "trade") -> None:
+def write_dot(edges, labels, direction: str, dest) -> None:
     """Graphviz export of a strongest-links edge list.
 
     The header comment states the arrow semantics, which depend on the
@@ -195,7 +194,7 @@ def write_dot(edges, labels, direction: str, dest, name: str = "trade") -> None:
     with open_output(dest) as stream:
         stream.write(f"// strongest outgoing links of the reduced {direction} matrix\n")
         stream.write(f"// an arrow A -> B means: {semantics}\n")
-        stream.write(f"digraph {name} {{\n")
+        stream.write("digraph trade {\n")
         for node in labels:
             stream.write(f'  "{node}";\n')
         for src, dst, weight in edges:

@@ -110,7 +110,7 @@ class CountryRegistry:
     Ids are stable text keys (ISO-3166 alpha-3 for real data); display names
     are decorative. ``group_labels`` records, for every synthetic group id
     ever created, the member ids it absorbed. ``short_codes`` optionally
-    overrides the two-letter label used in matrix dumps and graph exports.
+    overrides the two-letter node label; each code must be a valid id.
     """
 
     entries: tuple[tuple[str, str], ...]
@@ -125,6 +125,9 @@ class CountryRegistry:
         for cid in self.ids:
             if canonical_country_id(cid) != cid:
                 raise ValidationError(f"country id {cid!r} is not canonical")
+        for cid, code in self.short_codes.items():  # they name nodes in the CSV and DOT outputs
+            if not isinstance(code, str) or not _ID_RE.fullmatch(code):
+                raise ValidationError(f"short code {code!r} of {cid!r} is not a valid id")
         for members in self.group_labels.values():
             for m in members:
                 if m in self._index:

@@ -202,6 +202,18 @@ def test_regomax_outputs(trade_csv, tmp_path):
         assert 0.0 < meta["lambda_c"] < 1.0
 
 
+@pytest.mark.parametrize("short", ['E"U', ""], ids=["quote", "empty"])
+def test_bad_group_short_code_exits_2(trade_csv, tmp_path, capsys, short):
+    # the short code names graph nodes: a quote breaks the DOT, an empty one leaves bare digits
+    cfg = tmp_path / "group.json"
+    cfg.write_text(json.dumps({"label": "GRP", "short": short, "members": ["SAA", "SAB"]}))
+    out = tmp_path / "out"
+    assert main(["regomax", "--input", trade_csv, "--year", "2018", "--merge-config", str(cfg),
+                 "--actors", "GRP,SAC", "--out-dir", str(out)]) == 2
+    assert "short code" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.skipif(shutil.which("wtnrank") is None,
                     reason="console script not on PATH")
 def test_console_script_entry_point(tmp_path):

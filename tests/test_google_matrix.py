@@ -67,17 +67,19 @@ class TestBuild:
     def test_dangling_column_takes_personalization(self):
         mm = money_from_records([rec("AAA", "BBB", "0", 4.0)], 2018)
         g = build_google(mm)
-        s = g.stochastic.toarray()
         # AAA exports: its column is a single 1 at BBB
-        np.testing.assert_array_equal(s[:, 0], [0.0, 1.0])
-        # BBB exports nothing: its column is the teleportation vector
-        np.testing.assert_array_equal(s[:, 1], g.personalization)
+        np.testing.assert_array_equal(g.links.toarray()[:, 0], [0.0, 1.0])
+        # BBB exports nothing: its link column is empty and marked dangling,
+        # and in S it is the teleportation vector
+        assert g.links[:, 1].nnz == 0
+        np.testing.assert_array_equal(g.dangling, [False, True])
+        np.testing.assert_array_equal(g.stochastic.toarray()[:, 1], g.personalization)
 
     def test_subnormal_column_sum_stays_finite(self):
         # 1 / 5e-324 overflows to inf, so CCC's column is divided by its sum instead
         mm = money_from_records([rec("AAA", "BBB", "1", 13.0), rec("BBB", "AAA", "1", 5.0),
                                  rec("CCC", "AAA", "1", 5e-324)], 2018)
-        s = build_google(mm).stochastic
+        s = build_google(mm).links
         assert np.all(np.isfinite(s.data))
         np.testing.assert_array_equal(s[:, 2].toarray().ravel(), [1.0, 0.0, 0.0])
 
@@ -92,9 +94,11 @@ class TestBuild:
             np.asarray(g.stochastic.sum(axis=0)).ravel(), 1.0, atol=1e-12)
 
     def test_product_blocks_have_no_cross_terms(self):
-        # full density: no dangling columns, so the block structure is exact
-        mm = small_money_set(3, 5, 3, density=1.0)
-        s = build_google(mm).stochastic.toarray()
+        # the links hold no teleport, so the blocks stay apart even with dangling columns
+        mm = small_money_set(3, 5, 3, density=0.3)
+        g = build_google(mm)
+        assert g.dangling.any()
+        s = g.links.toarray()
         n_c = mm.n_countries
         for p in range(mm.n_products):
             for q in range(mm.n_products):
@@ -121,8 +125,10 @@ class TestBuild:
         for p, b in enumerate(blocks):
             lo = p * mm.n_countries
             expected[lo:lo + mm.n_countries, lo:lo + mm.n_countries] = b
+        np.testing.assert_allclose(g.links.toarray(), expected, atol=1e-14)
         for j in range(n):
             if expected[:, j].sum() == 0.0:
+                assert g.dangling[j]
                 expected[:, j] = v
         np.testing.assert_allclose(g.stochastic.toarray(), expected, atol=1e-14)
 
@@ -134,13 +140,15 @@ class TestBuild:
             mm.year, mm.countries, mm.products)
         g1, g2 = build_google(mm), build_google(scaled)
         np.testing.assert_allclose(g2.personalization, g1.personalization, rtol=1e-14)
-        np.testing.assert_allclose(g2.stochastic.toarray(), g1.stochastic.toarray(),
+        np.testing.assert_allclose(g2.links.toarray(), g1.links.toarray(),
                                    rtol=1e-14, atol=1e-18)
+        assert np.array_equal(g2.dangling, g1.dangling)
 
     def test_determinism(self):
         mm = random_money_set(10)
         a, b = build_google(mm), build_google(mm)
-        assert np.array_equal(a.stochastic.toarray(), b.stochastic.toarray())
+        assert np.array_equal(a.links.toarray(), b.links.toarray())
+        assert np.array_equal(a.dangling, b.dangling)
         assert np.array_equal(a.personalization, b.personalization)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5])
@@ -167,9 +175,8 @@ class TestBuild:
             g.node_of("NOPE", "0")
 
 
-def reference_stochastic(mm, direction):
-    """The stochastic matrix as built through scipy products, sums and a patch."""
-    v = personalization_vector(mm)
+def reference_links(mm, direction):
+    """S0 as built through scipy products and sums, dangling columns left empty."""
     blocks = []
     for m in mm.matrices:
         flow = (m.T if direction == INVERTED else m).tocsc()
@@ -177,8 +184,15 @@ def reference_stochastic(mm, direction):
         scale = np.divide(1.0, colsum, out=np.zeros_like(colsum), where=colsum > 0)
         blocks.append(flow @ sparse.diags(scale))
     s = sparse.block_diag(blocks, format="csc")
-    colsum = np.asarray(s.sum(axis=0)).ravel()
-    dangling = np.flatnonzero(colsum == 0.0)
+    s.sort_indices()
+    return s
+
+
+def reference_stochastic(mm, direction):
+    """S0 with the personalization patched into every zero-sum column."""
+    v = personalization_vector(mm)
+    s = reference_links(mm, direction)
+    dangling = np.flatnonzero(np.asarray(s.sum(axis=0)).ravel() == 0.0)
     if dangling.size:
         rows = np.tile(np.flatnonzero(v), dangling.size)
         cols = np.repeat(dangling, np.count_nonzero(v))
@@ -217,19 +231,23 @@ class TestAssemblyReference:
     @pytest.mark.parametrize("name", list(ASSEMBLY_FIXTURES))
     def test_bit_identical(self, name, direction):
         mm = ASSEMBLY_FIXTURES[name]()
-        got = build_google(mm, direction).stochastic
-        want = reference_stochastic(mm, direction)
+        g = build_google(mm, direction)
+        got, want = g.links, reference_links(mm, direction)
         assert got.shape == want.shape
         for attr in ("indptr", "indices"):
             assert getattr(got, attr).dtype == getattr(want, attr).dtype
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
         assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
         assert got.has_sorted_indices and want.has_sorted_indices
+        assert g.dangling.dtype == bool
+        assert np.array_equal(g.dangling, np.asarray(want.sum(axis=0)).ravel() == 0.0)
+        patched = reference_stochastic(mm, direction)
+        assert np.array_equal(g.stochastic.toarray(), patched.toarray())
 
     def test_fixtures_reach_the_edge_cases(self):
         for direction in (DIRECT, INVERTED):
             g = build_google(ASSEMBLY_FIXTURES["density0.05"](), direction)
-            assert np.any(np.diff(g.stochastic.indptr) == g.n_nodes)  # dangling columns
+            assert g.dangling.any()
         mm = with_empty_product()
         assert np.count_nonzero(personalization_vector(mm)) == 6  # product 3 carries no volume
         assert np.count_nonzero(mm.matrix_for("0").data == 0.0) == 1  # a stored zero

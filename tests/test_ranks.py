@@ -88,10 +88,10 @@ class TestPagerank:
 
     def test_non_finite_residual_stops_at_once(self):
         g = build(8)
-        s = g.stochastic.copy()
+        s = g.links.copy()
         s.data[0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError) as err:
-            pagerank(dataclasses.replace(g, stochastic=s))
+            pagerank(dataclasses.replace(g, links=s))
         assert not np.isfinite(err.value.residual)
         assert err.value.iterations <= 2
 

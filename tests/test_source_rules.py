@@ -1,8 +1,11 @@
-"""Rules on the package source: one owner for file I/O, one rule for duplicates.
+"""Rules on the package source: one owner for file I/O, one rule for duplicates,
+one stored form of the Google matrix.
 
 ``_io.py`` alone opens files and writes JSON. Duplicate flows are added only
 by the ``MoneyMatrixSet`` gate's storage-order rule, never by scipy's
-``sum_duplicates``, whose summation order is its own.
+``sum_duplicates``, whose summation order is its own. Only ``google_matrix.py``
+names ``GoogleMatrix.stochastic``, the assembled S = S0 + v d^T kept for checks;
+every other module works on the links and the dangling mask.
 """
 
 import re
@@ -16,6 +19,7 @@ RULES = [
     (re.compile(r"\bsum_duplicates\("), set()),
     (re.compile(r"\bopen\("), {"_io.py"}),
     (re.compile(r"\bjson\.dump\("), {"_io.py"}),
+    (re.compile(r"\.stochastic\b"), {"google_matrix.py"}),
 ]
 
 

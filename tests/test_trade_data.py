@@ -388,6 +388,13 @@ class TestRegistries:
         with pytest.raises(ValidationError):
             CountryRegistry.from_ids([cid, "BBB"])
 
+    @pytest.mark.parametrize("code", ['E"U', "", "eu", "E U", "EU\n", 5])
+    def test_country_registry_rejects_bad_short_codes(self, code):
+        entries = (("AAA", "AAA"), ("BBB", "BBB"))
+        assert CountryRegistry(entries, short_codes={"AAA": "EU"}).display_code("AAA") == "EU"
+        with pytest.raises(ValidationError, match="short code"):
+            CountryRegistry(entries, short_codes={"AAA": code})
+
     def test_records_ids_canonicalized_as_in_ingest(self):
         mm = money_from_records([rec("aaa", " bbb ", "0", 1.0), rec("AAA", "ccc", "0", 2.0)], 2018)
         assert mm.countries.ids == ("AAA", "BBB", "CCC")
@@ -615,11 +622,11 @@ class TestGate:
         twin = storage_order_twin(raw, mm)
         same_bits(perturb_money(got, labor_shock(mm), 0.0), twin)
         for direction in (DIRECT, INVERTED):
-            g = build_google(got, direction).stochastic
-            want = build_google(twin, direction).stochastic
+            g, want = build_google(got, direction), build_google(twin, direction)
+            assert np.array_equal(g.dangling, want.dangling)
             for attr in ("indptr", "indices"):
-                assert np.array_equal(getattr(g, attr), getattr(want, attr))
-            assert np.array_equal(g.data.view(np.int64), want.data.view(np.int64))
+                assert np.array_equal(getattr(g.links, attr), getattr(want.links, attr))
+            assert np.array_equal(g.links.data.view(np.int64), want.links.data.view(np.int64))
         members = mm.countries.ids[:3]
         same_bits(merge_country_group(got, members, "GRP"),
                   merge_country_group(twin, members, "GRP"))
