@@ -33,6 +33,7 @@ from .synth import (
     gravity_money_set,
 )
 from .trade_data import (
+    canonical_country_id,
     ingest_csv,
     load_group_config,
     merge_country_group,
@@ -223,9 +224,10 @@ _PERTURB_KINDS = {
 
 
 def cmd_sensitivity(args) -> int:
+    target = None if args.target is None else canonical_country_id(args.target)
     money, _ = _load_money(args)
     perturbation = sens_mod.Perturbation(
-        _PERTURB_KINDS[args.perturb], product=args.product, target_country=args.target)
+        _PERTURB_KINDS[args.perturb], product=args.product, target_country=target)
     for description, stem in ((sens_mod.RANK_BASED, "sensitivity_rank"),
                               (sens_mod.VOLUME_BASED, "sensitivity_volume")):
         report = sens_mod.balance_sensitivity(
@@ -237,10 +239,10 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_regomax(args) -> int:
-    money, _ = _load_money(args)
-    actors = [a.strip() for a in args.actors.split(",") if a.strip()]
+    actors = [canonical_country_id(a) for a in args.actors.split(",") if a.strip()]
     if not actors:
         raise ValidationError("empty actor list")
+    money, _ = _load_money(args)
     selection = [(actor, code) for actor in actors for code in money.products.codes]
     # both directions are reduced and linked before any file is written
     reductions = [regomax_mod.reduce(build_google(money, direction, args.alpha), selection)
@@ -260,7 +262,6 @@ def cmd_regomax(args) -> int:
             "nodes": [list(n) for n in reduced.nodes],
             "labels": list(reduced.labels),
             "lambda_c": reduced.lambda_c,
-            "series_terms": reduced.series_terms,
             "residuals": reduced.residuals,
             "k": args.k,
         }

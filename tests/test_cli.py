@@ -88,6 +88,35 @@ def test_invalid_actor_exits_2(trade_csv, tmp_path, capsys):
     assert "NOPE" in capsys.readouterr().err
 
 
+REGOMAX_ACTORS = ["regomax", "--actors"]
+LABOR_TARGET = ["sensitivity", "--perturb", "labor", "--target"]
+
+
+@pytest.mark.parametrize("flags, canonical, raw", [
+    (REGOMAX_ACTORS, "SAA,SAB", "saa,sab"),
+    (REGOMAX_ACTORS, "SAA,SAB", " SAA , sab "),
+    (LABOR_TARGET, "SAB", "sab"),
+    (LABOR_TARGET, "SAB", " SAB "),
+], ids=["actors-lower", "actors-padded", "target-lower", "target-padded"])
+def test_id_flags_are_canonicalized(trade_csv, tmp_path, flags, canonical, raw):
+    outputs = []
+    for name, value in (("canonical", canonical), ("raw", raw)):
+        out = tmp_path / name
+        assert main([*flags, value, "--input", trade_csv, "--year", "2018",
+                     "--out-dir", str(out)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [[*REGOMAX_ACTORS, "SAA,a b"], [*LABOR_TARGET, "a b"]],
+                         ids=["actors", "target"])
+def test_invalid_id_flag_exits_2(trade_csv, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--input", trade_csv, "--year", "2018", "--out-dir", str(out)]) == 2
+    assert "invalid country id 'a b'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_regomax_bad_k_writes_nothing(trade_csv, tmp_path):
     out = tmp_path / "out"
     code = main(["regomax", "--input", trade_csv, "--year", "2018",

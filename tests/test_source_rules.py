@@ -4,8 +4,9 @@ one stored form of the Google matrix.
 ``_io.py`` alone opens files and writes JSON. Duplicate flows are added only
 by the ``MoneyMatrixSet`` gate's storage-order rule, never by scipy's
 ``sum_duplicates``, whose summation order is its own. Only ``google_matrix.py``
-names ``GoogleMatrix.stochastic``, the assembled S = S0 + v d^T kept for checks;
-every other module works on the links and the dangling mask.
+names ``GoogleMatrix.stochastic``, the assembled S = S0 + v d^T kept for checks,
+and ``effective_dense``, the dense N x N oracle; every other module works on the
+links and the dangling mask.
 """
 
 import re
@@ -20,6 +21,7 @@ RULES = [
     (re.compile(r"\bopen\("), {"_io.py"}),
     (re.compile(r"\bjson\.dump\("), {"_io.py"}),
     (re.compile(r"\.stochastic\b"), {"google_matrix.py"}),
+    (re.compile(r"\beffective_dense\("), {"google_matrix.py"}),
 ]
 
 
