@@ -34,6 +34,7 @@ from .synth import (
 )
 from .trade_data import (
     canonical_country_id,
+    canonical_product_code,
     ingest_csv,
     load_group_config,
     merge_country_group,
@@ -60,9 +61,13 @@ def _common_out(parser):
                         help="emit errors as JSON on stderr")
 
 
-def _solver_flags(parser):
+def _damping_flag(parser):
     parser.add_argument("--alpha", type=float, default=DEFAULT_DAMPING,
                         help="damping factor (default %(default)s)")
+
+
+def _solver_flags(parser):
+    _damping_flag(parser)
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="power-iteration L1 tolerance (default %(default)s)")
     parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
@@ -110,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regomax", help="reduced Google matrices for selected actors")
     _common_io(p)
-    _solver_flags(p)
+    _damping_flag(p)
     p.add_argument("--actors", required=True,
                    help="comma-separated country ids to keep")
     p.add_argument("--k", type=int, default=4,
@@ -225,9 +230,10 @@ _PERTURB_KINDS = {
 
 def cmd_sensitivity(args) -> int:
     target = None if args.target is None else canonical_country_id(args.target)
+    product = None if args.product is None else canonical_product_code(args.product)
     money, _ = _load_money(args)
     perturbation = sens_mod.Perturbation(
-        _PERTURB_KINDS[args.perturb], product=args.product, target_country=target)
+        _PERTURB_KINDS[args.perturb], product=product, target_country=target)
     for description, stem in ((sens_mod.RANK_BASED, "sensitivity_rank"),
                               (sens_mod.VOLUME_BASED, "sensitivity_volume")):
         report = sens_mod.balance_sensitivity(

@@ -129,7 +129,7 @@ def rank_table(direct: RankVector, inverted: RankVector,
         raise ValidationError(f"top must be at least 1, got {top}")
     registry = direct.countries
     for other in (inverted.countries, volumes.countries):
-        if other.entries != registry.entries:
+        if other.ids != registry.ids:
             raise ValidationError("rank table inputs use different country registries")
     columns = {
         "pagerank_country": np.argsort(direct.country_rank),
@@ -141,7 +141,7 @@ def rank_table(direct: RankVector, inverted: RankVector,
     for r in range(min(top, len(registry))):
         row = {"rank": r + 1}
         for name, order in columns.items():
-            row[name] = registry.display_name(registry.ids[order[r]])
+            row[name] = registry.ids[order[r]]
         rows.append(row)
     return rows
 

@@ -144,10 +144,10 @@ def _power_iteration(m: LinearOperator):
 
 def strongest_links(m, k: int) -> list[tuple[int, int, float]]:
     """Per node, its k strongest outgoing links (largest off-diagonal column
-    entries), as (source, target, weight) triples.
+    values), as (source, target, weight) triples.
 
     Ties break toward the smaller target index; nodes with fewer than k
-    nonzero off-diagonal entries contribute what they have.
+    nonzero off-diagonal values contribute what they have.
     """
     if k < 1:
         raise ValidationError(f"k must be at least 1, got {k}")

@@ -1,6 +1,6 @@
 """Trade balances and their linear response to price and labor-cost shocks.
 
-A shock multiplies selected money-matrix entries by (1 + magnitude); the
+A shock multiplies selected money-matrix values by (1 + magnitude); the
 Google-matrix rebuild renormalizes columns, so product shocks and labor-cost
 shocks share one code path. Derivatives are central finite differences of
 the full pipeline (perturb, rebuild, re-rank, balance).

@@ -51,18 +51,26 @@ def canonical_country_id(raw: str) -> str:
     return cid
 
 
+def canonical_product_code(raw: str) -> str:
+    """Normalize a product key: one of the one-digit SITC-1 codes, surrounding blanks trimmed."""
+    code = raw.strip() if isinstance(raw, str) else ""
+    if code not in SITC1_NAMES:
+        raise ValidationError(f"unknown product code {raw!r}")
+    return code
+
+
 @dataclass(frozen=True)
 class ProductRegistry:
-    """Ordered one-digit product codes with display names.
+    """Ordered one-digit SITC-1 product codes, sorted ascending.
 
     The canonical registry carries all ten SITC level-1 codes; subsets are
     allowed so that reduced synthetic datasets stay first-class.
     """
 
-    entries: tuple[tuple[str, str], ...]
+    codes: tuple[str, ...]
 
     def __post_init__(self):
-        codes = self.codes
+        object.__setattr__(self, "codes", codes := tuple(self.codes))  # lists compare unequal
         if not codes:
             raise ValidationError("product registry is empty")
         for code in codes:
@@ -76,18 +84,11 @@ class ProductRegistry:
     @classmethod
     def sitc1(cls) -> "ProductRegistry":
         """The full ten-category SITC Rev. 1 level-1 registry."""
-        return cls(tuple(sorted(SITC1_NAMES.items())))
+        return cls(sorted(SITC1_NAMES))
 
     @classmethod
     def from_codes(cls, codes: Iterable[str]) -> "ProductRegistry":
-        unknown = set(codes) - set(SITC1_NAMES)
-        if unknown:
-            raise ValidationError(f"unknown product codes {sorted(unknown)}")
-        return cls(tuple((c, SITC1_NAMES[c]) for c in sorted(set(codes))))
-
-    @cached_property
-    def codes(self) -> tuple[str, ...]:
-        return tuple(code for code, _ in self.entries)
+        return cls(sorted(set(codes)))
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -100,46 +101,38 @@ class ProductRegistry:
             raise ValidationError(f"product {code!r} not in registry") from None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.codes)
 
 
 @dataclass(frozen=True)
 class CountryRegistry:
-    """Active country list plus provenance of merged country groups.
+    """Country ids in registry order, plus optional node-label overrides.
 
-    Ids are stable text keys (ISO-3166 alpha-3 for real data); display names
-    are decorative. ``group_labels`` records, for every synthetic group id
-    ever created, the member ids it absorbed. ``short_codes`` optionally
+    Ids are stable text keys (ISO-3166 alpha-3 for real data) and name the
+    countries in every output. The order need not be sorted: ``id_rank``
+    gives the ascending-id order that breaks ties. ``short_codes`` optionally
     overrides the two-letter node label; each code must be a valid id.
     """
 
-    entries: tuple[tuple[str, str], ...]
-    group_labels: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    ids: tuple[str, ...]
     short_codes: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.entries:
+        object.__setattr__(self, "ids", ids := tuple(self.ids))  # lists compare unequal
+        if not ids:
             raise ValidationError("country registry is empty")
-        if len(self._index) != len(self.entries):
+        if len(self._index) != len(ids):
             raise ValidationError("duplicate country ids")
-        for cid in self.ids:
+        for cid in ids:
             if canonical_country_id(cid) != cid:
                 raise ValidationError(f"country id {cid!r} is not canonical")
         for cid, code in self.short_codes.items():  # they name nodes in the CSV and DOT outputs
             if not isinstance(code, str) or not _ID_RE.fullmatch(code):
                 raise ValidationError(f"short code {code!r} of {cid!r} is not a valid id")
-        for members in self.group_labels.values():
-            for m in members:
-                if m in self._index:
-                    raise ValidationError(f"merged member {m!r} still active")
 
     @classmethod
     def from_ids(cls, ids: Iterable[str]) -> "CountryRegistry":
-        return cls(tuple((cid, cid) for cid in sorted(set(ids))))
-
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(cid for cid, _ in self.entries)
+        return cls(sorted(set(ids)))
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -162,9 +155,6 @@ class CountryRegistry:
         except KeyError:
             raise ValidationError(f"country {cid!r} not in registry") from None
 
-    def display_name(self, cid: str) -> str:
-        return self.entries[self.index_of(cid)][1]
-
     def short_code(self, cid: str) -> str:
         """Two-letter label for compact node names (e.g. US, EU)."""
         if cid in self.short_codes:
@@ -178,14 +168,14 @@ class CountryRegistry:
         return cid if self._short_code_counts[code] > 1 else code
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
 
 def matrix_volume(m: sparse.spmatrix) -> float:
     """Sum of every entry of a money matrix, in one fixed order.
 
     Each row is summed in ascending column order: the CSC product
-    ``m @ ones`` visits the columns in turn, so how the entries of one
+    ``m @ ones`` visits the columns in turn, so how the values of one
     column are stored does not matter. The row sums are then added by
     ``numpy.sum`` (pairwise summation over the contiguous float64 vector).
     ``m.sum()`` is not used: its order has changed between scipy releases,
@@ -213,7 +203,7 @@ class MoneyMatrixSet:
 
     ``matrices[p][c, c']`` is the USD flow of product ``p`` from exporter
     ``c'`` to importer ``c``. Construction is the one gate: every matrix must
-    be sparse and n x n, with finite, nonnegative entries and no nonzero
+    be sparse and n x n, with finite, nonnegative values and no nonzero
     diagonal entry, or ``ValidationError`` names the product. The set then
     holds canonical float64 CSC (sorted indices, no duplicates); any other
     input is rebuilt, its duplicates added one by one in storage order from 0.0.
@@ -283,8 +273,8 @@ class MoneyMatrixSet:
 
 def money_sets_equal(a: MoneyMatrixSet, b: MoneyMatrixSet) -> bool:
     """Exact structural equality (registries, year, and every stored entry)."""
-    return (a.year == b.year and a.countries.entries == b.countries.entries
-            and a.products.entries == b.products.entries
+    return (a.year == b.year and a.countries.ids == b.countries.ids
+            and a.products.codes == b.products.codes
             and all((ma != mb).nnz == 0 for ma, mb in zip(a.matrices, b.matrices)))
 
 
@@ -339,10 +329,8 @@ def ingest_csv(source, year: int) -> IngestResult:
                 raise ParseError(f"bad value {raw_val!r}", line=lineno) from None
             if not math.isfinite(value) or value < 0.0:
                 raise ValidationError(f"line {lineno}: negative or non-finite value {value!r}")
-            product = raw_prod.strip()
-            if product not in SITC1_NAMES:
-                raise ValidationError(f"line {lineno}: unknown product code {raw_prod!r}")
             try:
+                product = canonical_product_code(raw_prod)
                 exporter = canonical_country_id(raw_exp)
                 importer = canonical_country_id(raw_imp)
             except ValidationError as exc:
@@ -402,7 +390,7 @@ def _money_from_columns(exporter, importer, product, value, year, countries,
 
 def _stored_flows(matrices):
     """(exporter, importer, product, value) of every stored entry, product by
-    product, each matrix's entries in storage order."""
+    product, each matrix's values in storage order."""
     coos = [m.tocoo() for m in matrices]
     product = np.repeat(np.arange(len(coos)), [coo.nnz for coo in coos])
     exporter, importer, value = (np.concatenate(part) for part in zip(
@@ -415,13 +403,14 @@ def money_from_records(records: Iterable[TradeFlowRecord], year: int,
                        products: ProductRegistry | None = None) -> MoneyMatrixSet:
     """Assemble a money matrix set from in-memory records.
 
-    Ids are canonicalized and self-flows dropped. Each value must be a finite,
-    nonnegative number, as each ingest row must; records sharing a key are
-    then summed.
+    Ids and product codes are canonicalized and self-flows dropped. Each
+    value must be a finite, nonnegative number, as each ingest row must;
+    records sharing a key are then summed.
     """
     exporters, importers, codes, values = [], [], [], []
     for r in records:
         exporter, importer = canonical_country_id(r.exporter), canonical_country_id(r.importer)
+        product = canonical_product_code(r.product)
         if r.year != year or exporter == importer:
             continue
         if not isinstance(r.value_usd, numbers.Real) or not 0.0 <= r.value_usd < math.inf:
@@ -429,7 +418,7 @@ def money_from_records(records: Iterable[TradeFlowRecord], year: int,
                                   "is not a finite, nonnegative number")
         exporters.append(exporter)
         importers.append(importer)
-        codes.append(r.product)
+        codes.append(product)
         values.append(r.value_usd)
     if not values and (countries is None or products is None):
         raise EmptyDataError(f"no usable records for year {year}")
@@ -462,20 +451,13 @@ def merge_country_group(mm: MoneyMatrixSet, members: Iterable[str], label: str,
     if group_id in ids:
         raise ValidationError(f"label {group_id!r} collides with an existing country id")
 
-    survivors = [cid for cid in ids if cid not in member_set]
-    new_ids = sorted(survivors + [group_id])
-    new_entries = tuple(
-        (cid, group_id if cid == group_id else mm.countries.display_name(cid))
-        for cid in new_ids
-    )
-    group_labels = dict(mm.countries.group_labels)
-    group_labels[group_id] = tuple(sorted(member_set))
+    new_ids = sorted([cid for cid in ids if cid not in member_set] + [group_id])
     short_codes = {
         cid: code for cid, code in mm.countries.short_codes.items() if cid in new_ids
     }
     if short is not None:
         short_codes[group_id] = short
-    registry = CountryRegistry(new_entries, group_labels, short_codes)
+    registry = CountryRegistry(new_ids, short_codes)
 
     old_to_new = np.array(
         [registry.index_of(group_id if cid in member_set else cid) for cid in ids],

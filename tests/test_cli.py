@@ -90,6 +90,7 @@ def test_invalid_actor_exits_2(trade_csv, tmp_path, capsys):
 
 REGOMAX_ACTORS = ["regomax", "--actors"]
 LABOR_TARGET = ["sensitivity", "--perturb", "labor", "--target"]
+GLOBAL_PRODUCT = ["sensitivity", "--perturb", "global", "--product"]
 
 
 @pytest.mark.parametrize("flags, canonical, raw", [
@@ -97,7 +98,8 @@ LABOR_TARGET = ["sensitivity", "--perturb", "labor", "--target"]
     (REGOMAX_ACTORS, "SAA,SAB", " SAA , sab "),
     (LABOR_TARGET, "SAB", "sab"),
     (LABOR_TARGET, "SAB", " SAB "),
-], ids=["actors-lower", "actors-padded", "target-lower", "target-padded"])
+    (GLOBAL_PRODUCT, "0", " 0"),
+], ids=["actors-lower", "actors-padded", "target-lower", "target-padded", "product-padded"])
 def test_id_flags_are_canonicalized(trade_csv, tmp_path, flags, canonical, raw):
     outputs = []
     for name, value in (("canonical", canonical), ("raw", raw)):
@@ -108,12 +110,25 @@ def test_id_flags_are_canonicalized(trade_csv, tmp_path, flags, canonical, raw):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("argv", [[*REGOMAX_ACTORS, "SAA,a b"], [*LABOR_TARGET, "a b"]],
-                         ids=["actors", "target"])
-def test_invalid_id_flag_exits_2(trade_csv, tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    ([*REGOMAX_ACTORS, "SAA,a b"], "invalid country id 'a b'"),
+    ([*LABOR_TARGET, "a b"], "invalid country id 'a b'"),
+    ([*GLOBAL_PRODUCT, "5x"], "unknown product code '5x'"),
+], ids=["actors", "target", "product"])
+def test_invalid_id_flag_exits_2(trade_csv, tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert main([*argv, "--input", trade_csv, "--year", "2018", "--out-dir", str(out)]) == 2
-    assert "invalid country id 'a b'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "1e-9"), ("--max-iter", "10")])
+def test_regomax_takes_no_power_iteration_flags(trade_csv, tmp_path, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["regomax", "--input", trade_csv, "--year", "2018", "--actors", "SAA",
+              flag, value, "--out-dir", str(out)])
+    assert exc.value.code == 2
     assert not out.exists()
 
 
@@ -135,6 +150,18 @@ def test_regomax_singular_scattering_exits_3(tmp_path, capsys):
     assert code == 3
     assert "singular" in capsys.readouterr().err
     assert not list(out.glob("regomax_*"))
+
+
+def test_regomax_nilpotent_scattering_exits_3(tmp_path, capsys):
+    # at damping 1 the cycle AAA -> BBB -> CCC -> AAA without AAA is the chain BBB -> CCC
+    path = tmp_path / "chain.csv"
+    path.write_text(f"{HEADER}\n2018,AAA,BBB,0,5\n2018,BBB,CCC,0,4\n2018,CCC,AAA,0,3\n")
+    out = tmp_path / "out"
+    code = main(["regomax", "--input", str(path), "--year", "2018", "--alpha", "1.0",
+                 "--actors", "AAA", "--out-dir", str(out)])
+    assert code == 3
+    assert "degenerate scattering eigenvectors" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solver_failure_exits_3(trade_csv, tmp_path, capsys):

@@ -179,7 +179,7 @@ def _hand_rank_vector(registry, products, country_probs, direction=DIRECT):
 
 def unsorted_registry_set():
     """Four countries registered out of id order; every flow is 1.0, so ranks tie."""
-    countries = CountryRegistry((("CCC", "C"), ("AAA", "A"), ("DDD", "D"), ("BBB", "B")))
+    countries = CountryRegistry(("CCC", "AAA", "DDD", "BBB"))
     products = ProductRegistry.from_codes(["2", "5"])
     dense = np.ones((4, 4))
     np.fill_diagonal(dense, 0.0)
@@ -226,9 +226,9 @@ class TestUnsortedRegistryTies:
                               ("importrank_country", vp.import_c),
                               ("exportrank_country", vp.export_c)):
             want = np.argsort(sorted_reference_ranks(probs, registry.ids))
-            assert [r[column] for r in rows] == [registry.entries[i][1] for i in want]
+            assert [r[column] for r in rows] == [registry.ids[i] for i in want]
         # DDD imports most; AAA, BBB and CCC tie and follow in id order
-        assert [r["importrank_country"] for r in rows] == ["D", "A", "B", "C"]
+        assert [r["importrank_country"] for r in rows] == ["DDD", "AAA", "BBB", "CCC"]
 
 
 class TestRankTable:

@@ -22,6 +22,7 @@ from wtnrank import (
     reduce,
     strongest_links,
 )
+from wtnrank import regomax as regomax_mod
 from wtnrank.regomax import write_dot, write_matrix_csv
 
 
@@ -153,6 +154,18 @@ class TestReduce:
                                 products=ProductRegistry.from_codes(["0", "1"]))
         with pytest.raises(ConvergenceError, match="singular"):
             reduce(build_google(mm, direction, 0.5), [("AAA", "1")])
+
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    def test_nilpotent_scattering_block_is_degenerate(self, direction, monkeypatch):
+        # at damping 1 the cycle AAA -> BBB -> CCC -> AAA leaves the chain BBB -> CCC
+        # once AAA is reduced out: G_ss is nilpotent, so both power iterations reach
+        # the zero vector, and the right and left eigenvectors are orthogonal
+        mm = money_from_records([TradeFlowRecord(2018, "AAA", "BBB", "0", 5.0),
+                                 TradeFlowRecord(2018, "BBB", "CCC", "0", 4.0),
+                                 TradeFlowRecord(2018, "CCC", "AAA", "0", 3.0)], 2018)
+        monkeypatch.setattr(regomax_mod, "EIGEN_MAX_ITER", 10)  # it stops at once
+        with pytest.raises(ConvergenceError, match="degenerate scattering eigenvectors"):
+            reduce(build_google(mm, direction, 1.0), [("AAA", "0")])
 
     def test_no_dense_matrix_is_built(self, monkeypatch):
         mm = dangling_money_set(11, 100, 9)  # N = 1000, one N x N float64 is 8 MB
