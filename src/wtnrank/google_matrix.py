@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyDataError, ValidationError
-from .trade_data import CountryRegistry, MoneyMatrixSet, ProductRegistry, matrix_volume
+from .trade_data import CountryRegistry, MoneyMatrixSet, ProductRegistry
 
 DEFAULT_DAMPING = 0.5
 
@@ -55,7 +55,7 @@ class GoogleMatrix:
     def node_label(self, node: int) -> str:
         """Compact label: two-letter actor code plus product digit (e.g. US7).
 
-        Falls back to the full country id when two ids share a short code.
+        Falls back to the full country id as ``CountryRegistry.display_code`` says.
         """
         country, product = self.node_pair(node)
         return f"{self.countries.display_code(country)}{product}"
@@ -81,26 +81,23 @@ class GoogleMatrix:
 def personalization_vector(mm: MoneyMatrixSet) -> np.ndarray:
     """Teleportation distribution weighting each product by traded volume.
 
-    v[(c, p)] = W_p / (n_c * W) with W_p the total traded volume of product p
-    and W the grand total, uniform over countries within a product.
+    v[(c, p)] = W_p / (n_c * W) with W_p the ``numpy.sum`` of the ``imports`` row of
+    product p and W = ``mm.total_volume()``, uniform over countries within a product.
     """
-    weights = [matrix_volume(m) for m in mm.matrices]
-    total = 0.0
-    for w in weights:  # in product order, as MoneyMatrixSet.total_volume adds them
-        total += w
+    total = mm.total_volume()
     if total <= 0.0:
         raise EmptyDataError("zero total trade volume")
-    n_c = mm.n_countries
-    return np.repeat(np.array(weights) / (n_c * total), n_c)
+    weights = np.array([np.sum(row) for row in mm.imports])  # as total_volume adds them
+    return np.repeat(weights / (mm.n_countries * total), mm.n_countries)
 
 
 def build_google(mm: MoneyMatrixSet, direction: str = DIRECT,
                  damping: float = DEFAULT_DAMPING) -> GoogleMatrix:
     """Build the Google matrix of the direct or inverted trade flow.
 
-    Each product block is the money matrix (transposed for the inverted
-    flow) with every column of outgoing links normalized to unity. Columns
-    with no outgoing flow are replaced by the personalization vector.
+    Each product block is the money matrix (transposed for the inverted flow)
+    with each column divided by its sum, ``mm.exports`` (direct) or ``mm.imports``
+    (inverted). Empty columns are dangling: they teleport by the personalization.
     """
     if not 0.0 < damping <= 1.0:
         raise ValidationError(f"damping must be in (0, 1], got {damping}")
@@ -109,10 +106,11 @@ def build_google(mm: MoneyMatrixSet, direction: str = DIRECT,
 
     v = personalization_vector(mm)
     n_c = mm.n_countries
+    column_sums = mm.imports if direction == INVERTED else mm.exports
     blocks = []
     for p, m in enumerate(mm.matrices):
         flow = (m.T if direction == INVERTED else m).tocsc()
-        colsum = np.asarray(flow.sum(axis=0)).ravel()
+        colsum = column_sums[p]
         col = np.repeat(np.arange(n_c), np.diff(flow.indptr))
         with np.errstate(over="ignore", invalid="ignore"):  # 1 / a subnormal sum is inf
             scale = np.divide(1.0, colsum, out=np.zeros_like(colsum), where=colsum > 0)

@@ -163,27 +163,12 @@ class CountryRegistry:
         return "".join(letters[:2]).upper() or cid[:2]
 
     def display_code(self, cid: str) -> str:
-        """Short code, or the full id when another registered country shares the code."""
+        """Short code, or the full id when the code is shared or is any country's id."""
         code = self.short_code(cid)
-        return cid if self._short_code_counts[code] > 1 else code
+        return cid if self._short_code_counts[code] > 1 or code in self._index else code
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-def matrix_volume(m: sparse.spmatrix) -> float:
-    """Sum of every entry of a money matrix, in one fixed order.
-
-    Each row is summed in ascending column order: the CSC product
-    ``m @ ones`` visits the columns in turn, so how the values of one
-    column are stored does not matter. The row sums are then added by
-    ``numpy.sum`` (pairwise summation over the contiguous float64 vector).
-    ``m.sum()`` is not used: its order has changed between scipy releases,
-    and a central-difference sensitivity, divided by 2h, shows every
-    last-bit change in a volume total.
-    """
-    row_sums = sparse.csc_matrix(m) @ np.ones(m.shape[1])
-    return float(np.sum(row_sums))
 
 
 @dataclass(frozen=True)
@@ -207,6 +192,11 @@ class MoneyMatrixSet:
     diagonal entry, or ``ValidationError`` names the product. The set then
     holds canonical float64 CSC (sorted indices, no duplicates); any other
     input is rebuilt, its duplicates added one by one in storage order from 0.0.
+
+    ``imports`` (``m @ ones``, each row in ascending column order) and ``exports``
+    (``m.T @ ones``, each column's stored values, by row, from 0.0) are the only
+    row and column sums. Not ``m.sum()``: its order has changed between scipy
+    releases, and a central difference, divided by 2h, shows every last bit.
     """
 
     matrices: tuple[sparse.csc_matrix, ...]
@@ -245,15 +235,30 @@ class MoneyMatrixSet:
     def matrix_for(self, code: str) -> sparse.csc_matrix:
         return self.matrices[self.products.index_of(code)]
 
+    @cached_property
+    def imports(self) -> np.ndarray:
+        """Read-only (n_products, n_countries) row sums ``m @ ones``."""
+        return self._sums(self.matrices)
+
+    @cached_property
+    def exports(self) -> np.ndarray:
+        """Read-only (n_products, n_countries) column sums ``m.T @ ones``."""
+        return self._sums([m.T for m in self.matrices])
+
+    def _sums(self, matrices) -> np.ndarray:
+        sums = np.array([m @ np.ones(self.n_countries) for m in matrices])
+        sums.flags.writeable = False
+        return sums
+
     def total_volume(self) -> float:
-        """Per-product ``matrix_volume`` totals, added one by one in product order.
+        """``numpy.sum`` of each ``imports`` row, added one by one in product order.
 
         An explicit loop, since the builtin ``sum`` of floats is compensated
         from Python 3.12 on and would round differently from 3.10 and 3.11.
         """
         total = 0.0
-        for m in self.matrices:
-            total += matrix_volume(m)
+        for row in self.imports:
+            total += float(np.sum(row))
         return total
 
     def records(self) -> list[TradeFlowRecord]:
@@ -488,16 +493,11 @@ class VolumeProbabilities:
 
 
 def volume_probabilities(mm: MoneyMatrixSet) -> VolumeProbabilities:
-    """Normalize import (row-sum) and export (column-sum) volumes to unity."""
+    """Normalize the set's ``imports`` and ``exports`` by its ``total_volume``."""
     total = mm.total_volume()
     if total <= 0.0:
         raise EmptyDataError("zero total trade volume")
-    n_p, n_c = mm.n_products, mm.n_countries
-    import_pc = np.empty((n_p, n_c))
-    export_pc = np.empty((n_p, n_c))
-    for p, m in enumerate(mm.matrices):
-        import_pc[p] = np.asarray(m.sum(axis=1)).ravel() / total
-        export_pc[p] = np.asarray(m.sum(axis=0)).ravel() / total
+    import_pc, export_pc = mm.imports / total, mm.exports / total
     return VolumeProbabilities(
         import_pc=import_pc,
         export_pc=export_pc,

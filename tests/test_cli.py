@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 
@@ -256,6 +257,23 @@ def test_regomax_outputs(trade_csv, tmp_path):
         meta = json.loads((out / f"{stem}.json").read_text())
         assert meta["n_nodes"] == 4  # 2 actors x 2 products
         assert 0.0 < meta["lambda_c"] < 1.0
+
+
+def test_regomax_short_code_equal_to_an_id_keeps_labels_distinct(tmp_path):
+    # GRP's short code is the id USA, and USA shortens to US, as USB does
+    flows = [("USA", "USB", 5), ("USB", "USA", 4), ("FRA", "USA", 3),
+             ("USA", "FRA", 2), ("DEU", "FRA", 7), ("FRA", "DEU", 1)]
+    path = tmp_path / "trade.csv"
+    path.write_text(HEADER + "\n" + "".join(f"2018,{e},{i},0,{v}\n" for e, i, v in flows))
+    cfg = tmp_path / "group.json"
+    cfg.write_text(json.dumps({"label": "GRP", "members": ["FRA", "DEU"], "short": "USA"}))
+    out = tmp_path / "out"
+    assert main(["regomax", "--input", str(path), "--year", "2018", "--merge-config", str(cfg),
+                 "--actors", "GRP,USA", "--out-dir", str(out)]) == 0
+    for stem in ("regomax_direct", "regomax_inverted"):
+        dot = (out / f"{stem}.dot").read_text()
+        assert re.findall(r'^  "([^"]+)";$', dot, flags=re.M) == ["GRP0", "USA0"]
+        assert (out / f"{stem}_gr.csv").read_text().splitlines()[0] == "node,GRP0,USA0"
 
 
 @pytest.mark.parametrize("short", ['E"U', ""], ids=["quote", "empty"])

@@ -7,22 +7,46 @@ from wtnrank import (
     CountryRegistry,
     DIRECT,
     EmptyDataError,
+    GLOBAL_PRODUCT,
     INVERTED,
     LABOR_COST,
+    MoneyMatrixSet,
     Perturbation,
     ProductRegistry,
+    RANK_BASED,
     TradeFlowRecord,
     ValidationError,
+    VOLUME_BASED,
+    balance_report,
+    balance_sensitivity,
     build_google,
     gravity_money_set,
     money_from_records,
+    pagerank,
     personalization_vector,
     perturb_money,
+    reduce,
 )
 
 
 def rec(exp, imp, prod, value):
     return TradeFlowRecord(2018, exp, imp, prod, value)
+
+
+def rescaled(mm, factor):
+    """``mm`` with every stored flow multiplied by ``factor``."""
+    matrices = []
+    for m in mm.matrices:
+        m = m.copy()
+        m.data *= factor
+        matrices.append(m)
+    return MoneyMatrixSet(tuple(matrices), mm.year, mm.countries, mm.products)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestPersonalization:
@@ -133,6 +157,7 @@ class TestBuild:
         np.testing.assert_allclose(g.stochastic.toarray(), expected, atol=1e-14)
 
     def test_scaling_invariance(self):
+        # x 1000 rounds, so this case holds to rtol=1e-14
         mm = random_money_set(9, max_countries=8)
         scaled = money_from_records(
             [TradeFlowRecord(r.year, r.exporter, r.importer, r.product,
@@ -143,6 +168,36 @@ class TestBuild:
         np.testing.assert_allclose(g2.links.toarray(), g1.links.toarray(),
                                    rtol=1e-14, atol=1e-18)
         assert np.array_equal(g2.dangling, g1.dangling)
+
+        # x 2^-7 is exact in float64, and each normalization and volume share cancels it
+        mm = rescaled(gravity_money_set(7, 30, 4, density=0.1), 1.37)  # off the dollar grid
+        scaled = rescaled(mm, 2.0 ** -7)
+        assert not np.array_equal(mm.imports, np.round(mm.imports))
+        for attr in ("imports", "exports"):
+            assert_same_bits(getattr(scaled, attr), getattr(mm, attr) * 2.0 ** -7)
+        selection = [(c, p) for c in mm.countries.ids[:2] for p in mm.products.codes]
+        for direction in (DIRECT, INVERTED):
+            g1, g2 = build_google(mm, direction), build_google(scaled, direction)
+            assert g1.dangling.any()
+            for attr in ("indptr", "indices", "data"):
+                assert_same_bits(getattr(g2.links, attr), getattr(g1.links, attr))
+            assert_same_bits(g2.dangling, g1.dangling)
+            assert_same_bits(g2.personalization, g1.personalization)
+            assert_same_bits(pagerank(g2).node_probs, pagerank(g1).node_probs)
+            r1, r2 = reduce(g1, selection), reduce(g2, selection)
+            for part in ("g_r", "g_rr", "g_pr", "g_qr"):
+                assert_same_bits(getattr(r2, part), getattr(r1, part))
+        shocks = [Perturbation(LABOR_COST, target_country=mm.countries.ids[3]),
+                  Perturbation(GLOBAL_PRODUCT, product=mm.products.codes[1])]
+        for description in (RANK_BASED, VOLUME_BASED):
+            b1, b2 = balance_report(mm, description), balance_report(scaled, description)
+            assert b2.countries == b1.countries
+            assert_same_bits(b2.balances, b1.balances)
+            for shock in shocks:
+                s1 = balance_sensitivity(mm, shock, description)
+                s2 = balance_sensitivity(scaled, shock, description)
+                assert s2.countries == s1.countries
+                assert_same_bits(s2.derivatives, s1.derivatives)
 
     def test_determinism(self):
         mm = random_money_set(10)
@@ -175,12 +230,30 @@ class TestBuild:
             g.node_of("NOPE", "0")
 
 
+def documented_column_sums(flow):
+    """Each column's stored values added one by one from 0.0.
+
+    ``flow`` is canonical CSC, so this is the documented order of both sums:
+    ``MoneyMatrixSet.exports`` for the money matrix itself, and for its
+    transpose ``imports``, each row of the money matrix in ascending column order.
+    """
+    sums = []
+    for j in range(flow.shape[1]):
+        acc = 0.0
+        for value in flow.data[flow.indptr[j]:flow.indptr[j + 1]].tolist():
+            acc += value
+        sums.append(acc)
+    return np.array(sums)
+
+
 def reference_links(mm, direction):
-    """S0 as built through scipy products and sums, dangling columns left empty."""
+    """S0 as built through scipy products, each column divided by its sum in the
+    documented order, dangling columns left empty."""
     blocks = []
     for m in mm.matrices:
         flow = (m.T if direction == INVERTED else m).tocsc()
-        colsum = np.asarray(flow.sum(axis=0)).ravel()
+        assert flow.has_canonical_format
+        colsum = documented_column_sums(flow)
         scale = np.divide(1.0, colsum, out=np.zeros_like(colsum), where=colsum > 0)
         blocks.append(flow @ sparse.diags(scale))
     s = sparse.block_diag(blocks, format="csc")

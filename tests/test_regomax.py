@@ -10,6 +10,7 @@ from wtnrank import (
     DIRECT,
     INVERTED,
     ConvergenceError,
+    CountryRegistry,
     GoogleMatrix,
     MoneyMatrixSet,
     ProductRegistry,
@@ -257,11 +258,28 @@ class TestReduce:
         assert r.labels == tuple(f"EU{p}" for p in merged.products.codes)
 
     def test_ambiguous_short_codes_fall_back_to_ids(self):
-        # SAA and SAB both shorten to SA; labels must stay distinct
-        mm = small_money_set(94, 3, 1, density=1.0)
-        g = build_google(mm)
-        r = reduce(g, [("SAA", "0"), ("SAB", "0")])
-        assert r.labels == ("SAA0", "SAB0")
+        # SAA and SAB both shorten to SA; GRP's short code is the id USA, while
+        # USA and USB both shorten to US; AB falls back to its id, which is
+        # ABX's short code. Every node label must stay distinct.
+        def product_0(flows, countries=None):
+            records = [TradeFlowRecord(2018, e, i, "0", v) for e, i, v in flows]
+            return money_from_records(records, 2018, countries)
+
+        merged = merge_country_group(product_0(
+            [("USA", "USB", 5.0), ("USB", "USA", 4.0), ("FRA", "USA", 3.0),
+             ("USA", "FRA", 2.0), ("DEU", "FRA", 7.0), ("FRA", "DEU", 1.0)]),
+            ["FRA", "DEU"], "GRP", short="USA")
+        ab = product_0([("AB", "ABX", 3.0), ("ABX", "ZZQ", 2.0), ("ZZQ", "AB", 4.0),
+                        ("ABX", "AB", 1.0)],
+                       CountryRegistry(("AB", "ABX", "ZZQ"), short_codes={"AB": "ZZ"}))
+        cases = [(small_money_set(94, 3, 1, density=1.0), ("SAA", "SAB"), ("SAA0", "SAB0")),
+                 (merged, ("GRP", "USA"), ("GRP0", "USA0")),
+                 (ab, ("AB", "ABX"), ("AB0", "ABX0"))]
+        for mm, actors, labels in cases:
+            g = build_google(mm)
+            r = reduce(g, [(actor, "0") for actor in actors])
+            assert r.labels == labels
+            assert len({g.node_label(node) for node in range(g.n_nodes)}) == g.n_nodes
 
 
 class TestStrongestLinks:

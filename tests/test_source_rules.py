@@ -1,9 +1,12 @@
 """Rules on the package source: one owner for file I/O, one rule for duplicates,
-one stored form of the Google matrix.
+one owner of row and column sums, one stored form of the Google matrix.
 
 ``_io.py`` alone opens files and writes JSON. Duplicate flows are added only
 by the ``MoneyMatrixSet`` gate's storage-order rule, never by scipy's
-``sum_duplicates``, whose summation order is its own. Only ``google_matrix.py``
+``sum_duplicates``, whose summation order is its own. A money matrix's rows and
+columns are summed only by ``MoneyMatrixSet.imports`` and ``exports``, never by
+a sparse axis sum, whose ``np.matrix`` result needs the ``np.asarray(x.sum(``
+unwrapping that the rule looks for; dense numpy axis sums stay allowed. Only ``google_matrix.py``
 names ``GoogleMatrix.stochastic``, the assembled S = S0 + v d^T kept for checks,
 and ``effective_dense``, the dense N x N oracle; every other module works on the
 links and the dangling mask.
@@ -18,6 +21,7 @@ SOURCE = sorted((Path(__file__).resolve().parents[1] / "src" / "wtnrank").glob("
 
 RULES = [
     (re.compile(r"\bsum_duplicates\("), set()),
+    (re.compile(r"\bnp\.asarray\([^()]*\.sum\("), set()),
     (re.compile(r"\bopen\("), {"_io.py"}),
     (re.compile(r"\bjson\.dump\("), {"_io.py"}),
     (re.compile(r"\.stochastic\b"), {"google_matrix.py"}),

@@ -30,7 +30,6 @@ from wtnrank import (
     write_trade_csv,
 )
 from wtnrank.synth import synth_country_ids
-from wtnrank.trade_data import matrix_volume
 
 HEADER = "year,exporter,importer,product,value_usd"
 
@@ -287,19 +286,20 @@ def same_bits(got, want):
         assert np.array_equal(m.data.view(np.int64), ref.data.view(np.int64))
 
 
-def off_grid_matrices(seed):
-    """Seeded gravity matrices with every value moved off the whole-dollar grid.
+def off_grid_set(seed):
+    """Seeded gravity set with every value moved off the whole-dollar grid.
 
     Whole-dollar values add up exactly in any order; shocked values, as in
     a sensitivity run, do not, so only these can show a summation order.
     """
     rng = np.random.default_rng(seed)
+    mm = small_money_set(seed, 40, 3)
     out = []
-    for m in small_money_set(seed, 40, 3).matrices:
+    for m in mm.matrices:
         m = m.copy()
         m.data *= rng.uniform(0.9, 1.1, m.nnz)
         out.append(m)
-    return out
+    return MoneyMatrixSet(tuple(out), mm.year, mm.countries, mm.products)
 
 
 def shuffled_within_columns(m, rng):
@@ -313,30 +313,53 @@ def shuffled_within_columns(m, rng):
 
 
 class TestMatrixVolume:
+    """``imports``, ``exports`` and ``total_volume``, each in its one documented order."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_row_then_column_order_oracle(self, seed):
-        for m in off_grid_matrices(seed):
-            dense = m.toarray()
-            row_sums = []
-            for row in dense:
+        mm = off_grid_set(seed)
+        n = mm.n_countries
+        total = 0.0
+        for p, m in enumerate(mm.matrices):
+            row_sums, col_sums = [0.0] * n, []
+            for j in range(n):
                 acc = 0.0
-                for value in row:  # ascending column order
-                    acc += value
-                row_sums.append(acc)
-            expected = np.sum(np.array(row_sums))
-            assert bits(matrix_volume(m)) == bits(expected)
+                for k in range(m.indptr[j], m.indptr[j + 1]):  # stored order
+                    acc += float(m.data[k])
+                    row_sums[m.indices[k]] += float(m.data[k])  # ascending column order
+                col_sums.append(acc)
+            assert np.array_equal(mm.imports[p].view(np.int64),
+                                  np.array(row_sums).view(np.int64))
+            assert np.array_equal(mm.exports[p].view(np.int64),
+                                  np.array(col_sums).view(np.int64))
+            total += np.sum(np.array(row_sums))
+        assert bits(mm.total_volume()) == bits(total)
 
     def test_stored_entry_order_is_irrelevant(self):
         rng = np.random.default_rng(0)
         storage_order_moved = False
-        for m in (m for seed in range(4) for m in off_grid_matrices(seed)):
-            shuffled = shuffled_within_columns(m, rng)
-            # measured first: scipy's whole-matrix sum, for one, sorts entries in place
-            storage_order_moved |= bits(shuffled.data.sum()) != bits(m.data.sum())
-            assert bits(matrix_volume(shuffled)) == bits(matrix_volume(m))
-            assert (shuffled != m).nnz == 0
+        for seed in range(4):
+            canonical = off_grid_set(seed)
+            matrices = [shuffled_within_columns(m, rng) for m in canonical.matrices]
+            storage_order_moved |= any(bits(m.data.sum()) != bits(ref.data.sum())
+                                       for m, ref in zip(matrices, canonical.matrices))
+            shuffled = MoneyMatrixSet(tuple(matrices), canonical.year, canonical.countries,
+                                      canonical.products)
+            assert money_sets_equal(shuffled, canonical)
+            for attr in ("imports", "exports"):
+                assert np.array_equal(getattr(shuffled, attr).view(np.int64),
+                                      getattr(canonical, attr).view(np.int64))
+            assert bits(shuffled.total_volume()) == bits(canonical.total_volume())
         # a sum over the stored entries would have moved, so the check has teeth
         assert storage_order_moved
+
+    def test_sums_are_read_only(self):
+        mm = off_grid_set(0)
+        for sums in (mm.imports, mm.exports):
+            assert sums.shape == (mm.n_products, mm.n_countries) and sums.dtype == np.float64
+            with pytest.raises(ValueError):
+                sums[0, 0] = 1.0
+        assert mm.imports is mm.imports and mm.exports is mm.exports
 
     @pytest.mark.parametrize("step", [0.01, -0.01])
     def test_perturbed_total_matches_sorted_rebuild(self, step):
