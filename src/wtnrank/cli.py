@@ -183,15 +183,10 @@ def cmd_merge(args) -> int:
     return EXIT_OK
 
 
-def _solve_both(money, args):
-    direct = pagerank(build_google(money, DIRECT, args.alpha), args.tol, args.max_iter)
-    inverted = pagerank(build_google(money, INVERTED, args.alpha), args.tol, args.max_iter)
-    return direct, inverted
-
-
 def cmd_rank(args) -> int:
     money, _ = _load_money(args)
-    direct, inverted = _solve_both(money, args)
+    direct = pagerank(build_google(money, DIRECT, args.alpha), args.tol, args.max_iter)
+    inverted = pagerank(build_google(money, INVERTED, args.alpha), args.tol, args.max_iter)
     volumes = volume_probabilities(money)
     rows = rank_table(direct, inverted, volumes, args.top)
     if args.format == "json":

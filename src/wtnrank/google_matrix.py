@@ -52,14 +52,6 @@ class GoogleMatrix:
         n_c = len(self.countries)
         return self.countries.ids[node % n_c], self.products.codes[node // n_c]
 
-    def node_label(self, node: int) -> str:
-        """Compact label: two-letter actor code plus product digit (e.g. US7).
-
-        Falls back to the full country id as ``CountryRegistry.display_code`` says.
-        """
-        country, product = self.node_pair(node)
-        return f"{self.countries.display_code(country)}{product}"
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One multiplication by the effective matrix (x treated as a column)."""
         teleport = self.damping * x[self.dangling].sum() + (1.0 - self.damping) * x.sum()
@@ -70,12 +62,6 @@ class GoogleMatrix:
         """S = S0 + v @ d.T, assembled for checks; the library never uses it."""
         v, d = sparse.csc_matrix(self.personalization[:, None]), self.dangling[None, :]
         return self.links + v @ sparse.csc_matrix(d, dtype=float)
-
-    def effective_dense(self) -> np.ndarray:
-        """Dense effective matrix, the tests' oracle; the library never builds it."""
-        g = self.damping * self.links.toarray()
-        g += np.outer(self.personalization, self.damping * self.dangling + (1.0 - self.damping))
-        return g
 
 
 def personalization_vector(mm: MoneyMatrixSet) -> np.ndarray:

@@ -69,7 +69,8 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
     idx = np.array([g.node_of(c, p) for c, p in nodes], dtype=np.int64)
     if len(set(idx.tolist())) != len(nodes):
         raise ValidationError("node selection contains duplicates")
-    labels = tuple(g.node_label(i) for i in idx)
+    codes = g.countries.display_codes
+    labels = tuple(f"{codes[c]}{p}" for c, p in nodes)
 
     a, s, v = g.damping, g.links, g.personalization
     w = a * g.dangling + (1.0 - a)
@@ -99,7 +100,8 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
     solve_residual = float(np.abs(paths - g_ss @ paths - g_sr).max())
     g_r = g_rr + g_rs @ paths
 
-    lam, psi_r, psi_l, eigen_residual = _leading_eigenpair(g_ss)
+    lam, psi_r, right = _power_iteration(g_ss)  # Perron eigenvalue and eigenvectors
+    _, psi_l, left = _power_iteration(g_ss.T)
     weight = float(psi_l @ psi_r)
     if weight <= 0.0:
         raise ConvergenceError("degenerate scattering eigenvectors")
@@ -112,14 +114,7 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
         raise ConvergenceError(f"reduced matrix has negative entry {g_r.min():.3e}")
     return ReducedGoogleMatrix(
         g.direction, tuple(nodes), labels, g_r, g_rr, g_pr, g_qr,
-        float(lam), 0, {"solve": solve_residual, "eigen": eigen_residual, "closure": closure})
-
-
-def _leading_eigenpair(m: LinearOperator):
-    """Perron eigenvalue and right/left eigenvectors by power iteration."""
-    lam_r, psi_r, res_r = _power_iteration(m)
-    _, psi_l, res_l = _power_iteration(m.T)
-    return lam_r, psi_r, psi_l, max(res_r, res_l)
+        float(lam), 0, {"solve": solve_residual, "eigen": max(right, left), "closure": closure})
 
 
 def _power_iteration(m: LinearOperator):

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -146,26 +147,25 @@ class CountryRegistry:
         return rank
 
     @cached_property
-    def _short_code_counts(self) -> Counter:
-        return Counter(self.short_code(cid) for cid in self.ids)
+    def display_codes(self) -> Mapping[str, str]:
+        """Read-only map of id -> node-label code (e.g. US, EU).
+
+        The code is the ``short_codes`` override, else the first two letters upper
+        cased, else ``cid[:2]``; the full id stands instead where that code is shared
+        or is any country's id, so every node label stays distinct.
+        """
+        short = [self.short_codes.get(cid)
+                 or "".join(filter(str.isalpha, cid))[:2].upper()
+                 or cid[:2] for cid in self.ids]
+        counts = Counter(short)
+        return MappingProxyType({cid: cid if counts[code] > 1 or code in self._index else code
+                                 for cid, code in zip(self.ids, short)})
 
     def index_of(self, cid: str) -> int:
         try:
             return self._index[cid]
         except KeyError:
             raise ValidationError(f"country {cid!r} not in registry") from None
-
-    def short_code(self, cid: str) -> str:
-        """Two-letter label for compact node names (e.g. US, EU)."""
-        if cid in self.short_codes:
-            return self.short_codes[cid]
-        letters = [ch for ch in cid if ch.isalpha()]
-        return "".join(letters[:2]).upper() or cid[:2]
-
-    def display_code(self, cid: str) -> str:
-        """Short code, or the full id when the code is shared or is any country's id."""
-        code = self.short_code(cid)
-        return cid if self._short_code_counts[code] > 1 or code in self._index else code
 
     def __len__(self) -> int:
         return len(self.ids)

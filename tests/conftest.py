@@ -15,6 +15,14 @@ def random_money_set(seed, min_countries=3, max_countries=30, max_products=4):
     return gravity_money_set(seed, n_c, n_p, density=density)
 
 
+def effective_dense(g):
+    """Dense effective matrix damping * S0 + v w^T of a ``GoogleMatrix``, the oracle
+    that the library itself never builds."""
+    dense = g.damping * g.links.toarray()
+    dense += np.outer(g.personalization, g.damping * g.dangling + (1.0 - g.damping))
+    return dense
+
+
 def small_money_set(seed, n_countries, n_products, density=0.8):
     return gravity_money_set(seed, n_countries, n_products, density=density)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import non_canonical, random_money_set, small_money_set
+from conftest import effective_dense, non_canonical, random_money_set, small_money_set
 from scipy import sparse
 
 from wtnrank import (
@@ -112,7 +112,7 @@ class TestBuild:
     def test_columns_sum_to_one(self, seed, direction):
         mm = small_money_set(seed, 4, 2, density=0.6)
         g = build_google(mm, direction)
-        dense = g.effective_dense()
+        dense = effective_dense(g)
         np.testing.assert_allclose(dense.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(
             np.asarray(g.stochastic.sum(axis=0)).ravel(), 1.0, atol=1e-12)

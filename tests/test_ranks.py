@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import random_money_set, small_money_set
+from conftest import effective_dense, random_money_set, small_money_set
 from scipy import sparse
 
 from wtnrank import (
@@ -52,7 +52,7 @@ class TestPagerank:
     def test_matches_dense_eigenvector(self, seed, direction):
         g = build(seed, 5, 2, direction)  # 10 nodes
         rv = pagerank(g)
-        dense = g.effective_dense()
+        dense = effective_dense(g)
         eigvals, eigvecs = np.linalg.eig(dense)
         lead = np.argmin(np.abs(eigvals - 1.0))
         vec = np.real(eigvecs[:, lead])

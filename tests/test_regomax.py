@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import small_money_set
+from conftest import effective_dense, small_money_set
 from scipy import sparse
 
 from wtnrank import (
@@ -68,7 +68,7 @@ def oracle_case(case, direction, damping):
 
 def dense_blocks(g, selection):
     """G_rr, G_rs, G_sr, G_ss cut from the dense effective matrix."""
-    full = g.effective_dense()
+    full = effective_dense(g)
     idx = np.array([g.node_of(c, p) for c, p in selection])
     sc = np.setdiff1d(np.arange(full.shape[0]), idx)
     return (full[np.ix_(idx, idx)], full[np.ix_(idx, sc)], full[np.ix_(sc, idx)],
@@ -81,12 +81,33 @@ def dense_oracle(g, selection):
     return g_rr + g_rs @ np.linalg.inv(np.eye(g_ss.shape[0]) - g_ss) @ g_sr
 
 
+def dense_schur(m, keep):
+    """M_kk + M_ks (I - M_ss)^-1 M_sk for the index list ``keep`` of a dense matrix."""
+    rest = np.setdiff1d(np.arange(m.shape[0]), keep)
+    m_ks, m_sk, m_ss = m[np.ix_(keep, rest)], m[np.ix_(rest, keep)], m[np.ix_(rest, rest)]
+    return m[np.ix_(keep, keep)] + m_ks @ np.linalg.solve(np.eye(rest.size) - m_ss, m_sk)
+
+
 class TestReduce:
+    @pytest.mark.parametrize("seed", [42, 1])
+    @pytest.mark.parametrize("n_c", [40, 194])
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    def test_reduction_in_two_steps_equals_one(self, seed, n_c, direction):
+        # the Schur complement onto 2 countries of the reduction onto 6 is the
+        # reduction onto those 2 countries
+        g, six = reduced_case(seed, n_c, 4, 6, direction)
+        g6 = reduce(g, six)
+        two = six[:8]  # the first 2 countries' nodes, all 4 products each
+        g2 = reduce(g, two)
+        assert g2.nodes == g6.nodes[:8]
+        np.testing.assert_allclose(dense_schur(g6.g_r, np.arange(8)), g2.g_r, rtol=0,
+                                   atol=1e-13)
+
     def test_full_selection_is_identity_partition(self):
         g, _ = reduced_case(40, 4, 2, 2)
         selection = [g.node_pair(i) for i in range(g.n_nodes)]
         r = reduce(g, selection)
-        np.testing.assert_array_equal(r.g_r, g.effective_dense())
+        np.testing.assert_array_equal(r.g_r, effective_dense(g))
         np.testing.assert_array_equal(r.g_pr, 0.0)
         np.testing.assert_array_equal(r.g_qr, 0.0)
         assert r.lambda_c is None
@@ -176,7 +197,6 @@ class TestReduce:
         def refuse(self):
             raise AssertionError("the library left the stored links-plus-mask form")
 
-        monkeypatch.setattr(GoogleMatrix, "effective_dense", refuse)
         monkeypatch.setattr(GoogleMatrix, "stochastic", property(refuse))
         tracemalloc.start()
         try:
@@ -279,7 +299,8 @@ class TestReduce:
             g = build_google(mm)
             r = reduce(g, [(actor, "0") for actor in actors])
             assert r.labels == labels
-            assert len({g.node_label(node) for node in range(g.n_nodes)}) == g.n_nodes
+            every_node = reduce(g, [g.node_pair(node) for node in range(g.n_nodes)])
+            assert len(set(every_node.labels)) == g.n_nodes
 
 
 class TestStrongestLinks:

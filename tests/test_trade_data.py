@@ -1,10 +1,16 @@
 import gc
+import importlib.util
 import io
+import sys
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import non_canonical, non_canonical_matrices, random_money_set, small_money_set
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from wtnrank import (
@@ -233,8 +239,10 @@ class TestMerge:
         mm = money_from_records(
             [rec("AAA", "BBB", "0", 1.0), rec("BBB", "CCC", "0", 1.0)], 2018)
         merged = merge_country_group(mm, {"AAA", "BBB"}, "GRP", short="EU")
-        assert merged.countries.short_code("GRP") == "EU"
-        assert merged.countries.short_code("CCC") == "CC"
+        codes = merged.countries.display_codes
+        assert dict(codes) == {"CCC": "CC", "GRP": "EU"}
+        with pytest.raises(TypeError):
+            codes["CCC"] = "ZZ"  # read-only, like id_rank
 
 
 class TestVolumeProbabilities:
@@ -387,6 +395,26 @@ class TestMatrixVolume:
         assert total == bits(as_set(product).total_volume())
 
 
+TINY_ID = st.builds(str.__add__, st.sampled_from("A1B"), st.text("AB1-", max_size=2))
+
+
+def chain_display_codes(registry):
+    """The per-id short code -> display code chain that ``display_codes`` replaced,
+    kept as its reference."""
+    def short_code(cid):
+        if cid in registry.short_codes:
+            return registry.short_codes[cid]
+        letters = [ch for ch in cid if ch.isalpha()]
+        return "".join(letters[:2]).upper() or cid[:2]
+
+    counts = Counter(short_code(cid) for cid in registry.ids)
+
+    def display_code(cid):
+        code = short_code(cid)
+        return cid if counts[code] > 1 or code in registry.ids else code
+
+    return {cid: display_code(cid) for cid in registry.ids}
+
 
 class TestRegistries:
     def test_product_registry_rejects_bad_codes(self):
@@ -432,9 +460,20 @@ class TestRegistries:
     @pytest.mark.parametrize("code", ['E"U', "", "eu", "E U", "EU\n", 5])
     def test_country_registry_rejects_bad_short_codes(self, code):
         ids = ("AAA", "BBB")
-        assert CountryRegistry(ids, short_codes={"AAA": "EU"}).display_code("AAA") == "EU"
+        assert CountryRegistry(ids, short_codes={"AAA": "EU"}).display_codes["AAA"] == "EU"
         with pytest.raises(ValidationError, match="short code"):
             CountryRegistry(ids, short_codes={"AAA": code})
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_display_codes_match_per_id_chain(self, data):
+        # ids and codes from a three-character alphabet, so codes collide and are ids
+        ids = data.draw(st.lists(TINY_ID, min_size=1, max_size=8, unique=True))
+        overridden = data.draw(st.lists(st.sampled_from(ids), unique=True))
+        codes = data.draw(st.lists(TINY_ID, min_size=len(overridden), max_size=len(overridden)))
+        registry = CountryRegistry(ids, short_codes=dict(zip(overridden, codes)))
+        assert dict(registry.display_codes) == chain_display_codes(registry)
+        assert len(set(registry.display_codes.values())) == len(ids)
 
     def test_records_ids_canonicalized_as_in_ingest(self):
         mm = money_from_records([rec("aaa", " bbb ", " 0", 1.0), rec("AAA", "ccc", "0", 2.0)],
@@ -534,7 +573,44 @@ def off_grid_rows(seed, n_rows=600):
     return rows
 
 
+def bench_inputs():
+    """The benchmark's seeded CSV generator, ``bench/inputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up while built
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
 class TestInputOrderSums:
+    def test_split_flow_leaves_money_unchanged(self):
+        inputs = bench_inputs()
+        lines = inputs.generate(1, 40).csv_bytes.decode("ascii").splitlines()
+        rng = np.random.default_rng(1)
+        out, split = [lines[0]], 0
+        for line, pick in zip(lines[1:], rng.random(len(lines) - 1) < 0.5):
+            year, exporter, importer, product, value = line.split(",")
+            if pick and int(year) == inputs.YEAR and exporter != importer:
+                half = f"{year},{exporter},{importer},{product},{float(value) / 2.0!r}"
+                out += [half, half]  # consecutive, so each key adds its parts in order
+                split += 1
+            else:
+                out.append(line)
+        before = ingest_csv(io.StringIO("\n".join(lines) + "\n"), inputs.YEAR)
+        after = ingest_csv(io.StringIO("\n".join(out) + "\n"), inputs.YEAR)
+        assert split > 1000
+        same_bits(after.money, before.money)
+        for name in ("imports", "exports"):
+            got, want = getattr(after.money, name), getattr(before.money, name)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert after.rows_used == before.rows_used + split
+        assert after.duplicates_merged == before.duplicates_merged + split
+        assert after.self_flows_dropped == before.self_flows_dropped
+
     @pytest.mark.parametrize("seed", range(4))
     def test_ingest_matches_dict_reference(self, seed):
         rows = off_grid_rows(seed)
