@@ -306,6 +306,8 @@ def ingest_csv(source, year: int) -> IngestResult:
     Self-flows (exporter == importer) are dropped and counted. Rows sharing
     the same (exporter, importer, product) key are summed. Unknown product
     codes, negative values, or malformed rows raise with the line number.
+    Each distinct raw year, id and product field is canonicalized once per
+    call; a bad one is never cached, so the error names the first line it is on.
     """
     with open_input(source) as stream:
         reader = csv.reader(stream)
@@ -316,7 +318,8 @@ def ingest_csv(source, year: int) -> IngestResult:
         if tuple(h.strip().lstrip("﻿") for h in header) != CSV_HEADER:
             raise ParseError(f"expected header {','.join(CSV_HEADER)}", line=1)
 
-        exporters, importers, codes, values = [], [], [], []
+        years, ids, codes = {}, _Keys(canonical_country_id), _Keys(canonical_product_code)
+        exporters, importers, products, values = [], [], [], []
         self_flows = 0
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -324,20 +327,20 @@ def ingest_csv(source, year: int) -> IngestResult:
             if len(row) != 5:
                 raise ParseError(f"expected 5 fields, got {len(row)}", line=lineno)
             raw_year, raw_exp, raw_imp, raw_prod, raw_val = row
-            try:
-                row_year = int(raw_year.strip())
-            except ValueError:
-                raise ParseError(f"bad year {raw_year!r}", line=lineno) from None
+            row_year = years.get(raw_year)
+            if row_year is None:
+                try:
+                    row_year = years[raw_year] = int(raw_year.strip())
+                except ValueError:
+                    raise ParseError(f"bad year {raw_year!r}", line=lineno) from None
             try:
                 value = float(raw_val.strip())
             except ValueError:
                 raise ParseError(f"bad value {raw_val!r}", line=lineno) from None
-            if not math.isfinite(value) or value < 0.0:
+            if not 0.0 <= value < math.inf:
                 raise ValidationError(f"line {lineno}: negative or non-finite value {value!r}")
             try:
-                product = canonical_product_code(raw_prod)
-                exporter = canonical_country_id(raw_exp)
-                importer = canonical_country_id(raw_imp)
+                product, exporter, importer = codes[raw_prod], ids[raw_exp], ids[raw_imp]
             except ValidationError as exc:
                 raise ValidationError(f"line {lineno}: {exc}") from None
             if row_year != year:
@@ -347,29 +350,57 @@ def ingest_csv(source, year: int) -> IngestResult:
                 continue
             exporters.append(exporter)
             importers.append(importer)
-            codes.append(product)
+            products.append(product)
             values.append(value)
 
     if not values:
         raise EmptyDataError(f"no usable rows for year {year}")
-    money = _money_from_keys(exporters, importers, codes, values, year)
+    money = _money_from_keys(ids, codes, exporters, importers, products, values, year)
     unique_keys = sum(m.nnz for m in money.matrices)
     return IngestResult(money, len(values), self_flows, len(values) - unique_keys)
 
 
-def _money_from_keys(exporters, importers, codes, values, year, countries=None,
+class _Keys(dict):
+    """Raw field -> position of its canonical key in ``positions``, numbered in first-seen order.
+
+    Each distinct raw value goes through ``canonical`` once. One that raises
+    is never stored, so it raises again, with the same message, on each use.
+    """
+
+    def __init__(self, canonical):
+        super().__init__()
+        self.canonical, self.positions = canonical, {}
+
+    def __missing__(self, raw):
+        key = self.canonical(raw)
+        self[raw] = position = self.positions.setdefault(key, len(self.positions))
+        return position
+
+    def lookup(self, registry, make, *columns):
+        """``(registry, key position -> registry position)`` for the keys ``columns`` use.
+
+        ``registry`` defaults, when None, to ``make`` of those keys. Each used key
+        takes one ``index_of``, which rejects a key outside a given registry.
+        """
+        keys = list(self.positions)
+        used = np.unique(np.concatenate(columns))
+        used_keys = [keys[i] for i in used]
+        if registry is None:
+            registry = make(used_keys)
+        to_registry = np.zeros(len(keys), np.int64)
+        to_registry[used] = [registry.index_of(key) for key in used_keys]
+        return registry, to_registry
+
+
+def _money_from_keys(ids, codes, exporter, importer, product, value, year, countries=None,
                      products=None) -> MoneyMatrixSet:
-    """Money matrices from per-flow ids and codes; the registry lookups reject unknown keys."""
-    if countries is None:
-        countries = CountryRegistry.from_ids({*exporters, *importers})
-    if products is None:
-        products = ProductRegistry.from_codes(codes)
-    country, count = countries.index_of, len(values)
-    return _money_from_columns(
-        np.fromiter(map(country, exporters), np.int64, count),
-        np.fromiter(map(country, importers), np.int64, count),
-        np.fromiter(map(products.index_of, codes), np.int64, count),
-        np.array(values, dtype=float), year, countries, products)
+    """Money matrices from per-flow ``_Keys`` positions of ids and codes."""
+    exporter, importer, product = (np.array(c, dtype=np.int64)
+                                   for c in (exporter, importer, product))
+    countries, country = ids.lookup(countries, CountryRegistry.from_ids, exporter, importer)
+    products, code = codes.lookup(products, ProductRegistry.from_codes, product)
+    return _money_from_columns(country[exporter], country[importer], code[product],
+                               np.array(value, dtype=float), year, countries, products)
 
 
 def _money_from_columns(exporter, importer, product, value, year, countries,
@@ -412,22 +443,29 @@ def money_from_records(records: Iterable[TradeFlowRecord], year: int,
     value must be a finite, nonnegative number, as each ingest row must;
     records sharing a key are then summed.
     """
-    exporters, importers, codes, values = [], [], [], []
+    ids, codes = _Keys(canonical_country_id), _Keys(canonical_product_code)
+    exporters, importers, flow_products, values = [], [], [], []
     for r in records:
-        exporter, importer = canonical_country_id(r.exporter), canonical_country_id(r.importer)
-        product = canonical_product_code(r.product)
+        try:
+            exporter, importer, product = ids[r.exporter], ids[r.importer], codes[r.product]
+        except TypeError:  # an unhashable field is no string, so its check raises
+            canonical_country_id(r.exporter), canonical_country_id(r.importer)
+            canonical_product_code(r.product)
+            raise
         if r.year != year or exporter == importer:
             continue
         if not isinstance(r.value_usd, numbers.Real) or not 0.0 <= r.value_usd < math.inf:
-            raise ValidationError(f"value {r.value_usd!r} for {exporter}->{importer} "
+            raise ValidationError(f"value {r.value_usd!r} for {canonical_country_id(r.exporter)}->"
+                                  f"{canonical_country_id(r.importer)} "
                                   "is not a finite, nonnegative number")
         exporters.append(exporter)
         importers.append(importer)
-        codes.append(product)
+        flow_products.append(product)
         values.append(r.value_usd)
     if not values and (countries is None or products is None):
         raise EmptyDataError(f"no usable records for year {year}")
-    return _money_from_keys(exporters, importers, codes, values, year, countries, products)
+    return _money_from_keys(ids, codes, exporters, importers, flow_products, values, year,
+                            countries, products)
 
 
 def write_trade_csv(mm: MoneyMatrixSet, dest) -> None:

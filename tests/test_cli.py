@@ -185,6 +185,16 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_bad_product_code_after_good_rows_exits_2(tmp_path, capsys):
+    good = [f"2018,AAA,BBB,{k % 3},{k + 1}.5" for k in range(800)]
+    path = tmp_path / "trade.csv"
+    path.write_text("\n".join([HEADER, *good, "2018,BBB,AAA, 7x,1.0", *good[:5]]) + "\n")
+    code = main(["rank", "--input", str(path), "--year", "2018",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "line 802: unknown product code ' 7x'" in capsys.readouterr().err
+
+
 def test_malformed_merge_config_exits_2(trade_csv, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")

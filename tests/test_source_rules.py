@@ -1,5 +1,6 @@
 """Rules on the package source: one owner for file I/O, one rule for duplicates,
-one owner of row and column sums, one stored form of the Google matrix.
+one owner of row and column sums, one stored form of the Google matrix, one
+registry lookup per distinct key.
 
 ``_io.py`` alone opens files and writes JSON. Duplicate flows are added only
 by the ``MoneyMatrixSet`` gate's storage-order rule, never by scipy's
@@ -10,6 +11,8 @@ unwrapping that the rule looks for; dense numpy axis sums stay allowed. Only ``g
 names ``GoogleMatrix.stochastic``, the assembled S = S0 + v d^T kept for checks;
 every other module works on the links and the dangling mask. No module calls
 ``effective_dense``, the dense N x N oracle that lives in the tests' ``conftest.py``.
+Registry lookups go once per distinct key, never per row: the
+``np.fromiter(map(`` idiom of one ``index_of`` call per flow is forbidden.
 """
 
 import re
@@ -26,6 +29,7 @@ RULES = [
     (re.compile(r"\bjson\.dump\("), {"_io.py"}),
     (re.compile(r"\.stochastic\b"), {"google_matrix.py"}),
     (re.compile(r"\beffective_dense\("), set()),
+    (re.compile(r"\bnp\.fromiter\(\s*map\("), set()),
 ]
 
 

@@ -48,6 +48,12 @@ def rec(exp, imp, prod, value, year=2018):
     return TradeFlowRecord(year, exp, imp, prod, value)
 
 
+def good_rows(count, year=2018):
+    """``count`` valid rows over four ids and three codes, none a self-flow."""
+    ids = ("FRA", "USA", "DEU", "CHN")
+    return [f"{year},{ids[i % 4]},{ids[(i + 1) % 4]},{i % 3},{i + 1}.5" for i in range(count)]
+
+
 class TestIngest:
     def test_transcribes_rows(self):
         result = ingest_csv(csv_stream(
@@ -100,6 +106,39 @@ class TestIngest:
         with pytest.raises(ValidationError, match=r"^line 4: invalid country id 'A B'$"):
             ingest_csv(csv_stream("2018,FRA,USA,7,5e9", "2018,USA,FRA,7,3e9",
                                   "2018,A B,USA,7,1"), 2018)
+
+    # Each distinct raw field is canonicalized once per call; a bad one is never
+    # cached, so it fails at the first line it is on, however many rows came first.
+    @pytest.mark.parametrize("bad_row, cid", [("2018,A B,USA,0,1", "A B"),
+                                              ("2018,USA,usa!,0,1", "usa!")])
+    def test_bad_id_after_many_good_rows_reports_its_line(self, bad_row, cid):
+        with pytest.raises(ValidationError, match=rf"^line 1202: invalid country id '{cid}'$"):
+            ingest_csv(csv_stream(*good_rows(1200), bad_row, *good_rows(5)), 2018)
+
+    def test_repeated_bad_id_reports_its_first_line(self):
+        rows = [*good_rows(1000), "2018,FRA,A B,1,2", *good_rows(50), "2018,A B,FRA,1,2"]
+        with pytest.raises(ValidationError, match=r"^line 1002: invalid country id 'A B'$"):
+            ingest_csv(csv_stream(*rows), 2018)
+
+    def test_raw_spellings_of_one_id_are_one_node(self):
+        result = ingest_csv(csv_stream("2018,usa,FRA,7,1.0", "2018, USA,FRA,7,2.0",
+                                       "2018,FRA,USA,7,4.0", "2018,usa,USA,7,8.0"), 2018)
+        mm = result.money
+        assert mm.countries.ids == ("FRA", "USA")
+        assert mm.matrix_for("7").toarray().tolist() == [[0.0, 3.0], [4.0, 0.0]]
+        assert (result.rows_used, result.self_flows_dropped, result.duplicates_merged) == (3, 1, 1)
+
+    def test_bad_id_on_another_years_row_reports_its_line(self):
+        rows = [*good_rows(1000), "2016,FRA,A B,1,2"]
+        with pytest.raises(ValidationError, match=r"^line 1002: invalid country id 'A B'$"):
+            ingest_csv(csv_stream(*rows), 2018)
+
+    @pytest.mark.parametrize("raw_year", ["2O18", "", "2018.0"])
+    def test_bad_year_after_many_good_rows_reports_its_line(self, raw_year):
+        rows = [*good_rows(1000), f"{raw_year},FRA,USA,1,2", *good_rows(5)]
+        with pytest.raises(ParseError, match=rf"^line 1002: bad year '{raw_year}'$") as err:
+            ingest_csv(csv_stream(*rows), 2018)
+        assert err.value.line == 1002
 
     @pytest.mark.parametrize("blank", ["", "   "], ids=["empty", "spaces"])
     def test_blank_row_skipped(self, blank):
@@ -586,6 +625,17 @@ def bench_inputs():
     return module
 
 
+ORACLE_IDS = ("AAA", "USA", "FR1", "B-2", "C_D")
+
+
+def spelled(keys):
+    """(key, a raw field that canonicalizes to it): letters in any case, blanks around."""
+    blanks = st.sampled_from(["", " ", "\t", " \t "])
+    return st.builds(lambda key, lower, left, right: (key, left + "".join(
+        c.lower() if lower >> k & 1 else c for k, c in enumerate(key)) + right),
+        st.sampled_from(keys), st.integers(0, 15), blanks, blanks)
+
+
 class TestInputOrderSums:
     def test_split_flow_leaves_money_unchanged(self):
         inputs = bench_inputs()
@@ -635,6 +685,32 @@ class TestInputOrderSums:
                 flows[key] = flows.get(key, 0.0) + r.value_usd
         same_bits(got, money_by_dict(flows, 2018, got.countries, got.products))
         assert got.countries.ids == tuple(sorted({k[0] for k in flows} | {k[1] for k in flows}))
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(spelled(("2017", "2018")), spelled(ORACLE_IDS), spelled(ORACLE_IDS),
+                              spelled("0479"), st.floats(0.0, 1e12)), min_size=1, max_size=40))
+    def test_raw_spellings_match_dict_reference(self, raw):
+        rows = [(int(y), e, i, p, v) for (y, _), (e, _), (i, _), (p, _), v in raw]
+        text = "".join(f"{y},{e},{i},{p},{v!r}\n" for (_, y), (_, e), (_, i), (_, p), v in raw)
+        records = [TradeFlowRecord(int(y), e, i, p, v)
+                   for (y, _), (_, e), (_, i), (_, p), v in raw]
+        analysed = [(e, i) for y, e, i, _, _ in rows if y == 2018]
+        used = sum(1 for e, i in analysed if e != i)
+        if not used:
+            with pytest.raises(EmptyDataError):
+                ingest_csv(io.StringIO(HEADER + "\n" + text), 2018)
+            with pytest.raises(EmptyDataError):
+                money_from_records(records, 2018)
+            return
+        want, flows = ingest_by_dict(rows, 2018)
+        result = ingest_csv(io.StringIO(HEADER + "\n" + text), 2018)
+        got = money_from_records(records, 2018)
+        for mm in (result.money, got):
+            assert mm.countries.ids == want.countries.ids
+            assert mm.products.codes == want.products.codes
+            same_bits(mm, want)
+        assert (result.rows_used, result.self_flows_dropped, result.duplicates_merged) == \
+            (used, len(analysed) - used, used - len(flows))
 
     def test_merge_adds_in_input_order(self):
         mm = gravity_money_set(1, 40, 2)
@@ -799,6 +875,14 @@ class TestGate:
         records = [rec("AAA", "BBB", "0", 5.0), rec("AAA", "BBB", "0", value)]
         with pytest.raises(ValidationError, match=f"value {value!r} for AAA->BBB"):
             money_from_records(records, 2018)
+
+    @pytest.mark.parametrize("field", range(3))
+    def test_records_reject_an_unhashable_field(self, field):
+        keys = ["AAA", "BBB", "0"]
+        keys[field] = ["AAA"]
+        with pytest.raises(ValidationError, match=r"^(invalid country id|unknown product code) "
+                                                  r"\['AAA'\]$"):
+            money_from_records([rec("AAA", "BBB", "0", 1.0), rec(*keys, 1.0)], 2018)
 
     @pytest.mark.parametrize("cid", [None, 3])
     def test_records_reject_a_non_string_id(self, cid):
