@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .errors import EmptyDataError, ValidationError
+from .errors import ConvergenceError, EmptyDataError, ValidationError
 from .trade_data import CountryRegistry, MoneyMatrixSet, ProductRegistry
 
 DEFAULT_DAMPING = 0.5
@@ -110,3 +111,35 @@ def build_google(mm: MoneyMatrixSet, direction: str = DIRECT,
                               shape=(counts.size, counts.size))
     return GoogleMatrix(links, float(damping), v, counts == 0, direction, mm.countries,
                         mm.products)
+
+
+def _block_solver(g: GoogleMatrix, nodes: np.ndarray):
+    """Solver of (I - damping * S0) restricted to the sorted ``nodes``.
+
+    ``solve(b)`` solves the system and ``solve(b, transposed=True)`` its transpose, for
+    a vector b or a matrix of right-hand sides, indexed like ``nodes``. The restriction
+    is block-diagonal by product, so each product's nodes take one dense LAPACK LU, at
+    most n_countries square; a product with no node in the set takes none. An exactly
+    zero pivot, possible only at damping 1 on a closed class of S0 inside ``nodes``,
+    raises ``ConvergenceError``.
+    """
+    bounds = np.searchsorted(nodes, np.arange(len(g.products) + 1) * len(g.countries))
+    links = g.links[nodes][:, nodes]
+    factors = []
+    for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if lo == hi:
+            continue  # dgetrf rejects a 0 x 0 matrix
+        lu, piv, info = dgetrf(np.eye(hi - lo) - g.damping * links[lo:hi, lo:hi].toarray(),
+                               overwrite_a=True)
+        if info > 0:
+            raise ConvergenceError(
+                f"I - damping * S0 is singular in product {g.products.codes[p]}")
+        factors.append((lo, hi, lu, piv))
+
+    def solve(b: np.ndarray, transposed: bool = False) -> np.ndarray:
+        x = np.empty(b.shape)
+        for lo, hi, lu, piv in factors:
+            x[lo:hi] = dgetrs(lu, piv, b[lo:hi], trans=int(transposed))[0]
+        return x
+
+    return solve

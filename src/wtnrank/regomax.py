@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, aslinearoperator, splu
+from scipy.sparse.linalg import aslinearoperator
 
 from ._io import open_output, write_csv
 from .errors import ConvergenceError, ValidationError
-from .google_matrix import DIRECT, GoogleMatrix
+from .google_matrix import DIRECT, GoogleMatrix, _block_solver
 
 EIGEN_TOL = 1e-13
 EIGEN_MAX_ITER = 100_000
@@ -56,12 +55,12 @@ class ReducedGoogleMatrix:
 def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
     """Reduce the Google matrix onto the selected (country, product) nodes.
 
-    No dense N x N copy: G_ss = damping * S0_ss + v_s w_s^T, so a sparse LU of
-    I - damping * S0_ss (block-diagonal by product) and a Sherman-Morrison step give
-    paths = (I - G_ss)^-1 G_sr; the same operator drives the eigenpair. With
-    psi_r, psi_l the scattering block's Perron eigenvectors and lambda_c its
-    eigenvalue, g_pr = G_rs psi_r psi_l^T G_sr / ((psi_l psi_r)(1 - lambda_c))
-    and g_qr = G_rs Q paths.
+    No dense N x N copy: G_ss = damping * S0_ss + v_s w_s^T, so one dense LU per
+    product block of I - damping * S0_ss and a Sherman-Morrison step give
+    paths = (I - G_ss)^-1 G_sr. The same solves drive the Perron pair: power
+    iteration on G_ss (I - G_ss)^-1 and on its transpose gives psi_r and psi_l with
+    eigenvalue mu, and lambda_c = mu / (1 + mu). Then
+    g_pr = G_rs psi_r psi_l^T G_sr / ((psi_l psi_r)(1 - lambda_c)) and g_qr = G_rs Q paths.
     """
     nodes = [(c, p) for c, p in selection]
     if not nodes:
@@ -88,20 +87,31 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
     g_rs += v[idx, None] * w[scatter]  # in place, keeping toarray's F order for the BLAS sums
     s_ss, v_s, w_s = a * s[scatter][:, scatter], v[scatter], w[scatter]
     g_ss = aslinearoperator(s_ss) + aslinearoperator(v_s[:, None]) @ aslinearoperator(w_s[None])
-    try:  # singular only at damping 1, on a closed class of S0 inside the scattering set
-        lu = splu(sparse.identity(scatter.size, format="csc") - s_ss)
-    except RuntimeError:
-        raise ConvergenceError("(I - G_ss) is singular") from None
-    y, z = lu.solve(g_sr), lu.solve(v_s)
+    solve = _block_solver(g, scatter)  # I - damping * S0_ss
+    z, z_t = solve(v_s), solve(w_s, transposed=True)
     denominator = 1.0 - (w_s * z).sum()  # Sherman-Morrison; N_s * eps is its rounding
-    if not (denominator > scatter.size * np.finfo(float).eps and np.isfinite(y).all()):
+    if not denominator > scatter.size * np.finfo(float).eps:
         raise ConvergenceError("(I - G_ss) is singular")
-    paths = y + np.outer(z, (w_s[:, None] * y).sum(axis=0) / denominator)
+
+    def resolvent(b, transposed=False):  # (I - G_ss)^-1 b, or (I - G_ss)^-T b
+        y = solve(b, transposed)
+        u, rank_one = (z_t, v_s) if transposed else (z, w_s)
+        return y + np.multiply.outer(u, (rank_one * y.T).sum(axis=-1) / denominator)
+
+    paths = resolvent(g_sr)
+    if not np.isfinite(paths).all():
+        raise ConvergenceError("(I - G_ss) is singular")
     solve_residual = float(np.abs(paths - g_ss @ paths - g_sr).max())
     g_r = g_rr + g_rs @ paths
 
-    lam, psi_r, right = _power_iteration(g_ss)  # Perron eigenvalue and eigenvectors
-    _, psi_l, left = _power_iteration(g_ss.T)
+    # G_ss (I - G_ss)^-1 has G_ss's eigenvectors, with lambda / (1 - lambda) strictly
+    # dominant also when G_ss is periodic
+    mu, psi_r = _power_iteration(lambda x: g_ss @ resolvent(x), scatter.size)
+    _, psi_l = _power_iteration(lambda x: resolvent(g_ss.T @ x, transposed=True),
+                                scatter.size)
+    lam = mu / (1.0 + mu)
+    eigen_residual = max(float(np.abs(g_ss @ psi_r - lam * psi_r).sum()),
+                         float(np.abs(g_ss.T @ psi_l - lam * psi_l).sum()))
     weight = float(psi_l @ psi_r)
     if weight <= 0.0:
         raise ConvergenceError("degenerate scattering eigenvectors")
@@ -114,24 +124,23 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
         raise ConvergenceError(f"reduced matrix has negative entry {g_r.min():.3e}")
     return ReducedGoogleMatrix(
         g.direction, tuple(nodes), labels, g_r, g_rr, g_pr, g_qr,
-        float(lam), 0, {"solve": solve_residual, "eigen": max(right, left), "closure": closure})
+        float(lam), 0, {"solve": solve_residual, "eigen": eigen_residual, "closure": closure})
 
 
-def _power_iteration(m: LinearOperator):
-    n = m.shape[0]
+def _power_iteration(step, n: int) -> tuple[float, np.ndarray]:
+    """Leading eigenvalue (L1 growth) and L1-normalized eigenvector of the nonnegative
+    map ``step``; (0.0, last iterate) once an iterate maps to zero."""
     x = np.full(n, 1.0 / n)
-    lam = 0.0
-    for iteration in range(1, EIGEN_MAX_ITER + 1):
-        y = m @ x
-        lam = float(y.sum())  # L1 growth of a nonnegative iterate
-        if lam <= 0.0:
-            return 0.0, x, 0.0
-        y /= lam
+    for _ in range(EIGEN_MAX_ITER):
+        y = step(x)
+        mu = float(y.sum())
+        if mu <= 0.0:
+            return 0.0, x
+        y /= mu
         delta = float(np.abs(y - x).sum())
         x = y
         if delta <= EIGEN_TOL:
-            residual = float(np.abs(m @ x - lam * x).sum())
-            return lam, x, residual
+            return mu, x
     raise ConvergenceError(
         f"scattering eigenvector not converged in {EIGEN_MAX_ITER} iterations",
         residual=delta, iterations=EIGEN_MAX_ITER)

@@ -305,7 +305,8 @@ def ingest_csv(source, year: int) -> IngestResult:
 
     Self-flows (exporter == importer) are dropped and counted. Rows sharing
     the same (exporter, importer, product) key are summed. Unknown product
-    codes, negative values, or malformed rows raise with the line number.
+    codes, negative values, or malformed rows raise with the line number; a year
+    or value must be ASCII without ``_`` digit separators.
     Each distinct raw year, id and product field is canonicalized once per
     call; a bad one is never cached, so the error names the first line it is on.
     """
@@ -329,11 +330,15 @@ def ingest_csv(source, year: int) -> IngestResult:
             raw_year, raw_exp, raw_imp, raw_prod, raw_val = row
             row_year = years.get(raw_year)
             if row_year is None:
-                try:
+                try:  # int() would take "_" digit separators and non-ASCII digits
+                    if "_" in raw_year or not raw_year.isascii():
+                        raise ValueError
                     row_year = years[raw_year] = int(raw_year.strip())
                 except ValueError:
                     raise ParseError(f"bad year {raw_year!r}", line=lineno) from None
-            try:
+            try:  # and so would float()
+                if "_" in raw_val or not raw_val.isascii():
+                    raise ValueError
                 value = float(raw_val.strip())
             except ValueError:
                 raise ParseError(f"bad value {raw_val!r}", line=lineno) from None

@@ -195,6 +195,20 @@ def test_bad_product_code_after_good_rows_exits_2(tmp_path, capsys):
     assert "line 802: unknown product code ' 7x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("20_18,BBB,AAA,7,1.0", "line 202: bad year '20_18'"),
+    ("2018,BBB,AAA,7,1_0", "line 202: bad value '1_0'"),
+    ("2018,BBB,AAA,7,５", "line 202: bad value '５'")])
+def test_digit_separators_and_non_ascii_digits_exit_2(tmp_path, capsys, row, message):
+    good = [f"2018,AAA,BBB,{k % 3},{k + 1}.5" for k in range(200)]
+    path = tmp_path / "trade.csv"
+    path.write_text("\n".join([HEADER, *good, row]) + "\n", encoding="utf-8")
+    code = main(["rank", "--input", str(path), "--year", "2018",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_malformed_merge_config_exits_2(trade_csv, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from conftest import effective_dense, non_canonical, random_money_set, small_money_set
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from wtnrank import (
+    ConvergenceError,
     CountryRegistry,
     DIRECT,
     EmptyDataError,
@@ -27,6 +30,7 @@ from wtnrank import (
     perturb_money,
     reduce,
 )
+from wtnrank.google_matrix import _block_solver
 
 
 def rec(exp, imp, prod, value):
@@ -325,3 +329,54 @@ class TestAssemblyReference:
         assert np.count_nonzero(personalization_vector(mm)) == 6  # product 3 carries no volume
         assert np.count_nonzero(mm.matrix_for("0").data == 0.0) == 1  # a stored zero
 
+
+def isolated_first_country(seed, n_c, n_p):
+    """Gravity set in which the first country neither exports nor imports, so its
+    node is a dangling column of every product block in both flow directions."""
+    mm = gravity_money_set(seed, n_c, n_p, density=0.7)
+    keep = sparse.diags(np.r_[0.0, np.ones(n_c - 1)])
+    return MoneyMatrixSet(tuple(sparse.csc_matrix(keep @ m @ keep) for m in mm.matrices),
+                          mm.year, mm.countries, mm.products)
+
+
+class TestBlockSolver:
+    """``_block_solver`` against ``np.linalg.solve`` on the dense (I - damping * S0)
+    cut to the node set."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(3, 7), st.integers(1, 3),
+           st.sampled_from([DIRECT, INVERTED]), st.sampled_from([0.3, 0.5, 0.85, 0.99]),
+           st.data())
+    def test_matches_dense_solve(self, seed, n_c, n_p, direction, damping, data):
+        g = build_google(isolated_first_country(seed, n_c, n_p), direction, damping)
+        chosen = np.array(data.draw(st.lists(st.booleans(), min_size=g.n_nodes,
+                                             max_size=g.n_nodes)))
+        chosen[::n_c] = True  # every product's dangling node ...
+        left_out = data.draw(st.integers(0, n_p))
+        chosen[left_out * n_c:(left_out + 1) * n_c] = False  # ... but one product's, if any
+        nodes = np.flatnonzero(chosen)
+        if not nodes.size:
+            return
+        assert g.dangling[nodes].any()
+        dense = np.eye(nodes.size) - damping * g.links.toarray()[np.ix_(nodes, nodes)]
+        solve = _block_solver(g, nodes)
+        rng = np.random.default_rng(seed)
+        for b in (rng.random(nodes.size), rng.random((nodes.size, 3))):
+            np.testing.assert_allclose(solve(b), np.linalg.solve(dense, b),
+                                       rtol=1e-10, atol=1e-13)
+            np.testing.assert_allclose(solve(b, transposed=True), np.linalg.solve(dense.T, b),
+                                       rtol=1e-10, atol=1e-13)
+
+    def test_product_without_nodes_takes_no_factor(self):
+        g = build_google(isolated_first_country(3, 5, 3), DIRECT, 0.85)
+        nodes = np.arange(5, 10)  # product 1 only
+        dense = np.eye(5) - 0.85 * g.links.toarray()[5:10, 5:10]
+        np.testing.assert_allclose(_block_solver(g, nodes)(np.ones(5)),
+                                   np.linalg.solve(dense, np.ones(5)), rtol=1e-12)
+
+    def test_singular_block_raises(self):
+        # at damping 1 the direct flow's AAA <-> BBB cycle is a closed class of S0
+        mm = money_from_records([rec("AAA", "BBB", "0", 5.0), rec("BBB", "AAA", "0", 5.0),
+                                 rec("CCC", "AAA", "0", 3.0)], 2018)
+        with pytest.raises(ConvergenceError, match="singular in product 0"):
+            _block_solver(build_google(mm, DIRECT, 1.0), np.array([0, 1]))

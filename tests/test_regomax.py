@@ -189,6 +189,38 @@ class TestReduce:
         with pytest.raises(ConvergenceError, match="degenerate scattering eigenvectors"):
             reduce(build_google(mm, direction, 1.0), [("AAA", "0")])
 
+    def test_periodic_scattering_block_converges(self, monkeypatch):
+        # at damping 1 the inverted flow leaves G_ss = [[0, 1], [5/8, 0]] once CCC is
+        # reduced out: its eigenvalues are +-sqrt(5/8), so a power iteration on G_ss
+        # alternates, while G_ss (I - G_ss)^-1 has the strictly dominant sqrt(5/8) / (1 -
+        # sqrt(5/8)) with the same eigenvectors
+        mm = money_from_records([TradeFlowRecord(2018, "AAA", "BBB", "0", 5.0),
+                                 TradeFlowRecord(2018, "BBB", "AAA", "0", 5.0),
+                                 TradeFlowRecord(2018, "CCC", "AAA", "0", 3.0)], 2018)
+        g, selection = build_google(mm, INVERTED, 1.0), [("CCC", "0")]
+        _, g_rs, g_sr, g_ss = dense_blocks(g, selection)
+        np.testing.assert_array_equal(g_ss, [[0.0, 1.0], [5.0 / 8.0, 0.0]])
+        values, right = np.linalg.eig(g_ss)
+        left_values, left = np.linalg.eig(g_ss.T)
+        lam = values.real.max()
+        psi_r = right[:, np.argmax(values.real)].real
+        psi_l = left[:, np.argmax(left_values.real)].real
+        eigenvectors = []
+        power_iteration = regomax_mod._power_iteration
+        monkeypatch.setattr(regomax_mod, "_power_iteration",
+                            lambda step, n: eigenvectors.append(power_iteration(step, n))
+                            or eigenvectors[-1])
+        r = reduce(g, selection)
+        assert abs(lam - np.sqrt(5.0 / 8.0)) <= 1e-15
+        assert abs(r.lambda_c - lam) <= 1e-14
+        for (_, got), want in zip(eigenvectors, (psi_r, psi_l), strict=True):
+            np.testing.assert_allclose(got, want / want.sum(), rtol=0, atol=1e-14)
+        assert r.residuals["eigen"] <= 1e-13
+        np.testing.assert_allclose(r.g_r, dense_oracle(g, selection), rtol=0, atol=1e-14)
+        projector = np.outer(psi_r, psi_l) / (psi_l @ psi_r)
+        np.testing.assert_allclose(r.g_pr, g_rs @ projector @ g_sr / (1.0 - lam),
+                                   rtol=0, atol=1e-13)
+
     def test_no_dense_matrix_is_built(self, monkeypatch):
         mm = dangling_money_set(11, 100, 9)  # N = 1000, one N x N float64 is 8 MB
         g = build_google(mm)

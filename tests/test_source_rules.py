@@ -13,6 +13,8 @@ every other module works on the links and the dangling mask. No module calls
 ``effective_dense``, the dense N x N oracle that lives in the tests' ``conftest.py``.
 Registry lookups go once per distinct key, never per row: the
 ``np.fromiter(map(`` idiom of one ``index_of`` call per flow is forbidden.
+One solver: only ``google_matrix.py``, home of the per-product block LU of
+I - damping * S0, names a sparse or dense LU factorization or solve.
 """
 
 import re
@@ -30,6 +32,7 @@ RULES = [
     (re.compile(r"\.stochastic\b"), {"google_matrix.py"}),
     (re.compile(r"\beffective_dense\("), set()),
     (re.compile(r"\bnp\.fromiter\(\s*map\("), set()),
+    (re.compile(r"\b(splu|spsolve|lu_factor|dgetrf)\b"), {"google_matrix.py"}),
 ]
 
 

@@ -133,12 +133,24 @@ class TestIngest:
         with pytest.raises(ValidationError, match=r"^line 1002: invalid country id 'A B'$"):
             ingest_csv(csv_stream(*rows), 2018)
 
-    @pytest.mark.parametrize("raw_year", ["2O18", "", "2018.0"])
+    @pytest.mark.parametrize("raw_year", ["2O18", "", "2018.0", "20_18", "２０１８"])
     def test_bad_year_after_many_good_rows_reports_its_line(self, raw_year):
         rows = [*good_rows(1000), f"{raw_year},FRA,USA,1,2", *good_rows(5)]
         with pytest.raises(ParseError, match=rf"^line 1002: bad year '{raw_year}'$") as err:
             ingest_csv(csv_stream(*rows), 2018)
         assert err.value.line == 1002
+
+    # int() and float() accept "_" digit separators and non-ASCII digits; ingest does not
+    @pytest.mark.parametrize("raw_value", ["1_0", "1_000.5", "５", "1.５", "1e1_0"])
+    def test_bad_value_after_many_good_rows_reports_its_line(self, raw_value):
+        rows = [*good_rows(1000), f"2018,FRA,USA,1,{raw_value}", *good_rows(5)]
+        with pytest.raises(ParseError, match=rf"^line 1002: bad value '{raw_value}'$") as err:
+            ingest_csv(csv_stream(*rows), 2018)
+        assert err.value.line == 1002
+
+    def test_separator_year_fails_before_its_value(self):
+        with pytest.raises(ParseError, match=r"^line 3: bad year '20_18'$"):
+            ingest_csv(csv_stream("2018,USA,FRA,7,1", "20_18,FRA,USA,7,1_0"), 2018)
 
     @pytest.mark.parametrize("blank", ["", "   "], ids=["empty", "spaces"])
     def test_blank_row_skipped(self, blank):
@@ -219,6 +231,9 @@ class TestIngest:
         assert money_sets_equal(mm, again)
 
 
+MERGE_IDS = ("AAA", "BBB", "CAA", "DDD")
+
+
 class TestMerge:
     def test_basic_reattribution(self):
         mm = money_from_records(
@@ -244,6 +259,36 @@ class TestMerge:
         assert sorted((r.exporter, r.importer, r.product, r.value_usd)
                       for r in merged.records()) == \
             sorted((r.exporter, r.importer, r.product, r.value_usd) for r in renamed)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(MERGE_IDS), st.sampled_from(MERGE_IDS),
+                              st.sampled_from("037"), st.floats(1e-3, 1e9)),
+                    min_size=1, max_size=30),
+           st.sampled_from(MERGE_IDS), st.sampled_from(("0AA", "BZZ", "CC1", "ZZZ")))
+    def test_one_member_merge_is_a_rename(self, flows, member, label):
+        # bit for bit: the merge only moves the member's rows and columns to the label's
+        # sorted place, so every stored value, and every row and column sum taken in
+        # the registry's order, is that of the relabelled set
+        records = [rec(e, i, p, v) for e, i, p, v in flows if e != i]
+        if not records or member not in {x for r in records for x in (r.exporter, r.importer)}:
+            return
+        mm = money_from_records(records, 2018)
+        ids = [label if cid == member else cid for cid in mm.countries.ids]
+        registry = CountryRegistry.from_ids(ids)
+        position = np.array([registry.index_of(cid) for cid in ids])
+        relabelled = []
+        for m in mm.matrices:
+            coo = m.tocoo()
+            relabelled.append(sparse.csc_matrix(
+                (coo.data, (position[coo.row], position[coo.col])), shape=m.shape))
+        want = MoneyMatrixSet(tuple(relabelled), mm.year, registry, mm.products)
+        got = merge_country_group(mm, {member}, label)
+        assert got.countries.ids == want.countries.ids
+        assert got.products.codes == want.products.codes
+        same_bits(got, want)
+        for name in ("imports", "exports"):
+            assert np.array_equal(getattr(got, name).view(np.int64),
+                                  getattr(want, name).view(np.int64))
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_conservation_random(self, seed):
