@@ -113,23 +113,23 @@ def build_google(mm: MoneyMatrixSet, direction: str = DIRECT,
                         mm.products)
 
 
-def _block_solver(g: GoogleMatrix, nodes: np.ndarray):
+def _block_solver(g: GoogleMatrix, nodes: np.ndarray, a_links):
     """Solver of (I - damping * S0) restricted to the sorted ``nodes``.
 
-    ``solve(b)`` solves the system and ``solve(b, transposed=True)`` its transpose, for
-    a vector b or a matrix of right-hand sides, indexed like ``nodes``. The restriction
-    is block-diagonal by product, so each product's nodes take one dense LAPACK LU, at
-    most n_countries square; a product with no node in the set takes none. An exactly
-    zero pivot, possible only at damping 1 on a closed class of S0 inside ``nodes``,
-    raises ``ConvergenceError``.
+    ``a_links`` is the caller's sparse damping * S0[nodes][:, nodes], so the slice is
+    made once. ``solve(b)`` solves the system and ``solve(b, transposed=True)`` its
+    transpose, for a vector b or a matrix of right-hand sides, indexed like ``nodes``.
+    The restriction is block-diagonal by product, so each product's nodes take one
+    dense LAPACK LU, at most n_countries square; a product with no node in the set
+    takes none. An exactly zero pivot, possible only at damping 1 on a closed class of
+    S0 inside ``nodes``, raises ``ConvergenceError``.
     """
     bounds = np.searchsorted(nodes, np.arange(len(g.products) + 1) * len(g.countries))
-    links = g.links[nodes][:, nodes]
     factors = []
     for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if lo == hi:
             continue  # dgetrf rejects a 0 x 0 matrix
-        lu, piv, info = dgetrf(np.eye(hi - lo) - g.damping * links[lo:hi, lo:hi].toarray(),
+        lu, piv, info = dgetrf(np.eye(hi - lo) - a_links[lo:hi, lo:hi].toarray(),
                                overwrite_a=True)
         if info > 0:
             raise ConvergenceError(

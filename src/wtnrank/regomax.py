@@ -87,7 +87,7 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
     g_rs += v[idx, None] * w[scatter]  # in place, keeping toarray's F order for the BLAS sums
     s_ss, v_s, w_s = a * s[scatter][:, scatter], v[scatter], w[scatter]
     g_ss = aslinearoperator(s_ss) + aslinearoperator(v_s[:, None]) @ aslinearoperator(w_s[None])
-    solve = _block_solver(g, scatter)  # I - damping * S0_ss
+    solve = _block_solver(g, scatter, s_ss)  # I - damping * S0_ss
     z, z_t = solve(v_s), solve(w_s, transposed=True)
     denominator = 1.0 - (w_s * z).sum()  # Sherman-Morrison; N_s * eps is its rounding
     if not denominator > scatter.size * np.finfo(float).eps:

@@ -15,14 +15,14 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 from scipy import sparse
 
-from ._io import open_input, write_csv
+from ._io import open_input, open_output
 from .errors import EmptyDataError, ParseError, ValidationError
 
 CSV_HEADER = ("year", "exporter", "importer", "product", "value_usd")
@@ -263,17 +263,20 @@ class MoneyMatrixSet:
 
     def records(self) -> list[TradeFlowRecord]:
         """All nonzero flows, sorted by (product, exporter, importer)."""
-        return [TradeFlowRecord(self.year, *flow) for flow in self._sorted_flows()]
+        return [TradeFlowRecord(self.year, exporter, importer, code, value)
+                for code, *flows in self._sorted_flows()
+                for exporter, importer, value in zip(*flows)]
 
     def _sorted_flows(self):
-        """Nonzero (exporter, importer, product, value) flows, sorted by product and ids."""
+        """Per product, in code order: its code and the exporter ids, importer ids and
+        values of its nonzero flows, as lists sorted by exporter, then importer id."""
         ids, id_rank = np.array(self.countries.ids, dtype=object), self.countries.id_rank
         for code, m in zip(self.products.codes, self.matrices):
             coo = m.tocoo()
             nonzero = coo.data != 0.0
             exp, imp, values = coo.col[nonzero], coo.row[nonzero], coo.data[nonzero]
             order = np.lexsort((id_rank[imp], id_rank[exp]))
-            yield from zip(ids[exp[order]], ids[imp[order]], repeat(code), values[order].tolist())
+            yield code, ids[exp[order]].tolist(), ids[imp[order]].tolist(), values[order].tolist()
 
 
 def money_sets_equal(a: MoneyMatrixSet, b: MoneyMatrixSet) -> bool:
@@ -293,6 +296,11 @@ class IngestResult:
     duplicates_merged: int
 
 
+# Characters of whole lines per block (the hint of IOBase.readlines). At 194x10,
+# 1M-character blocks raised the CLI's peak RSS by 8-10% over this size.
+_BLOCK = 1 << 18
+
+
 def ingest_csv(source, year: int) -> IngestResult:
     """Read trade-flow CSV records for one year into a money matrix set.
 
@@ -306,37 +314,104 @@ def ingest_csv(source, year: int) -> IngestResult:
     Self-flows (exporter == importer) are dropped and counted. Rows sharing
     the same (exporter, importer, product) key are summed. Unknown product
     codes, negative values, or malformed rows raise with the line number; a year
-    or value must be ASCII without ``_`` digit separators.
+    or value must be ASCII without ``_`` digit separators. Input that is not
+    UTF-8, or that ``csv`` rejects (such as a field over
+    ``csv.field_size_limit()``), raises ``ParseError``.
     Each distinct raw year, id and product field is canonicalized once per
     call; a bad one is never cached, so the error names the first line it is on.
-    """
-    with open_input(source) as stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataError("no header row") from None
-        if tuple(h.strip().lstrip("﻿") for h in header) != CSV_HEADER:
-            raise ParseError(f"expected header {','.join(CSV_HEADER)}", line=1)
 
-        years, ids, codes = {}, _Keys(canonical_country_id), _Keys(canonical_product_code)
-        exporters, importers, products, values = [], [], [], []
-        self_flows = 0
-        for lineno, row in enumerate(reader, start=2):
+    The body is read in blocks of whole lines, each split by column while it is
+    plain (see ``_plain_block``). The first block that is not, and every line
+    after it, go through the ``csv.reader`` row loop, which words every error.
+    """
+    in_year, ids = _InYear(year), _Keys(canonical_country_id)
+    codes = _Keys(canonical_product_code)
+    blocks, lineno = [], 2
+    try:
+        with open_input(source) as stream:
+            try:
+                header = next(csv.reader(stream))
+            except StopIteration:
+                raise EmptyDataError("no header row") from None
+            except csv.Error as exc:
+                raise ParseError(str(exc), line=1) from None
+            if tuple(h.strip().lstrip("﻿") for h in header) != CSV_HEADER:
+                raise ParseError(f"expected header {','.join(CSV_HEADER)}", line=1)
+            while ((lines := stream.readlines(_BLOCK))
+                   and (block := _plain_block(lines, in_year, ids, codes)) is not None):
+                blocks.append(block)
+                lineno += len(lines)
+            blocks.append(_row_loop(csv.reader(chain(lines, stream)), lineno, in_year, ids,
+                                    codes))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"the trade CSV is not UTF-8 ({exc.reason})") from None
+
+    self_flows = sum(block[0] for block in blocks)
+    exporters, importers, products, values = (np.concatenate(column)
+                                              for column in zip(*[b[1:] for b in blocks]))
+    if not values.size:
+        raise EmptyDataError(f"no usable rows for year {year}")
+    money = _money_from_keys(ids, codes, exporters, importers, products, values, year)
+    unique_keys = sum(m.nnz for m in money.matrices)
+    return IngestResult(money, values.size, self_flows, values.size - unique_keys)
+
+
+def _plain_block(lines, in_year, ids, codes):
+    """``_row_loop``'s result for a plain block of whole lines, or None when it is not plain.
+
+    A block is plain when it holds no ``"`` or carriage return, each line has
+    four commas, no field is over ``csv.field_size_limit()`` UTF-8 bytes, no
+    year or value has ``_`` or a non-ASCII character, and every field passes
+    the row loop's check. csv would then split each line at its commas, so the
+    block is split by column and checked through the row loop's own caches.
+    """
+    text = "".join(lines)
+    text += "" if text.endswith("\n") else "\n"
+    raw = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
+    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # one per field
+    if ('"' in text or "\r" in text or ends.size != 5 * len(lines)
+            or not np.all(raw[ends[4::5]] == ord("\n"))
+            or np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1):
+        return None
+    fields = text[:-1].replace("\n", ",").split(",")
+    raw_years, raw_exp, raw_imp, raw_prod, raw_val = (fields[i::5] for i in range(5))
+    if "_" in text or not text.isascii():
+        numbers = ",".join(raw_years + raw_val)
+        if "_" in numbers or not numbers.isascii():
+            return None
+    try:
+        keep = np.array(list(map(in_year.__getitem__, raw_years)), bool)
+        value = np.array(list(map(float, map(str.strip, raw_val))))
+        product, exporter, importer = (np.array(list(map(keys.__getitem__, raw)), np.int64)
+                                       for keys, raw in ((codes, raw_prod), (ids, raw_exp),
+                                                         (ids, raw_imp)))
+    except (ValueError, ValidationError):
+        return None
+    if not np.all((value >= 0.0) & (value < math.inf)):
+        return None
+    self_flow = keep & (exporter == importer)
+    keep &= ~self_flow
+    return (int(np.count_nonzero(self_flow)), exporter[keep], importer[keep], product[keep],
+            value[keep])
+
+
+def _row_loop(reader, first: int, in_year, ids, codes):
+    """(self-flows, exporter, importer, product, value) of the rows of a ``csv.reader``
+    whose first row is line ``first``; the reference that ``_plain_block`` matches."""
+    exporters, importers, products, values = [], [], [], []
+    self_flows, lineno = 0, first - 1
+    try:
+        for lineno, row in enumerate(reader, start=first):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 5:
                 raise ParseError(f"expected 5 fields, got {len(row)}", line=lineno)
             raw_year, raw_exp, raw_imp, raw_prod, raw_val = row
-            row_year = years.get(raw_year)
-            if row_year is None:
-                try:  # int() would take "_" digit separators and non-ASCII digits
-                    if "_" in raw_year or not raw_year.isascii():
-                        raise ValueError
-                    row_year = years[raw_year] = int(raw_year.strip())
-                except ValueError:
-                    raise ParseError(f"bad year {raw_year!r}", line=lineno) from None
-            try:  # and so would float()
+            try:
+                wanted = in_year[raw_year]
+            except ValueError:
+                raise ParseError(f"bad year {raw_year!r}", line=lineno) from None
+            try:  # float() would take "_" digit separators and non-ASCII digits
                 if "_" in raw_val or not raw_val.isascii():
                     raise ValueError
                 value = float(raw_val.strip())
@@ -348,7 +423,7 @@ def ingest_csv(source, year: int) -> IngestResult:
                 product, exporter, importer = codes[raw_prod], ids[raw_exp], ids[raw_imp]
             except ValidationError as exc:
                 raise ValidationError(f"line {lineno}: {exc}") from None
-            if row_year != year:
+            if not wanted:
                 continue
             if exporter == importer:
                 self_flows += 1
@@ -357,12 +432,27 @@ def ingest_csv(source, year: int) -> IngestResult:
             importers.append(importer)
             products.append(product)
             values.append(value)
+    except csv.Error as exc:  # the reader failed on the row after ``lineno``
+        raise ParseError(str(exc), line=lineno + 1) from None
+    return (self_flows, *(np.array(c, np.int64) for c in (exporters, importers, products)),
+            np.array(values, float))
 
-    if not values:
-        raise EmptyDataError(f"no usable rows for year {year}")
-    money = _money_from_keys(ids, codes, exporters, importers, products, values, year)
-    unique_keys = sum(m.nnz for m in money.matrices)
-    return IngestResult(money, len(values), self_flows, len(values) - unique_keys)
+
+class _InYear(dict):
+    """Raw year field -> whether it is ``year``, each distinct field converted once.
+
+    A bad field raises ``ValueError`` and is never stored.
+    """
+
+    def __init__(self, year):
+        super().__init__()
+        self.year = year
+
+    def __missing__(self, raw):
+        if "_" in raw or not raw.isascii():  # int() would take "_" and non-ASCII digits
+            raise ValueError(raw)
+        self[raw] = match = bool(int(raw.strip()) == self.year)
+        return match
 
 
 class _Keys(dict):
@@ -400,12 +490,12 @@ class _Keys(dict):
 def _money_from_keys(ids, codes, exporter, importer, product, value, year, countries=None,
                      products=None) -> MoneyMatrixSet:
     """Money matrices from per-flow ``_Keys`` positions of ids and codes."""
-    exporter, importer, product = (np.array(c, dtype=np.int64)
+    exporter, importer, product = (np.asarray(c, dtype=np.int64)
                                    for c in (exporter, importer, product))
     countries, country = ids.lookup(countries, CountryRegistry.from_ids, exporter, importer)
     products, code = codes.lookup(products, ProductRegistry.from_codes, product)
     return _money_from_columns(country[exporter], country[importer], code[product],
-                               np.array(value, dtype=float), year, countries, products)
+                               np.asarray(value, dtype=float), year, countries, products)
 
 
 def _money_from_columns(exporter, importer, product, value, year, countries,
@@ -474,10 +564,17 @@ def money_from_records(records: Iterable[TradeFlowRecord], year: int,
 
 
 def write_trade_csv(mm: MoneyMatrixSet, dest) -> None:
-    """Serialize to the ingest CSV format (canonical row order, exact floats)."""
-    rows = ([mm.year, exp, imp, code, repr(value)]
-            for exp, imp, code, value in mm._sorted_flows())
-    write_csv(CSV_HEADER, rows, dest)
+    """Serialize to the ingest CSV format (canonical row order, exact floats).
+
+    One string per product. Canonical ids, one-digit codes, int years and float
+    reprs never need quoting, so the bytes are those ``csv.writer`` would write.
+    """
+    with open_output(dest) as stream:
+        stream.write(",".join(CSV_HEADER) + "\n")
+        for code, exporters, importers, values in mm._sorted_flows():
+            stream.write("".join([f"{mm.year},{exporter},{importer},{code},{value!r}\n"
+                                  for exporter, importer, value
+                                  in zip(exporters, importers, values)]))
 
 
 def merge_country_group(mm: MoneyMatrixSet, members: Iterable[str], label: str,
@@ -556,11 +653,13 @@ def volume_probabilities(mm: MoneyMatrixSet) -> VolumeProbabilities:
 
 def load_group_config(source) -> tuple[str, list[str], str | None]:
     """Read a group-merge JSON config: label, members, optional short code."""
-    with open_input(source) as stream:
-        try:
+    try:
+        with open_input(source) as stream:
             cfg = json.load(stream)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad group config: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"bad group config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"bad group config: the file is not UTF-8 ({exc.reason})") from None
     try:
         label = cfg["label"]
         members = list(cfg["members"])

@@ -209,6 +209,34 @@ def test_digit_separators_and_non_ascii_digits_exit_2(tmp_path, capsys, row, mes
     assert message in capsys.readouterr().err
 
 
+def test_field_over_csv_limit_exits_2(tmp_path, capsys):
+    good = [f"2018,AAA,BBB,{k % 3},{k + 1}.5" for k in range(200)]
+    path = tmp_path / "trade.csv"
+    path.write_text("\n".join([HEADER, *good, "2018,AAA," + "B" * 131_073 + ",1,2"]) + "\n")
+    code = main(["ingest", "--input", str(path), "--year", "2018",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "line 202: field larger than field limit" in capsys.readouterr().err
+
+
+def test_non_utf8_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "trade.csv"
+    path.write_bytes(f"{HEADER}\n2018,AAA,BBB,1,2.5\n2018,C\xd4TE,BBB,1,2.5\n".encode("latin-1"))
+    code = main(["ingest", "--input", str(path), "--year", "2018",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: the trade CSV is not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_merge_config_exits_2(trade_csv, tmp_path, capsys):
+    cfg = tmp_path / "group.json"
+    cfg.write_bytes('{"label": "C\xd4TE", "members": ["SAA", "SAB"]}'.encode("latin-1"))
+    code = main(["merge", "--input", trade_csv, "--year", "2018", "--merge-config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "bad group config: the file is not UTF-8" in capsys.readouterr().err
+
+
 def test_malformed_merge_config_exits_2(trade_csv, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")

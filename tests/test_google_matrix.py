@@ -359,7 +359,7 @@ class TestBlockSolver:
             return
         assert g.dangling[nodes].any()
         dense = np.eye(nodes.size) - damping * g.links.toarray()[np.ix_(nodes, nodes)]
-        solve = _block_solver(g, nodes)
+        solve = _block_solver(g, nodes, damping * g.links[nodes][:, nodes])
         rng = np.random.default_rng(seed)
         for b in (rng.random(nodes.size), rng.random((nodes.size, 3))):
             np.testing.assert_allclose(solve(b), np.linalg.solve(dense, b),
@@ -371,12 +371,14 @@ class TestBlockSolver:
         g = build_google(isolated_first_country(3, 5, 3), DIRECT, 0.85)
         nodes = np.arange(5, 10)  # product 1 only
         dense = np.eye(5) - 0.85 * g.links.toarray()[5:10, 5:10]
-        np.testing.assert_allclose(_block_solver(g, nodes)(np.ones(5)),
+        solve = _block_solver(g, nodes, 0.85 * g.links[nodes][:, nodes])
+        np.testing.assert_allclose(solve(np.ones(5)),
                                    np.linalg.solve(dense, np.ones(5)), rtol=1e-12)
 
     def test_singular_block_raises(self):
         # at damping 1 the direct flow's AAA <-> BBB cycle is a closed class of S0
         mm = money_from_records([rec("AAA", "BBB", "0", 5.0), rec("BBB", "AAA", "0", 5.0),
                                  rec("CCC", "AAA", "0", 3.0)], 2018)
+        g, nodes = build_google(mm, DIRECT, 1.0), np.array([0, 1])
         with pytest.raises(ConvergenceError, match="singular in product 0"):
-            _block_solver(build_google(mm, DIRECT, 1.0), np.array([0, 1]))
+            _block_solver(g, nodes, g.links[nodes][:, nodes])

@@ -5,6 +5,7 @@ import sys
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +36,10 @@ from wtnrank import (
     volume_probabilities,
     write_trade_csv,
 )
+from wtnrank import trade_data
+from wtnrank._io import write_csv
 from wtnrank.synth import synth_country_ids
+from wtnrank.trade_data import CSV_HEADER
 
 HEADER = "year,exporter,importer,product,value_usd"
 
@@ -230,6 +234,200 @@ class TestIngest:
         again = ingest_csv(io.StringIO(buf.getvalue()), mm.year).money
         assert money_sets_equal(mm, again)
 
+
+def reference_trade_csv(mm, dest):
+    """``write_trade_csv`` as one ``csv.writer`` row per flow: its reference."""
+    write_csv(CSV_HEADER, ([mm.year, r.exporter, r.importer, r.product, repr(r.value_usd)]
+                           for r in mm.records()), dest)
+
+
+class TestWriteTradeCsv:
+    EDGE_VALUES = (5e-324, 2.2250738585072014e-308, 1e308, 0.1 + 0.2, 1.0,
+                   1.2345678901234568e17)
+
+    def test_matches_csv_writer_reference(self, tmp_path):
+        ids = ("A_B", "C-D", "E_F-G", "USA")
+        records = [rec(ids[k % 4], ids[(k + 1) % 4], "07"[k // 4], value)
+                   for k, value in enumerate(self.EDGE_VALUES)]
+        products = ProductRegistry(("0", "3", "7"))  # no flow of product 3
+        mm = money_from_records(records, 2018, CountryRegistry(ids), products)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trade_csv(mm, got)
+        reference_trade_csv(mm, want)
+        assert got.read_bytes() == want.read_bytes()
+        buf = io.StringIO()
+        write_trade_csv(mm, buf)
+        assert buf.getvalue().encode("utf-8") == want.read_bytes()
+        values = [float(line.rsplit(",", 1)[1]) for line in buf.getvalue().splitlines()[1:]]
+        assert sorted(values) == sorted(self.EDGE_VALUES)
+        assert money_sets_equal(ingest_csv(got, 2018).money, MoneyMatrixSet(
+            mm.matrices[::2], 2018, mm.countries, ProductRegistry(("0", "7"))))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_sets_match_reference(self, seed):
+        mm = random_money_set(seed, max_countries=12)
+        got, want = io.StringIO(), io.StringIO()
+        write_trade_csv(mm, got)
+        reference_trade_csv(mm, want)
+        assert got.getvalue() == want.getvalue()
+
+
+def row_loop_only():
+    """Patch ``_plain_block`` to refuse every block, so ``_row_loop`` reads the body."""
+    return mock.patch.object(trade_data, "_plain_block", lambda *args: None)
+
+
+def ingest_outcome(data, year=2018):
+    """``ingest_csv``'s result as exact data, or its exception's type, text and line."""
+    try:
+        result = ingest_csv(io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data),
+                            year)
+    except (ParseError, ValidationError, EmptyDataError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    mm = result.money
+    return (mm.year, mm.countries.ids, mm.products.codes,
+            [(m.indptr.tolist(), m.indices.tolist(), m.data.view(np.int64).tolist())
+             for m in mm.matrices],
+            result.rows_used, result.self_flows_dropped, result.duplicates_merged)
+
+
+BLOCK_ROWS = ("2018,FRA,USA,7,5e9", "2018,usa,A_B,7,3e9", "2016,FRA,USA,7,1e9",
+              "2018,A_B,A_B,0,2", "2018,A_B,FRA,0,0.1", "2018,FRA,USA,7,2.5")
+
+
+class TestIngestBlocks:
+    """Ingest at a block of a few lines against the ``csv.reader`` row loop alone."""
+
+    @pytest.mark.parametrize("block", [1, 24, 40])
+    @pytest.mark.parametrize("data", [
+        ("﻿" + HEADER + "\n" + "\n".join(BLOCK_ROWS) + "\n").encode("utf-8"),
+        "\r\n".join([HEADER, *BLOCK_ROWS]) + "\r\n",
+        "\n".join([HEADER, *BLOCK_ROWS]),
+        "\n".join([HEADER, *BLOCK_ROWS]) + "\n\n",
+        "\n".join([HEADER, *BLOCK_ROWS]) + "\n   \n",
+        "\n".join([HEADER, *BLOCK_ROWS[:3], '2018,A_B,A_B,"0\n",2', *BLOCK_ROWS[4:]]) + "\n",
+    ], ids=["bom", "crlf", "no-final-newline", "blank-last-line", "spaces-last-line",
+            "quoted-newline"])
+    def test_matches_plain_input_and_row_loop(self, block, data):
+        want = ingest_outcome("\n".join([HEADER, *BLOCK_ROWS]) + "\n")
+        assert want[4:] == (4, 1, 1)
+        with mock.patch.object(trade_data, "_BLOCK", block):
+            got = ingest_outcome(data)
+            with row_loop_only():
+                assert ingest_outcome(data) == got == want
+
+    def test_plain_blocks_skip_the_row_loop(self):
+        calls = []
+
+        def row_loop(reader, first, *args):
+            calls.append((list(reader), first))
+            return real(iter(()), first, *args)
+
+        real = trade_data._row_loop
+        with mock.patch.object(trade_data, "_BLOCK", 40), \
+                mock.patch.object(trade_data, "_row_loop", row_loop):
+            result = ingest_csv(csv_stream(*BLOCK_ROWS), 2018)
+        assert calls == [([], 8)]
+        assert result.money.countries.ids == ("A_B", "FRA", "USA")
+
+    @pytest.mark.parametrize("block", [1, 40])
+    def test_error_line_after_plain_blocks(self, block):
+        rows = [*good_rows(300), "2018,FRA,A B,1,2", *good_rows(5)]
+        with mock.patch.object(trade_data, "_BLOCK", block):
+            with pytest.raises(ValidationError, match=r"^line 302: invalid country id 'A B'$"):
+                ingest_csv(csv_stream(*rows), 2018)
+
+    @pytest.mark.parametrize("block", [1, 40, trade_data._BLOCK])
+    @pytest.mark.parametrize("row", [
+        "20_18,FRA,USA,7,1", "2018\r,FRA,USA,7,1", "2018,A B,USA,7,1", "2018,FRA,USA,X,1",
+        "2018,FRA,USA,7,-1", "2016,FRA,USA,7,nan", "2018,FRA,FRA,7,inf", "2018,FRA,USA,7,1_0",
+        "2018,FRA,USA,7,５"])
+    def test_each_bad_field_fails_as_in_the_row_loop(self, block, row):
+        text = "\n".join([HEADER, *good_rows(20), row, *good_rows(3)]) + "\n"
+        with mock.patch.object(trade_data, "_BLOCK", block):
+            got = ingest_outcome(text)
+            with row_loop_only():
+                assert ingest_outcome(text) == got
+        assert got[0] in (ParseError, ValidationError) and got[1].startswith("line 22: ")
+
+    @pytest.mark.parametrize("rows, message", [
+        (["2018,FRA,USA,7,1,2018", "FRA,USA,7,1"], "expected 5 fields, got 6"),
+        (["2018,FRA,USA,7", "1,2018,FRA,USA,7,1"], "expected 5 fields, got 4"),
+    ], ids=["long-short", "short-long"])
+    def test_rows_that_realign_are_not_split_by_column(self, rows, message):
+        # five and three commas on two lines make two rows of valid fields once joined
+        for block in (40, trade_data._BLOCK):
+            with mock.patch.object(trade_data, "_BLOCK", block):
+                with pytest.raises(ParseError, match=rf"^line 3: {message}$"):
+                    ingest_csv(csv_stream("2018,FRA,USA,7,1", *rows), 2018)
+
+    def test_field_over_csv_limit_reports_line(self):
+        rows = [*good_rows(300), "2018,FRA," + "U" * 131_073 + ",1,2"]
+        for block in (40, trade_data._BLOCK):
+            with mock.patch.object(trade_data, "_BLOCK", block):
+                with pytest.raises(ParseError, match=r"^line 302: field larger than field limit"):
+                    ingest_csv(csv_stream(*rows), 2018)
+
+    def test_header_field_over_csv_limit_reports_line_1(self):
+        with pytest.raises(ParseError, match=r"^line 1: field larger than field limit"):
+            ingest_csv(io.StringIO("y" * 131_073 + "\n2018,FRA,USA,1,2\n"), 2018)
+
+    @pytest.mark.parametrize("source", [b"\xd4", io.BytesIO(b"\xd4")], ids=["bytes", "stream"])
+    def test_non_utf8_is_parse_error(self, source):
+        if isinstance(source, bytes):
+            source = (HEADER + "\n2018,FRA,USA,1,2\n2018,C").encode() + source + b"TE,USA,1,2\n"
+        else:
+            source = io.BytesIO((HEADER + "\n2018,FRA,USA,1,2\n2018,C").encode()
+                                + source.getvalue() + b"TE,USA,1,2\n")
+        with pytest.raises(ParseError, match=r"^the trade CSV is not UTF-8 \(") as err:
+            ingest_csv(source, 2018)
+        assert err.value.line is None
+
+    def test_lone_surrogate_is_an_id_error(self):
+        with pytest.raises(ValidationError, match=r"^line 3: invalid country id"):
+            ingest_csv(csv_stream("2018,FRA,USA,1,2", "2018,\ud800,USA,1,2"), 2018)
+
+
+GOOD_FIELDS = {"year": ["2018", "2018", "2017", " 2018"],
+               "id": ["FRA", "USA", "A_B", "C-D", "deu", " FRA", "ı"],
+               "code": ["0", "7", "9", " 7"],
+               "value": ["1", "2.5", "3e9", "0", "-0", "1e-300", " 4 "]}
+BAD_FIELDS = {"year": ["20_18", "x", "２０１８", "", "2018\r"],
+              "id": ["A B", "", "\ud800", "FRA\r"],
+              "code": ["X", "77"],
+              "value": ["-1", "nan", "inf", "1_0", "abc", "５", "1\r"]}
+KINDS = ("year", "id", "id", "code", "value")
+PLAIN_ROW = st.tuples(*[st.sampled_from(GOOD_FIELDS[k]) for k in KINDS])
+BAD_FIELD = st.sampled_from([0, 1, 2, 3, 4, 4]).flatmap(
+    lambda k: st.tuples(st.just(k), st.sampled_from(BAD_FIELDS[KINDS[k]])))
+BAD_ROW = st.tuples(PLAIN_ROW, BAD_FIELD).map(
+    lambda t: tuple(t[1][1] if i == t[1][0] else f for i, f in enumerate(t[0])))
+QUOTED_ROW = st.tuples(PLAIN_ROW, st.integers(0, 4), st.sampled_from(["", "\n", ","])).map(
+    lambda t: tuple(f'"{f}{t[2]}"' if i == t[1] else f for i, f in enumerate(t[0])))
+ODD_ROW = st.sampled_from(["", "   ", "2018,FRA,USA,7", "2018,FRA,USA,7,1,2", "2018,,USA,7,1"])
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(st.lists(PLAIN_ROW.map(",".join), max_size=40),
+       st.lists(st.tuples(st.integers(0, 40), st.one_of(BAD_ROW.map(",".join),
+                                                         QUOTED_ROW.map(",".join), ODD_ROW)),
+                max_size=3),
+       st.sampled_from(["\n", "\n", "\r\n", "mixed"]), st.booleans(),
+       st.sampled_from([1, 24, 48, 96]))
+def test_block_parser_matches_row_loop(rows, odd_rows, ends, final_newline, block):
+    """Bit-identical matrices and counters, or the same error and line, with and
+    without the block parser: plain rows with up to three others (a bad field,
+    a quoted one, a blank, short or long row) put in, and CRLF ends on all rows or on one."""
+    for position, row in odd_rows:
+        rows.insert(position, row)
+    crlf = len(rows) // 2 if ends == "mixed" else None
+    text = HEADER + "\n" + "".join(
+        row + ("\r\n" if ends == "\r\n" or k == crlf else "\n") for k, row in enumerate(rows))
+    if not final_newline:
+        text = text.rstrip("\r\n")
+    with mock.patch.object(trade_data, "_BLOCK", block):
+        got = ingest_outcome(text)
+        with row_loop_only():
+            assert ingest_outcome(text) == got
 
 MERGE_IDS = ("AAA", "BBB", "CAA", "DDD")
 
