@@ -13,6 +13,7 @@ rank-one teleport term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.sparse.linalg import aslinearoperator
@@ -158,12 +159,11 @@ def strongest_links(m, k: int) -> list[tuple[int, int, float]]:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("expected a square matrix")
-    edges = []
-    for j in range(a.shape[1]):
-        column = [(i, float(a[i, j])) for i in range(a.shape[0])
-                  if i != j and a[i, j] != 0.0]
-        column.sort(key=lambda t: (-t[1], t[0]))
-        edges.extend((j, i, w) for i, w in column[:k])
+    edges, targets = [], np.arange(a.shape[0])
+    for j, column in enumerate(a.T):
+        linked = np.flatnonzero((column != 0.0) & (targets != j))
+        top = linked[np.lexsort((linked, -column[linked]))[:k]]
+        edges.extend(zip(repeat(j), top.tolist(), column[top].tolist()))
     return edges
 
 

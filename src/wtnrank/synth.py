@@ -11,7 +11,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ValidationError
-from .trade_data import CountryRegistry, MoneyMatrixSet, ProductRegistry, SITC1_NAMES
+from .trade_data import CountryRegistry, MoneyMatrixSet, ProductRegistry, SITC1_CODES
 
 DEFAULT_COUNTRIES = 12
 DEFAULT_PRODUCTS = 4
@@ -38,14 +38,14 @@ def gravity_money_set(seed: int, n_countries: int = DEFAULT_COUNTRIES,
     """
     if n_countries < 2:
         raise ValidationError("need at least two countries")
-    if not 1 <= n_products <= len(SITC1_NAMES):
-        raise ValidationError(f"product count must be in [1, {len(SITC1_NAMES)}]")
+    if not 1 <= n_products <= len(SITC1_CODES):
+        raise ValidationError(f"product count must be in [1, {len(SITC1_CODES)}]")
     if not 0.0 < density <= 1.0:
         raise ValidationError(f"density must be in (0, 1], got {density}")
 
     rng = np.random.default_rng(seed)
     ids = synth_country_ids(n_countries)
-    codes = sorted(SITC1_NAMES)[:n_products]
+    codes = SITC1_CODES[:n_products]
 
     mass = rng.lognormal(mean=0.0, sigma=1.2, size=n_countries)
     product_weight = rng.lognormal(mean=0.0, sigma=0.8, size=n_products)

@@ -27,19 +27,8 @@ from .errors import EmptyDataError, ParseError, ValidationError
 
 CSV_HEADER = ("year", "exporter", "importer", "product", "value_usd")
 
-# SITC Rev. 1 level-1 commodity categories (one-digit codes).
-SITC1_NAMES = {
-    "0": "Food and live animals",
-    "1": "Beverages and tobacco",
-    "2": "Crude materials, inedible, except fuels",
-    "3": "Mineral fuels etc",
-    "4": "Animal and vegetable oils and fats",
-    "5": "Chemicals and related products, n.e.s.",
-    "6": "Basic manufactures",
-    "7": "Machinery, transport equipment",
-    "8": "Miscellaneous manufactured articles",
-    "9": "Goods not classified elsewhere",
-}
+# SITC Rev. 1 level-1 commodity categories, by their one-digit codes, ascending.
+SITC1_CODES = tuple("0123456789")
 
 _ID_RE = re.compile(r"^[A-Z0-9][A-Z0-9_-]*$")
 
@@ -55,7 +44,7 @@ def canonical_country_id(raw: str) -> str:
 def canonical_product_code(raw: str) -> str:
     """Normalize a product key: one of the one-digit SITC-1 codes, surrounding blanks trimmed."""
     code = raw.strip() if isinstance(raw, str) else ""
-    if code not in SITC1_NAMES:
+    if code not in SITC1_CODES:
         raise ValidationError(f"unknown product code {raw!r}")
     return code
 
@@ -75,7 +64,7 @@ class ProductRegistry:
         if not codes:
             raise ValidationError("product registry is empty")
         for code in codes:
-            if code not in SITC1_NAMES:
+            if code not in SITC1_CODES:
                 raise ValidationError(f"unknown product code {code!r}")
         if len(self._index) != len(codes):
             raise ValidationError("duplicate product codes")
@@ -85,7 +74,7 @@ class ProductRegistry:
     @classmethod
     def sitc1(cls) -> "ProductRegistry":
         """The full ten-category SITC Rev. 1 level-1 registry."""
-        return cls(sorted(SITC1_NAMES))
+        return cls(SITC1_CODES)
 
     @classmethod
     def from_codes(cls, codes: Iterable[str]) -> "ProductRegistry":
@@ -359,32 +348,36 @@ def ingest_csv(source, year: int) -> IngestResult:
 def _plain_block(lines, in_year, ids, codes):
     """``_row_loop``'s result for a plain block of whole lines, or None when it is not plain.
 
-    A block is plain when it holds no ``"`` or carriage return, each line has
-    four commas, no field is over ``csv.field_size_limit()`` UTF-8 bytes, no
-    year or value has ``_`` or a non-ASCII character, and every field passes
-    the row loop's check. csv would then split each line at its commas, so the
-    block is split by column and checked through the row loop's own caches.
+    A block is plain when it holds no ``"`` or NUL, no carriage return but one
+    directly before a line's ``\\n``, four commas on each line, no field over
+    ``csv.field_size_limit()`` UTF-8 bytes, and every field passes the row
+    loop's check. csv would then split each line at its commas and drop its
+    ``\\r\\n``, so the block is read from its UTF-8 bytes by column, and no field
+    becomes a ``str`` of its own: ``_lookup`` decodes each distinct year, id
+    and code once, and ``_values`` converts the values. The keys of a block are
+    numbered, in ``ids`` and ``codes``, in the order ``_lookup`` meets them.
     """
     text = "".join(lines)
-    text += "" if text.endswith("\n") else "\n"
-    raw = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
+    data = (text if text.endswith("\n") else text + "\n").encode(errors="surrogatepass")
+    raw = np.frombuffer(data + bytes(16), np.uint8)  # room to read 16 bytes from any field
     ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # one per field
-    if ('"' in text or "\r" in text or ends.size != 5 * len(lines)
+    if (b'"' in data or b"\0" in data or ends.size != 5 * len(lines)
             or not np.all(raw[ends[4::5]] == ord("\n"))
             or np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1):
         return None
-    fields = text[:-1].replace("\n", ",").split(",")
-    raw_years, raw_exp, raw_imp, raw_prod, raw_val = (fields[i::5] for i in range(5))
-    if "_" in text or not text.isascii():
-        numbers = ",".join(raw_years + raw_val)
-        if "_" in numbers or not numbers.isascii():
-            return None
+    crlf = raw[ends[4::5] - 1] == ord("\r")
+    if data.count(b"\r") != np.count_nonzero(crlf):  # a "\r" not just before a "\n"
+        return None
+    start = np.concatenate(([0], ends[:-1] + 1)).reshape(-1, 5)
+    length = ends.reshape(-1, 5) - start
+    length[:, 4] -= crlf
+    words = np.ndarray(raw.size - 7, "<u8", raw, strides=(1,))  # bytes i to i + 7 at i
     try:
-        keep = np.array(list(map(in_year.__getitem__, raw_years)), bool)
-        value = np.array(list(map(float, map(str.strip, raw_val))))
-        product, exporter, importer = (np.array(list(map(keys.__getitem__, raw)), np.int64)
-                                       for keys, raw in ((codes, raw_prod), (ids, raw_exp),
-                                                         (ids, raw_imp)))
+        keep = _lookup(words, start[:, 0], length[:, 0], in_year.__getitem__).astype(bool)
+        exporter, importer = np.split(_lookup(words, start[:, 1:3].T.ravel(),
+                                              length[:, 1:3].T.ravel(), ids.__getitem__), 2)
+        product = _lookup(words, start[:, 3], length[:, 3], codes.__getitem__)
+        value = _values(raw, start[:, 4], length[:, 4])
     except (ValueError, ValidationError):
         return None
     if not np.all((value >= 0.0) & (value < math.inf)):
@@ -393,6 +386,79 @@ def _plain_block(lines, in_year, ids, codes):
     keep &= ~self_flow
     return (int(np.count_nonzero(self_flow)), exporter[keep], importer[keep], product[keep],
             value[keep])
+
+
+# the low k bytes of a uint64, for k = 0..8
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+
+
+def _lookup(words, start, length, lookup) -> np.ndarray:
+    """``lookup`` of the text of each field, called once per distinct field.
+
+    ``words[i]`` is bytes i to i + 7 of the block as a little-endian uint64. A
+    field is packed into as many words as it needs, the bytes past its end
+    zeroed: one uint64 for up to 8 bytes, else a bytes string of whole words,
+    one group per word count. The block holds no NUL, so two fields pack alike
+    only when they are equal. Each group's distinct fields are looked up in
+    ascending order of their packed codes, one-word fields first.
+    """
+    result = np.empty(start.size, np.int64)
+    n_words = np.maximum(length + 7, 8) // 8
+    for width in np.flatnonzero(np.bincount(n_words)).tolist():
+        fields = n_words == width
+        packed = words[8 * np.arange(width)[:, None] + start[fields]]  # word j of each in row j
+        packed[-1] &= _LOW_BYTES[length[fields] - 8 * (width - 1)]
+        codes = packed[0] if width == 1 else np.ascontiguousarray(packed.T).view(
+            f"S{8 * width}").ravel()
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        texts = distinct.view(f"S{8 * width}").tolist()  # trailing NULs dropped
+        result[fields] = np.array([lookup(t.decode(errors="surrogatepass")) for t in texts],
+                                  np.int64)[inverse]
+    return result
+
+
+# 10**k, exact in float64 for k <= 15
+_TEN = (10 ** np.arange(16)).astype(float)
+
+
+def _values(raw, start, length) -> np.ndarray:
+    """``float(field.strip())`` of each value field; ``ValueError`` where that or the row
+    loop's check fails.
+
+    A field of at most 16 bytes, all digits or digits and one point, is read
+    with int64 arithmetic: its digits d over 10**k, for k digits after the
+    point. An integer d below 10**16 converts to float64 correctly rounded; with
+    a point, d has at most 15 digits, so d and 10**k are exact in float64 and the
+    correctly rounded quotient is ``float``'s result (Clinger's fast path), also
+    for ``.5`` and ``5.``. The other fields go to ``_float_fields``.
+    """
+    digits, n_digits, point = np.zeros(start.size, np.int64), 0, -1
+    for k in range(min(int(length.max()), 16)):  # Horner's rule, one byte of each field a step
+        byte, inside = raw[k:][start], k < length
+        digit = byte - ord("0")  # uint8, so a byte below "0" wraps round
+        is_digit = inside & (digit < 10)
+        digits = np.where(is_digit, digits * 10 + digit, digits)
+        n_digits += is_digit
+        point = np.where(inside & (byte == ord(".")), k, point)
+    has_point = (n_digits == length - 1) & (point >= 0)  # one byte is no digit: a point
+    exact = (n_digits > 0) & ((n_digits == length) | has_point)
+    value = digits / _TEN[np.where(exact & has_point, length - 1 - point, 0)]
+    if not np.all(exact):
+        value[~exact] = _float_fields(raw, start[~exact], length[~exact])
+    return value
+
+
+def _float_fields(raw, start, length) -> list[float]:
+    """``float(field.strip())`` of the fields, decoded as one string; ``ValueError``
+    when one holds ``_`` or a non-ASCII character, as in the row loop."""
+    size = length + 1  # each field with the byte after it, which becomes its "\n"
+    offset = np.cumsum(size) - size
+    joined = raw[np.arange(size.sum()) + np.repeat(start - offset, size)]
+    joined[offset + length] = ord("\n")
+    text = joined.tobytes().decode(errors="surrogatepass")
+    if "_" in text or not text.isascii():  # float() would take "_" and non-ASCII digits
+        raise ValueError(text)
+    return list(map(float, map(str.strip, text.split("\n")[:-1])))
 
 
 def _row_loop(reader, first: int, in_year, ids, codes):
@@ -456,10 +522,14 @@ class _InYear(dict):
 
 
 class _Keys(dict):
-    """Raw field -> position of its canonical key in ``positions``, numbered in first-seen order.
+    """Raw field -> position of its canonical key in ``positions``.
 
-    Each distinct raw value goes through ``canonical`` once. One that raises
-    is never stored, so it raises again, with the same message, on each use.
+    Keys are numbered in the order they are first looked up: the row loop's in
+    file order, a plain block's in ascending order of their packed bytes (see
+    ``_lookup``). ``ingest_csv`` builds its registries from the keys, sorted, so
+    no position reaches its result. Each distinct raw value goes through
+    ``canonical`` once. One that raises is never stored, so it raises again,
+    with the same message, on each use.
     """
 
     def __init__(self, canonical):
@@ -478,7 +548,7 @@ class _Keys(dict):
         takes one ``index_of``, which rejects a key outside a given registry.
         """
         keys = list(self.positions)
-        used = np.unique(np.concatenate(columns))
+        used = np.flatnonzero(np.bincount(np.concatenate(columns), minlength=len(keys)))
         used_keys = [keys[i] for i in used]
         if registry is None:
             registry = make(used_keys)

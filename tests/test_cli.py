@@ -252,6 +252,37 @@ def test_malformed_merge_config_exits_2(trade_csv, tmp_path):
                      "--out-dir", str(tmp_path / "out")]) == 2
 
 
+SCALED_COMMANDS = (["rank"], ["balance"], ["sensitivity", "--perturb", "global", "--product", "3"],
+                   ["sensitivity", "--perturb", "labor", "--target", "SAB"],
+                   ["regomax", "--actors", "SAA,SAB"])
+
+
+def test_power_of_two_scaling_gives_identical_outputs(tmp_path):
+    """Synth seed 42 and two copies with every value times a power of two, which is
+    exact and cancels in every share. Its whole-dollar values and their x 2**-7
+    reprs (at most 15 digits) are read by ingest's exact decimal path, the x 2**-50
+    reprs (with an exponent) by its ``float`` fallback; every output is identical."""
+    assert main(["synth", "--seed", "42", "--out-dir", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / "trade.csv").read_text().splitlines()
+    heads, values = zip(*(row.rsplit(",", 1) for row in rows))
+    scaled = {power: [repr(float(v) * 2.0 ** -power) for v in values] for power in (7, 50)}
+    assert all(len(v) <= 16 and "e" not in v for v in scaled[7])
+    assert all("e" in v for v in scaled[50])
+    for power, column in scaled.items():
+        (tmp_path / f"scaled{power}.csv").write_text(
+            "\n".join([header, *map(",".join, zip(heads, column))]) + "\n")
+    outputs = {}
+    for name in ("trade", "scaled7", "scaled50"):
+        out = tmp_path / f"out-{name}"
+        for k, (command, *flags) in enumerate(SCALED_COMMANDS):
+            assert main([command, "--input", str(tmp_path / f"{name}.csv"), "--year", "2018",
+                         *flags, "--out-dir", str(out / str(k))]) == 0
+        outputs[name] = {path.relative_to(out): path.read_bytes()
+                         for path in sorted(out.rglob("*")) if path.is_file()}
+    assert len(outputs["trade"]) > 20
+    assert outputs["scaled7"] == outputs["trade"] == outputs["scaled50"]
+
+
 def test_rank_outputs(trade_csv, tmp_path):
     out = tmp_path / "out"
     assert main(["rank", "--input", trade_csv, "--year", "2018", "--top", "5",

@@ -1,3 +1,4 @@
+import csv
 import gc
 import importlib.util
 import io
@@ -387,15 +388,84 @@ class TestIngestBlocks:
         with pytest.raises(ValidationError, match=r"^line 3: invalid country id"):
             ingest_csv(csv_stream("2018,FRA,USA,1,2", "2018,\ud800,USA,1,2"), 2018)
 
+    @pytest.mark.parametrize("lines", [
+        ["2018,ABCDEFGHIJ,KEU9_LONGER,7,1\n", "2018,KEU9_LONGER,abcdefghij,7,2\n",
+         "2018,FRA,ABCDEFGHIJ,0,3\n", "2018,ABCDEFGHIJKLMNOPQ,FRA,0,4\n"],
+        ["2018,FRA,USA,7,1\r\n", "2018,USA,FRA,7, 2.5 \r\n", "2018,FRA,FRA,7,3\r\n",
+         "2017,USA,FRA,7,4\r\n"],
+        ["2018,FRA,USA,7,212467.0\n", "2018,USA,FRA,7,0.30000000000000004\n",
+         "2018,FRA,USA,0,123456789012345\n", "2018,USA,FRA,0,1234567890123456\n",
+         "2018,FRA,USA,1,.5\n", "2018,USA,FRA,1,5.\n", "2018,FRA,USA,2,+5\n",
+         "2018,USA,FRA,2,0007\n", "2018,FRA,USA,3,99999999999999.9\n",
+         "2018,USA,FRA,3,0.000000000000001\n", "2018,FRA,USA,4,1e3\n",
+         # 16 and 17 digits, where a double of the digits would round twice
+         "2018,USA,FRA,4,95142426273599.37\n", "2018,FRA,USA,5,43591.010316006538\n"],
+    ], ids=["long-ids", "crlf", "decimals"])
+    def test_plain_block_reads_as_the_row_loop(self, lines):
+        got = read_block(lines)
+        assert got is not None and got == read_block(lines, row_loop=True)
+
+    def test_short_decimals_take_the_exact_path(self):
+        lines = ["2018,FRA,USA,7,212467.0\r\n", "2018,USA,FRA,7,.5\n", "2018,FRA,USA,7,5.\n",
+                 "2018,USA,FRA,7,1234567890123456\n", "2018,FRA,USA,7,12345678901234.5\n"]
+        with mock.patch.object(trade_data, "_float_fields", side_effect=AssertionError):
+            got = read_block(lines)
+        assert got == read_block(lines, row_loop=True)
+        assert got[4] == np.array([212467.0, 0.5, 5.0, 1234567890123456.0,
+                                   12345678901234.5]).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("line", [
+        "2018,A\0B,USA,7,1\n", "2018,AB\0,USA,7,1\n", "2018\0,FRA,USA,7,1\n",
+        "2018,FRA,USA,7,1\0\n", "2018,FRA,USA,7,1\r\r\n", "2018,FRA\r,USA,7,1\n"])
+    def test_nul_or_lone_carriage_return_is_not_plain(self, line):
+        assert read_block(["2018,FRA,USA,7,1\n", line]) is None
+        assert read_block(["2018,FRA,USA,7,1\n", line.replace("\0", "").replace("\r", "")])
+
+
+def read_block(lines, row_loop=False):
+    """``_plain_block`` of ``lines`` at year 2018 (or, with ``row_loop``, ``_row_loop``),
+    each position as its key and each value as its bits; None when not plain."""
+    in_year = trade_data._InYear(2018)
+    ids = trade_data._Keys(trade_data.canonical_country_id)
+    codes = trade_data._Keys(trade_data.canonical_product_code)
+    block = (trade_data._row_loop(csv.reader(lines), 2, in_year, ids, codes) if row_loop
+             else trade_data._plain_block(lines, in_year, ids, codes))
+    if block is None:
+        return None
+    self_flows, exporter, importer, product, value = block
+    id_keys, code_keys = list(ids.positions), list(codes.positions)
+    return (self_flows, [id_keys[i] for i in exporter], [id_keys[i] for i in importer],
+            [code_keys[i] for i in product], value.view(np.int64).tolist())
+
+
+DIGITS = st.text("0123456789", max_size=17)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(DIGITS, st.sampled_from(["", "."]), DIGITS).map("".join),
+                min_size=1, max_size=20))
+def test_block_values_match_float(values):
+    """Digit strings, with or without a point, up to 35 characters: each reads bit for
+    bit as ``float`` reads it, or the block is not plain where ``float`` fails."""
+    try:
+        want = np.array([float(v) for v in values]).view(np.int64).tolist()
+    except ValueError:
+        want = None
+    got = read_block([f"2018,FRA,USA,7,{v}\n" for v in values])
+    assert (got and got[4]) == want
+
 
 GOOD_FIELDS = {"year": ["2018", "2018", "2017", " 2018"],
-               "id": ["FRA", "USA", "A_B", "C-D", "deu", " FRA", "ı"],
+               "id": ["FRA", "USA", "A_B", "C-D", "deu", " FRA", "ı", "ABCDEFGHIJ",
+                      "KEU9_LONGER"],
                "code": ["0", "7", "9", " 7"],
-               "value": ["1", "2.5", "3e9", "0", "-0", "1e-300", " 4 "]}
-BAD_FIELDS = {"year": ["20_18", "x", "２０１８", "", "2018\r"],
-              "id": ["A B", "", "\ud800", "FRA\r"],
+               "value": ["1", "2.5", "3e9", "0", "-0", "1e-300", " 4 ", "0007", "212467.0",
+                         "123456789012345", "1234567890123456", "0.30000000000000004",
+                         ".5", "5.", "+5"]}
+BAD_FIELDS = {"year": ["20_18", "x", "２０１８", "", "2018\r", "2018\0"],
+              "id": ["A B", "", "\ud800", "FRA\r", "A\0B"],
               "code": ["X", "77"],
-              "value": ["-1", "nan", "inf", "1_0", "abc", "５", "1\r"]}
+              "value": ["-1", "nan", "inf", "1_0", "abc", "５", "1\r", "1\0", "", "1.2.3"]}
 KINDS = ("year", "id", "id", "code", "value")
 PLAIN_ROW = st.tuples(*[st.sampled_from(GOOD_FIELDS[k]) for k in KINDS])
 BAD_FIELD = st.sampled_from([0, 1, 2, 3, 4, 4]).flatmap(
