@@ -51,7 +51,6 @@ from .trade_data import (
     load_group_config,
     merge_country_group,
     money_from_records,
-    money_sets_equal,
     volume_probabilities,
     write_trade_csv,
 )

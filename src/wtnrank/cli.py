@@ -16,15 +16,7 @@ from . import sensitivity as sens_mod
 from ._io import write_csv, write_json
 from .errors import ConvergenceError, EmptyDataError, ParseError, ValidationError
 from .google_matrix import DEFAULT_DAMPING, DIRECT, INVERTED, build_google
-from .ranks import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    assign_ranks,
-    pagerank,
-    rank_table,
-    write_rank_table_csv,
-    write_rank_table_json,
-)
+from .ranks import DEFAULT_MAX_ITER, DEFAULT_TOL, assign_ranks, pagerank, rank_table
 from .synth import (
     DEFAULT_COUNTRIES,
     DEFAULT_DENSITY,
@@ -190,9 +182,10 @@ def cmd_rank(args) -> int:
     volumes = volume_probabilities(money)
     rows = rank_table(direct, inverted, volumes, args.top)
     if args.format == "json":
-        write_rank_table_json(rows, _out_path(args, "rank_table.json"))
+        write_json(rows, _out_path(args, "rank_table.json"))
     else:
-        write_rank_table_csv(rows, _out_path(args, "rank_table.csv"))
+        write_csv(rows[0].keys(), (row.values() for row in rows),
+                  _out_path(args, "rank_table.csv"))
 
     ids, id_rank = money.countries.ids, money.countries.id_rank
     import_rank = assign_ranks(volumes.import_c, id_rank)

@@ -49,10 +49,6 @@ class GoogleMatrix:
         c = self.countries.index_of(country)
         return p * len(self.countries) + c
 
-    def node_pair(self, node: int) -> tuple[str, str]:
-        n_c = len(self.countries)
-        return self.countries.ids[node % n_c], self.products.codes[node // n_c]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One multiplication by the effective matrix (x treated as a column)."""
         teleport = self.damping * x[self.dangling].sum() + (1.0 - self.damping) * x.sum()

@@ -1,4 +1,4 @@
-"""PageRank/CheiRank computation, rank indexing, and rank-table export."""
+"""PageRank/CheiRank computation, rank indexing, and the rank table."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv, write_json
 from .errors import ConvergenceError, ValidationError
 from .google_matrix import GoogleMatrix
 from .trade_data import CountryRegistry, ProductRegistry, VolumeProbabilities
@@ -122,7 +121,8 @@ def rank_table(direct: RankVector, inverted: RankVector,
                volumes: VolumeProbabilities, top: int) -> list[dict]:
     """Top countries under the four orderings, one row per rank position.
 
-    Columns: PageRank (direct), CheiRank (inverted), ImportRank and
+    Each row's keys, in order, are the table's columns: ``rank``, then the
+    country ids by PageRank (direct), CheiRank (inverted), ImportRank and
     ExportRank (trade volume). ``top`` is clipped to the country count.
     """
     if top < 1:
@@ -144,21 +144,3 @@ def rank_table(direct: RankVector, inverted: RankVector,
             row[name] = registry.ids[order[r]]
         rows.append(row)
     return rows
-
-
-RANK_TABLE_COLUMNS = (
-    "rank",
-    "pagerank_country",
-    "cheirank_country",
-    "importrank_country",
-    "exportrank_country",
-)
-
-
-def write_rank_table_csv(rows: list[dict], dest) -> None:
-    write_csv(RANK_TABLE_COLUMNS, ([row[c] for c in RANK_TABLE_COLUMNS] for row in rows),
-              dest)
-
-
-def write_rank_table_json(rows: list[dict], dest) -> None:
-    write_json(rows, dest)

@@ -68,9 +68,6 @@ class BalanceReport:
     countries: tuple[str, ...]
     balances: np.ndarray
 
-    def value(self, country: str) -> float:
-        return float(self.balances[self.countries.index(country)])
-
 
 @dataclass(frozen=True, eq=False)
 class SensitivityReport:
@@ -83,9 +80,6 @@ class SensitivityReport:
     countries: tuple[str, ...]
     derivatives: np.ndarray
     diagonal: np.ndarray  # True where the country is the perturbation target
-
-    def value(self, country: str) -> float:
-        return float(self.derivatives[self.countries.index(country)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -72,11 +72,6 @@ class ProductRegistry:
             raise ValidationError("product codes must be sorted ascending")
 
     @classmethod
-    def sitc1(cls) -> "ProductRegistry":
-        """The full ten-category SITC Rev. 1 level-1 registry."""
-        return cls(SITC1_CODES)
-
-    @classmethod
     def from_codes(cls, codes: Iterable[str]) -> "ProductRegistry":
         return cls(sorted(set(codes)))
 
@@ -221,9 +216,6 @@ class MoneyMatrixSet:
     def n_products(self) -> int:
         return len(self.products)
 
-    def matrix_for(self, code: str) -> sparse.csc_matrix:
-        return self.matrices[self.products.index_of(code)]
-
     @cached_property
     def imports(self) -> np.ndarray:
         """Read-only (n_products, n_countries) row sums ``m @ ones``."""
@@ -250,12 +242,6 @@ class MoneyMatrixSet:
             total += float(np.sum(row))
         return total
 
-    def records(self) -> list[TradeFlowRecord]:
-        """All nonzero flows, sorted by (product, exporter, importer)."""
-        return [TradeFlowRecord(self.year, exporter, importer, code, value)
-                for code, *flows in self._sorted_flows()
-                for exporter, importer, value in zip(*flows)]
-
     def _sorted_flows(self):
         """Per product, in code order: its code and the exporter ids, importer ids and
         values of its nonzero flows, as lists sorted by exporter, then importer id."""
@@ -266,13 +252,6 @@ class MoneyMatrixSet:
             exp, imp, values = coo.col[nonzero], coo.row[nonzero], coo.data[nonzero]
             order = np.lexsort((id_rank[imp], id_rank[exp]))
             yield code, ids[exp[order]].tolist(), ids[imp[order]].tolist(), values[order].tolist()
-
-
-def money_sets_equal(a: MoneyMatrixSet, b: MoneyMatrixSet) -> bool:
-    """Exact structural equality (registries, year, and every stored entry)."""
-    return (a.year == b.year and a.countries.ids == b.countries.ids
-            and a.products.codes == b.products.codes
-            and all((ma != mb).nnz == 0 for ma, mb in zip(a.matrices, b.matrices)))
 
 
 @dataclass(frozen=True)
@@ -302,7 +281,8 @@ def ingest_csv(source, year: int) -> IngestResult:
 
     Self-flows (exporter == importer) are dropped and counted. Rows sharing
     the same (exporter, importer, product) key are summed. Unknown product
-    codes, negative values, or malformed rows raise with the line number; a year
+    codes, negative values, or malformed rows raise with the physical line on
+    which the record starts (a quoted field may span lines); a year
     or value must be ASCII without ``_`` digit separators. Input that is not
     UTF-8, or that ``csv`` rejects (such as a field over
     ``csv.field_size_limit()``), raises ``ParseError``.
@@ -315,17 +295,18 @@ def ingest_csv(source, year: int) -> IngestResult:
     """
     in_year, ids = _InYear(year), _Keys(canonical_country_id)
     codes = _Keys(canonical_product_code)
-    blocks, lineno = [], 2
+    blocks = []
     try:
         with open_input(source) as stream:
             try:
-                header = next(csv.reader(stream))
+                header = next(reader := csv.reader(stream))
             except StopIteration:
                 raise EmptyDataError("no header row") from None
             except csv.Error as exc:
                 raise ParseError(str(exc), line=1) from None
             if tuple(h.strip().lstrip("﻿") for h in header) != CSV_HEADER:
                 raise ParseError(f"expected header {','.join(CSV_HEADER)}", line=1)
+            lineno = reader.line_num + 1
             while ((lines := stream.readlines(_BLOCK))
                    and (block := _plain_block(lines, in_year, ids, codes)) is not None):
                 blocks.append(block)
@@ -463,11 +444,13 @@ def _float_fields(raw, start, length) -> list[float]:
 
 def _row_loop(reader, first: int, in_year, ids, codes):
     """(self-flows, exporter, importer, product, value) of the rows of a ``csv.reader``
-    whose first row is line ``first``; the reference that ``_plain_block`` matches."""
+    whose first line is line ``first``; the reference that ``_plain_block`` matches.
+    An error names the line on which its record starts, from ``reader.line_num``."""
     exporters, importers, products, values = [], [], [], []
-    self_flows, lineno = 0, first - 1
+    self_flows, start = 0, first  # the line on which the next record starts
     try:
-        for lineno, row in enumerate(reader, start=first):
+        for row in reader:
+            lineno, start = start, first + reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 5:
@@ -498,8 +481,8 @@ def _row_loop(reader, first: int, in_year, ids, codes):
             importers.append(importer)
             products.append(product)
             values.append(value)
-    except csv.Error as exc:  # the reader failed on the row after ``lineno``
-        raise ParseError(str(exc), line=lineno + 1) from None
+    except csv.Error as exc:  # the reader failed on the record that starts at ``start``
+        raise ParseError(str(exc), line=start) from None
     return (self_flows, *(np.array(c, np.int64) for c in (exporters, importers, products)),
             np.array(values, float))
 
@@ -722,7 +705,11 @@ def volume_probabilities(mm: MoneyMatrixSet) -> VolumeProbabilities:
 
 
 def load_group_config(source) -> tuple[str, list[str], str | None]:
-    """Read a group-merge JSON config: label, members, optional short code."""
+    """Read a group-merge JSON config: label, members, optional short code.
+
+    The label and members come back as canonical country ids; the members are
+    checked first, in config order, as ``merge_country_group`` checks them.
+    """
     try:
         with open_input(source) as stream:
             cfg = json.load(stream)
@@ -741,4 +728,5 @@ def load_group_config(source) -> tuple[str, list[str], str | None]:
             or not isinstance(short, (str, type(None)))):
         raise ValidationError("bad group config: need a label, string members "
                               "and an optional string short code")
-    return label, members, short
+    members = [canonical_country_id(m) for m in members]
+    return canonical_country_id(label), members, short

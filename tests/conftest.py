@@ -3,7 +3,7 @@
 import numpy as np
 from scipy import sparse
 
-from wtnrank import MoneyMatrixSet, gravity_money_set
+from wtnrank import MoneyMatrixSet, TradeFlowRecord, gravity_money_set
 
 
 def random_money_set(seed, min_countries=3, max_countries=30, max_products=4):
@@ -25,6 +25,30 @@ def effective_dense(g):
 
 def small_money_set(seed, n_countries, n_products, density=0.8):
     return gravity_money_set(seed, n_countries, n_products, density=density)
+
+
+def money_sets_equal(a, b):
+    """Exact structural equality (registries, year, and every stored value)."""
+    return (a.year == b.year and a.countries.ids == b.countries.ids
+            and a.products.codes == b.products.codes
+            and all((ma != mb).nnz == 0 for ma, mb in zip(a.matrices, b.matrices)))
+
+
+def records(mm):
+    """Every nonzero flow of ``mm.matrices`` as a ``TradeFlowRecord``, sorted by
+    (product, exporter id, importer id): the rows ``write_trade_csv`` writes."""
+    ids, flows = mm.countries.ids, []
+    for code, m in zip(mm.products.codes, mm.matrices):
+        coo = m.tocoo()
+        flows += [TradeFlowRecord(mm.year, ids[exp], ids[imp], code, value)
+                  for imp, exp, value in zip(coo.row.tolist(), coo.col.tolist(),
+                                             coo.data.tolist()) if value != 0.0]
+    return sorted(flows, key=lambda r: (r.product, r.exporter, r.importer))
+
+
+def node_pairs(g):
+    """The (country, product) pair of each node of ``g``, in node order (product-major)."""
+    return [(c, p) for p in g.products.codes for c in g.countries.ids]
 
 
 def non_canonical_matrices(mm, seed):

@@ -386,6 +386,18 @@ def test_console_script_entry_point(tmp_path):
     assert json.loads(run.stderr)["error"]
 
 
+def test_merge_summary_names_canonical_ids(trade_csv, tmp_path):
+    cfg = tmp_path / "group.json"
+    cfg.write_text(json.dumps({"label": " grp ", "members": ["saa", "SAB ", "SAA"]}))
+    out = tmp_path / "out"
+    assert main(["merge", "--input", trade_csv, "--year", "2018", "--merge-config", str(cfg),
+                 "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "merge_summary.json").read_text())
+    assert (summary["label"], summary["members"]) == ("GRP", ["SAA", "SAB"])
+    assert summary["countries_after"] == summary["countries_before"] - 1
+    assert ",GRP," in (out / "merged.csv").read_text()
+
+
 def test_merge_with_bundled_group_config(tmp_path):
     _, members, _ = wtnrank.load_group_config(wtnrank.KEU9_CONFIG)
     records = [TradeFlowRecord(2018, exp, "USA", "7", 1e9 + i)

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from conftest import effective_dense, non_canonical, random_money_set, small_money_set
+from conftest import (
+    effective_dense,
+    node_pairs,
+    non_canonical,
+    random_money_set,
+    records,
+    small_money_set,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -165,7 +172,7 @@ class TestBuild:
         mm = random_money_set(9, max_countries=8)
         scaled = money_from_records(
             [TradeFlowRecord(r.year, r.exporter, r.importer, r.product,
-                             r.value_usd * 1000.0) for r in mm.records()],
+                             r.value_usd * 1000.0) for r in records(mm)],
             mm.year, mm.countries, mm.products)
         g1, g2 = build_google(mm), build_google(scaled)
         np.testing.assert_allclose(g2.personalization, g1.personalization, rtol=1e-14)
@@ -227,9 +234,7 @@ class TestBuild:
     def test_node_indexing_roundtrip(self):
         mm = small_money_set(4, 4, 3)
         g = build_google(mm)
-        for i in range(g.n_nodes):
-            c, p = g.node_pair(i)
-            assert g.node_of(c, p) == i
+        assert [g.node_of(c, p) for c, p in node_pairs(g)] == list(range(g.n_nodes))
         with pytest.raises(ValidationError):
             g.node_of("NOPE", "0")
 
@@ -327,7 +332,8 @@ class TestAssemblyReference:
             assert g.dangling.any()
         mm = with_empty_product()
         assert np.count_nonzero(personalization_vector(mm)) == 6  # product 3 carries no volume
-        assert np.count_nonzero(mm.matrix_for("0").data == 0.0) == 1  # a stored zero
+        m = mm.matrices[mm.products.index_of("0")]
+        assert np.count_nonzero(m.data == 0.0) == 1  # a stored zero
 
 
 def isolated_first_country(seed, n_c, n_p):

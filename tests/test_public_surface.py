@@ -34,7 +34,7 @@ ROOT_NAMES = {
     "VOLUME_BASED", "ValidationError", "VolumeProbabilities", "WtnError", "assign_ranks",
     "balance", "balance_report", "balance_sensitivity", "build_google",
     "gravity_money_set", "ingest_csv", "labor_cost_matrix", "load_group_config",
-    "merge_country_group", "money_from_records", "money_sets_equal", "pagerank",
+    "merge_country_group", "money_from_records", "pagerank",
     "personalization_vector", "perturb_money", "rank_table", "reduce",
     "strongest_links", "volume_probabilities", "write_trade_csv",
 }

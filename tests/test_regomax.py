@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import effective_dense, small_money_set
+from conftest import effective_dense, node_pairs, small_money_set
 from scipy import sparse
 
 from wtnrank import (
@@ -105,8 +105,7 @@ class TestReduce:
 
     def test_full_selection_is_identity_partition(self):
         g, _ = reduced_case(40, 4, 2, 2)
-        selection = [g.node_pair(i) for i in range(g.n_nodes)]
-        r = reduce(g, selection)
+        r = reduce(g, node_pairs(g))
         np.testing.assert_array_equal(r.g_r, effective_dense(g))
         np.testing.assert_array_equal(r.g_pr, 0.0)
         np.testing.assert_array_equal(r.g_qr, 0.0)
@@ -331,7 +330,7 @@ class TestReduce:
             g = build_google(mm)
             r = reduce(g, [(actor, "0") for actor in actors])
             assert r.labels == labels
-            every_node = reduce(g, [g.node_pair(node) for node in range(g.n_nodes)])
+            every_node = reduce(g, node_pairs(g))
             assert len(set(every_node.labels)) == g.n_nodes
 
 

@@ -10,7 +10,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import non_canonical, non_canonical_matrices, random_money_set, small_money_set
+from conftest import (
+    money_sets_equal,
+    non_canonical,
+    non_canonical_matrices,
+    random_money_set,
+    records,
+    small_money_set,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -32,7 +39,6 @@ from wtnrank import (
     ingest_csv,
     merge_country_group,
     money_from_records,
-    money_sets_equal,
     perturb_money,
     volume_probabilities,
     write_trade_csv,
@@ -68,7 +74,7 @@ class TestIngest:
         mm = result.money
         assert mm.countries.ids == ("FRA", "USA")
         assert mm.products.codes == ("7",)
-        m = mm.matrix_for("7").toarray()
+        m = mm.matrices[mm.products.index_of("7")].toarray()
         # row = importer, column = exporter
         assert m[1, 0] == 5e9  # FRA -> USA
         assert m[0, 1] == 3e9  # USA -> FRA
@@ -80,8 +86,9 @@ class TestIngest:
             "2018,FRA,USA,0,2e6",
         ), 2018)
         assert result.self_flows_dropped == 1
-        assert result.money.matrix_for("0").diagonal().sum() == 0.0
-        assert result.money.total_volume() == 2e6
+        mm = result.money
+        assert mm.matrices[mm.products.index_of("0")].diagonal().sum() == 0.0
+        assert mm.total_volume() == 2e6
 
     def test_only_self_flows_is_empty_data(self):
         with pytest.raises(EmptyDataError):
@@ -95,7 +102,7 @@ class TestIngest:
             y, e, i, p, v = r.split(",")
             expected[(e, i, p)] = expected.get((e, i, p), 0.0) + float(v)
         result = ingest_csv(csv_stream(*rows), 2018)
-        m = result.money.matrix_for("3")
+        m = result.money.matrices[result.money.products.index_of("3")]
         ids = result.money.countries.ids
         for (e, i, p), v in expected.items():
             assert m[ids.index(i), ids.index(e)] == v
@@ -130,7 +137,8 @@ class TestIngest:
                                        "2018,FRA,USA,7,4.0", "2018,usa,USA,7,8.0"), 2018)
         mm = result.money
         assert mm.countries.ids == ("FRA", "USA")
-        assert mm.matrix_for("7").toarray().tolist() == [[0.0, 3.0], [4.0, 0.0]]
+        m = mm.matrices[mm.products.index_of("7")]
+        assert m.toarray().tolist() == [[0.0, 3.0], [4.0, 0.0]]
         assert (result.rows_used, result.self_flows_dropped, result.duplicates_merged) == (3, 1, 1)
 
     def test_bad_id_on_another_years_row_reports_its_line(self):
@@ -239,7 +247,7 @@ class TestIngest:
 def reference_trade_csv(mm, dest):
     """``write_trade_csv`` as one ``csv.writer`` row per flow: its reference."""
     write_csv(CSV_HEADER, ([mm.year, r.exporter, r.importer, r.product, repr(r.value_usd)]
-                           for r in mm.records()), dest)
+                           for r in records(mm)), dest)
 
 
 class TestWriteTradeCsv:
@@ -368,6 +376,25 @@ class TestIngestBlocks:
             with mock.patch.object(trade_data, "_BLOCK", block):
                 with pytest.raises(ParseError, match=r"^line 302: field larger than field limit"):
                     ingest_csv(csv_stream(*rows), 2018)
+
+    @pytest.mark.parametrize("lead", [0, 300])
+    @pytest.mark.parametrize("block", [40, trade_data._BLOCK])
+    @pytest.mark.parametrize("bad_row, error, message", [
+        ('2018,FRA,USA,"7\n",-1', ValidationError, "negative or non-finite value -1.0"),
+        ('2018,FRA,USA,"7\n",5x', ParseError, "bad value '5x'"),
+        ('2018,"FRA\n",' + "U" * 131_073 + ",1,2", ParseError, "field larger than field limit"),
+    ], ids=["negative", "bad-value", "csv-error"])
+    def test_line_is_where_the_record_starts(self, lead, block, bad_row, error, message):
+        # a record on two lines, then the bad one, itself over two lines, on line lead + 4
+        rows = [*good_rows(lead), '2018,FRA,USA,"1\n",2', bad_row, *good_rows(3)]
+        with mock.patch.object(trade_data, "_BLOCK", block):
+            with pytest.raises(error, match=rf"^line {lead + 4}: {message}"):
+                ingest_csv(csv_stream(*rows), 2018)
+
+    def test_header_over_two_lines_counts_both(self):
+        text = '"year\n",exporter,importer,product,value_usd\n2018,FRA,USA,7,-1\n'
+        with pytest.raises(ValidationError, match=r"^line 3: negative or non-finite value"):
+            ingest_csv(io.StringIO(text), 2018)
 
     def test_header_field_over_csv_limit_reports_line_1(self):
         with pytest.raises(ParseError, match=r"^line 1: field larger than field limit"):
@@ -509,7 +536,7 @@ class TestMerge:
              rec("BBB", "CCC", "0", 3.0)], 2018)
         merged = merge_country_group(mm, {"AAA", "BBB"}, "GRP")
         assert merged.countries.ids == ("CCC", "GRP")
-        m = merged.matrix_for("0").toarray()
+        m = merged.matrices[merged.products.index_of("0")].toarray()
         ids = merged.countries.ids
         assert m[ids.index("CCC"), ids.index("GRP")] == 5.0  # GRP -> CCC
         assert np.count_nonzero(m) == 1
@@ -522,10 +549,10 @@ class TestMerge:
             TradeFlowRecord(r.year, "ZZZ" if r.exporter == "AAA" else r.exporter,
                             "ZZZ" if r.importer == "AAA" else r.importer,
                             r.product, r.value_usd)
-            for r in mm.records()
+            for r in records(mm)
         ]
         assert sorted((r.exporter, r.importer, r.product, r.value_usd)
-                      for r in merged.records()) == \
+                      for r in records(merged)) == \
             sorted((r.exporter, r.importer, r.product, r.value_usd) for r in renamed)
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -563,7 +590,7 @@ class TestMerge:
         mm = random_money_set(seed, min_countries=6, max_countries=6, max_products=2)
         members = set(mm.countries.ids[:3])
         # oracle: classify raw records by membership
-        intra = sum(r.value_usd for r in mm.records()
+        intra = sum(r.value_usd for r in records(mm)
                     if r.exporter in members and r.importer in members)
         merged = merge_country_group(mm, members, "GRP")
         assert merged.total_volume() == pytest.approx(
@@ -772,10 +799,6 @@ class TestRegistries:
     def test_product_registry_rejects_bad_codes(self):
         with pytest.raises(ValidationError):
             ProductRegistry.from_codes(["x"])
-
-    def test_product_registry_sitc1_has_ten(self):
-        assert len(ProductRegistry.sitc1()) == 10
-        assert ProductRegistry.sitc1().codes == tuple("0123456789")
 
     def test_lookups_are_built_once(self):
         reg = CountryRegistry.from_ids(["CCC", "AAA", "BBB"])
@@ -1054,14 +1077,7 @@ class TestInputOrderSums:
             np.fill_diagonal(dense, 0.0)
             matrices.append(sparse.csc_matrix(dense))
         mm = MoneyMatrixSet(tuple(matrices), 2018, countries, products)
-        ids = countries.ids
-        want = []
-        for code, m in zip(products.codes, matrices):
-            coo = m.tocoo()
-            want += [TradeFlowRecord(2018, ids[exp], ids[imp], code, float(v))
-                     for imp, exp, v in zip(coo.row, coo.col, coo.data) if v != 0.0]
-        want.sort(key=lambda r: (r.product, r.exporter, r.importer))
-        assert mm.records() == want
+        want = records(mm)
         assert [r.exporter for r in want[:2]] == ["AAA", "AAA"]
         out = io.StringIO()
         write_trade_csv(mm, out)
