@@ -38,84 +38,76 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-
-def _common_io(parser):
-    parser.add_argument("--input", required=True, help="trade-flow CSV path")
-    parser.add_argument("--year", type=int, required=True, help="year to analyze")
-    parser.add_argument("--merge-config", default=None,
-                        help="optional JSON group config applied after ingest")
-    _common_out(parser)
-
-
-def _common_out(parser):
-    parser.add_argument("--out-dir", default=".", help="output directory")
-    parser.add_argument("--json-errors", action="store_true",
-                        help="emit errors as JSON on stderr")
-
-
-def _damping_flag(parser):
-    parser.add_argument("--alpha", type=float, default=DEFAULT_DAMPING,
-                        help="damping factor (default %(default)s)")
-
-
-def _solver_flags(parser):
-    _damping_flag(parser)
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="power-iteration L1 tolerance (default %(default)s)")
-    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
-                        help="power-iteration cap (default %(default)s)")
+_PERTURB_KINDS = {
+    "global": sens_mod.GLOBAL_PRODUCT,
+    "country": sens_mod.COUNTRY_PRODUCT,
+    "labor": sens_mod.LABOR_COST,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--input", required=True, help="trade-flow CSV path")
+    inputs.add_argument("--year", type=int, required=True, help="year to analyze")
+    inputs.add_argument("--merge-config", default=None,
+                        help="optional JSON group config applied after ingest")
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out-dir", default=".", help="output directory")
+    outputs.add_argument("--json-errors", action="store_true",
+                         help="emit errors as JSON on stderr")
+    damping = argparse.ArgumentParser(add_help=False)
+    damping.add_argument("--alpha", type=float, default=DEFAULT_DAMPING,
+                         help="damping factor (default %(default)s)")
+    solver = argparse.ArgumentParser(add_help=False, parents=[damping])
+    solver.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="power-iteration L1 tolerance (default %(default)s)")
+    solver.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                        help="power-iteration cap (default %(default)s)")
+
     parser = argparse.ArgumentParser(
         prog="wtnrank",
         description="Google matrix analysis of multiproduct trade networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate a trade CSV and write its canonical form")
-    _common_io(p)
+    p = sub.add_parser("ingest", parents=[inputs, outputs],
+                       help="validate a trade CSV and write its canonical form")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("merge", help="merge a country group and write the result")
-    _common_io(p)
+    p = sub.add_parser("merge", parents=[inputs, outputs],
+                       help="merge a country group and write the result")
     p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser("rank", help="rank table and rank-plane coordinates")
-    _common_io(p)
-    _solver_flags(p)
+    p = sub.add_parser("rank", parents=[inputs, outputs, solver],
+                       help="rank table and rank-plane coordinates")
     p.add_argument("--top", type=int, default=20, help="rows in the rank table")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="rank table format (default %(default)s)")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("balance", help="trade balances in both descriptions")
-    _common_io(p)
-    _solver_flags(p)
+    p = sub.add_parser("balance", parents=[inputs, outputs, solver],
+                       help="trade balances in both descriptions")
     p.set_defaults(func=cmd_balance)
 
-    p = sub.add_parser("sensitivity", help="balance derivatives under a shock")
-    _common_io(p)
-    _solver_flags(p)
-    p.add_argument("--perturb", choices=("global", "country", "labor"), required=True,
-                   help="shock kind")
+    p = sub.add_parser("sensitivity", parents=[inputs, outputs, solver],
+                       help="balance derivatives under a shock")
+    p.add_argument("--perturb", choices=_PERTURB_KINDS, required=True, help="shock kind")
     p.add_argument("--product", default=None, help="product code for product shocks")
     p.add_argument("--target", default=None, help="country applying the shock")
     p.add_argument("--step", type=float, default=sens_mod.DEFAULT_STEP,
                    help="finite-difference step (default %(default)s)")
     p.set_defaults(func=cmd_sensitivity)
 
-    p = sub.add_parser("regomax", help="reduced Google matrices for selected actors")
-    _common_io(p)
-    _damping_flag(p)
+    p = sub.add_parser("regomax", parents=[inputs, outputs, damping],
+                       help="reduced Google matrices for selected actors")
     p.add_argument("--actors", required=True,
                    help="comma-separated country ids to keep")
     p.add_argument("--k", type=int, default=4,
                    help="strongest outgoing links per node (default %(default)s)")
     p.set_defaults(func=cmd_regomax)
 
-    p = sub.add_parser("synth", help="generate a seeded gravity-model fixture")
-    _common_out(p)
+    p = sub.add_parser("synth", parents=[outputs],
+                       help="generate a seeded gravity-model fixture")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--countries", type=int, default=DEFAULT_COUNTRIES)
     p.add_argument("--products", type=int, default=DEFAULT_PRODUCTS)
@@ -132,16 +124,17 @@ def _out_path(args, name: str) -> str:
 
 
 def _load_money(args):
+    """(money, ingest result, group config or None): --input merged by --merge-config."""
     result = ingest_csv(args.input, args.year)
-    money = result.money
-    if args.merge_config:
-        label, members, short = load_group_config(args.merge_config)
-        money = merge_country_group(money, members, label, short=short)
-    return money, result
+    if not args.merge_config:
+        return result.money, result, None
+    group = load_group_config(args.merge_config)
+    label, members, short = group
+    return merge_country_group(result.money, members, label, short=short), result, group
 
 
 def cmd_ingest(args) -> int:
-    money, result = _load_money(args)
+    money, result, _ = _load_money(args)
     write_trade_csv(money, _out_path(args, "money.csv"))
     summary = {
         "year": money.year,
@@ -159,9 +152,7 @@ def cmd_ingest(args) -> int:
 def cmd_merge(args) -> int:
     if not args.merge_config:
         raise ValidationError("merge requires --merge-config")
-    result = ingest_csv(args.input, args.year)
-    label, members, short = load_group_config(args.merge_config)
-    merged = merge_country_group(result.money, members, label, short=short)
+    merged, result, (label, members, _) = _load_money(args)
     write_trade_csv(merged, _out_path(args, "merged.csv"))
     summary = {
         "label": label,
@@ -176,7 +167,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    money, _ = _load_money(args)
+    money = _load_money(args)[0]
     direct = pagerank(build_google(money, DIRECT, args.alpha), args.tol, args.max_iter)
     inverted = pagerank(build_google(money, INVERTED, args.alpha), args.tol, args.max_iter)
     volumes = volume_probabilities(money)
@@ -187,19 +178,17 @@ def cmd_rank(args) -> int:
         write_csv(rows[0].keys(), (row.values() for row in rows),
                   _out_path(args, "rank_table.csv"))
 
-    ids, id_rank = money.countries.ids, money.countries.id_rank
-    import_rank = assign_ranks(volumes.import_c, id_rank)
-    export_rank = assign_ranks(volumes.export_c, id_rank)
+    id_rank = money.countries.id_rank
     header = ["country", "pagerank_index", "cheirank_index",
               "importrank_index", "exportrank_index"]
-    rows = ([cid, direct.country_rank[i], inverted.country_rank[i],
-             import_rank[i], export_rank[i]] for i, cid in enumerate(ids))
+    rows = zip(money.countries.ids, direct.country_rank, inverted.country_rank,
+               assign_ranks(volumes.import_c, id_rank), assign_ranks(volumes.export_c, id_rank))
     write_csv(header, rows, _out_path(args, "rank_plane.csv"))
     return EXIT_OK
 
 
 def cmd_balance(args) -> int:
-    money, _ = _load_money(args)
+    money = _load_money(args)[0]
     for description, stem in ((sens_mod.RANK_BASED, "balance_rank"),
                               (sens_mod.VOLUME_BASED, "balance_volume")):
         report = sens_mod.balance_report(money, description, damping=args.alpha,
@@ -209,17 +198,10 @@ def cmd_balance(args) -> int:
     return EXIT_OK
 
 
-_PERTURB_KINDS = {
-    "global": sens_mod.GLOBAL_PRODUCT,
-    "country": sens_mod.COUNTRY_PRODUCT,
-    "labor": sens_mod.LABOR_COST,
-}
-
-
 def cmd_sensitivity(args) -> int:
     target = None if args.target is None else canonical_country_id(args.target)
     product = None if args.product is None else canonical_product_code(args.product)
-    money, _ = _load_money(args)
+    money = _load_money(args)[0]
     perturbation = sens_mod.Perturbation(
         _PERTURB_KINDS[args.perturb], product=product, target_country=target)
     for description, stem in ((sens_mod.RANK_BASED, "sensitivity_rank"),
@@ -236,7 +218,7 @@ def cmd_regomax(args) -> int:
     actors = [canonical_country_id(a) for a in args.actors.split(",") if a.strip()]
     if not actors:
         raise ValidationError("empty actor list")
-    money, _ = _load_money(args)
+    money = _load_money(args)[0]
     selection = [(actor, code) for actor in actors for code in money.products.codes]
     # both directions are reduced and linked before any file is written
     reductions = [regomax_mod.reduce(build_google(money, direction, args.alpha), selection)
@@ -279,16 +261,14 @@ def _report_error(exc: Exception, json_errors: bool) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    json_errors = getattr(args, "json_errors", False)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValidationError, EmptyDataError, OSError) as exc:
-        _report_error(exc, json_errors)
+        _report_error(exc, args.json_errors)
         return EXIT_USAGE
     except ConvergenceError as exc:
-        _report_error(exc, json_errors)
+        _report_error(exc, args.json_errors)
         return EXIT_NUMERICAL
 
 

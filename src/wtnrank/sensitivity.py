@@ -174,8 +174,8 @@ def balance_sensitivity(mm: MoneyMatrixSet, perturbation: Perturbation,
     money matrices, so the result captures the network response, not just
     the direct flow change.
     """
-    if not math.isfinite(step) or step <= 0.0:
-        raise ValidationError(f"step must be positive and finite, got {step}")
+    if not 0.0 < step < 1.0:  # the minus side scales the flows by 1 - step
+        raise ValidationError(f"step must be in (0, 1), got {step}")
     plus = balance_report(perturb_money(mm, perturbation, +step), description,
                           damping=damping, tol=tol, max_iter=max_iter)
     minus = balance_report(perturb_money(mm, perturbation, -step), description,

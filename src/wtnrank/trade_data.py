@@ -638,13 +638,14 @@ def merge_country_group(mm: MoneyMatrixSet, members: Iterable[str], label: str,
     outsider are reattributed to the synthetic group node and summed.
     Flows between outsiders are untouched.
     """
-    member_set = {canonical_country_id(m) for m in members}
-    if not member_set:
+    members = [canonical_country_id(m) for m in members]
+    if not members:
         raise ValidationError("empty member set")
     ids = mm.countries.ids
-    for m in member_set:
-        if m not in ids:
+    for m in members:  # in the order given, so the error names the first unknown one
+        if m not in mm.countries._index:
             raise ValidationError(f"unknown member id {m!r}")
+    member_set = set(members)
     group_id = canonical_country_id(label)
     if group_id in ids:
         raise ValidationError(f"label {group_id!r} collides with an existing country id")

@@ -1,7 +1,10 @@
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,12 +62,14 @@ def test_json_errors_flag(tmp_path, capsys):
     assert payload["message"]
 
 
-@pytest.mark.parametrize("step", ["0", "nan", "inf"])
-def test_zero_step_exits_2(trade_csv, tmp_path, step):
+@pytest.mark.parametrize("step", ["0", "nan", "inf", "1", "1.5", "-0.5"])
+def test_zero_step_exits_2(trade_csv, tmp_path, capsys, step):
+    # the minus side scales the flows by 1 - step, so the step must lie in (0, 1)
     code = main(["sensitivity", "--input", trade_csv, "--year", "2018",
                  "--perturb", "global", "--product", "0", "--step", step,
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
+    assert capsys.readouterr().err == f"wtnrank: error: step must be in (0, 1), got {float(step)}\n"
 
 
 @pytest.mark.parametrize("top", ["0", "-3"])
@@ -371,17 +376,30 @@ def test_bad_group_short_code_exits_2(trade_csv, tmp_path, capsys, short):
     assert not out.exists()
 
 
-@pytest.mark.skipif(shutil.which("wtnrank") is None,
-                    reason="console script not on PATH")
+def _console_script():
+    """The installed ``wtnrank`` script, else pyproject's entry point run from ``src``."""
+    script = shutil.which("wtnrank")
+    if script is not None:
+        return [script], None
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        entry = tomllib.load(f)["project"]["scripts"]["wtnrank"]
+    module, function = entry.split(":")
+    code = f"import sys; from {module} import {function}; sys.exit({function}())"
+    return [sys.executable, "-c", code], {**os.environ, "PYTHONPATH": str(root / "src")}
+
+
 def test_console_script_entry_point(tmp_path):
+    command, env = _console_script()
     run = subprocess.run(
-        ["wtnrank", "synth", "--seed", "3", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True)
+        command + ["synth", "--seed", "3", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "trade.csv").exists()
-    run = subprocess.run(["wtnrank", "rank", "--input", "missing.csv",
-                          "--year", "2018", "--json-errors"],
-                         capture_output=True, text=True, cwd=tmp_path)
+    run = subprocess.run(command + ["rank", "--input", "missing.csv",
+                                    "--year", "2018", "--json-errors"],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
     assert run.returncode == 2
     assert json.loads(run.stderr)["error"]
 

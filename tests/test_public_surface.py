@@ -1,8 +1,9 @@
-"""The public surface, pinned: each subcommand's option strings and the names
-that the package root exports.
+"""The public surface, pinned: each subcommand's options, in order with their
+defaults, types, choices, required flags and help texts, and the names that the
+package root exports.
 
-A new option, or a name added to or dropped from ``wtnrank``, fails here until
-this file lists it, so every change to the surface shows in the diff.
+A new or changed option, or a name added to or dropped from ``wtnrank``, fails
+here until this file lists it, so every change to the surface shows in the diff.
 """
 
 import argparse
@@ -25,6 +26,51 @@ OPTIONS = {
     "synth": COMMON | {"--seed", "--countries", "--products", "--year", "--density"},
 }
 
+# (option strings, default, type, choices, required, help) of each option, in order
+HELP = (("-h", "--help"), argparse.SUPPRESS, None, None, False, "show this help message and exit")
+INPUT_DETAILS = [
+    (("--input",), None, None, None, True, "trade-flow CSV path"),
+    (("--year",), None, int, None, True, "year to analyze"),
+    (("--merge-config",), None, None, None, False,
+     "optional JSON group config applied after ingest"),
+]
+OUTPUT_DETAILS = [
+    (("--out-dir",), ".", None, None, False, "output directory"),
+    (("--json-errors",), False, None, None, False, "emit errors as JSON on stderr"),
+]
+ALPHA_DETAILS = [(("--alpha",), 0.5, float, None, False, "damping factor (default %(default)s)")]
+SOLVER_DETAILS = ALPHA_DETAILS + [
+    (("--tol",), 1e-12, float, None, False, "power-iteration L1 tolerance (default %(default)s)"),
+    (("--max-iter",), 10000, int, None, False, "power-iteration cap (default %(default)s)"),
+]
+
+OPTION_DETAILS = {
+    "ingest": [HELP, *INPUT_DETAILS, *OUTPUT_DETAILS],
+    "merge": [HELP, *INPUT_DETAILS, *OUTPUT_DETAILS],
+    "rank": [HELP, *INPUT_DETAILS, *OUTPUT_DETAILS, *SOLVER_DETAILS,
+             (("--top",), 20, int, None, False, "rows in the rank table"),
+             (("--format",), "csv", None, ["csv", "json"], False,
+              "rank table format (default %(default)s)")],
+    "balance": [HELP, *INPUT_DETAILS, *OUTPUT_DETAILS, *SOLVER_DETAILS],
+    "sensitivity": [HELP, *INPUT_DETAILS, *OUTPUT_DETAILS, *SOLVER_DETAILS,
+                    (("--perturb",), None, None, ["global", "country", "labor"], True,
+                     "shock kind"),
+                    (("--product",), None, None, None, False, "product code for product shocks"),
+                    (("--target",), None, None, None, False, "country applying the shock"),
+                    (("--step",), 0.01, float, None, False,
+                     "finite-difference step (default %(default)s)")],
+    "regomax": [HELP, *INPUT_DETAILS, *OUTPUT_DETAILS, *ALPHA_DETAILS,
+                (("--actors",), None, None, None, True, "comma-separated country ids to keep"),
+                (("--k",), 4, int, None, False,
+                 "strongest outgoing links per node (default %(default)s)")],
+    "synth": [HELP, *OUTPUT_DETAILS,
+              (("--seed",), None, int, None, True, None),
+              (("--countries",), 12, int, None, False, None),
+              (("--products",), 4, int, None, False, None),
+              (("--year",), 2018, int, None, False, None),
+              (("--density",), 0.75, float, None, False, None)],
+}
+
 ROOT_NAMES = {
     "BalanceReport", "COUNTRY_PRODUCT", "ConvergenceError", "CountryRegistry",
     "DEFAULT_DAMPING", "DIRECT", "EmptyDataError", "GLOBAL_PRODUCT", "GoogleMatrix",
@@ -40,15 +86,28 @@ ROOT_NAMES = {
 }
 
 
-def test_cli_options():
+def _subcommands():
     parser = build_parser()
     assert {s for action in parser._actions for s in action.option_strings} == {"-h", "--help"}
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def test_cli_options():
+    commands = _subcommands()
     got = {name: {s for action in sub._actions for s in action.option_strings}
-           for name, sub in commands.choices.items()}
+           for name, sub in commands.items()}
     assert got == OPTIONS
-    assert all(action.option_strings for sub in commands.choices.values()
+    assert all(action.option_strings for sub in commands.values()
                for action in sub._actions)  # no positional arguments
+
+
+def test_cli_option_details():
+    got = {name: [(tuple(a.option_strings), a.default, a.type,
+                   None if a.choices is None else list(a.choices), a.required, a.help)
+                  for a in sub._actions]
+           for name, sub in _subcommands().items()}
+    assert got == OPTION_DETAILS
 
 
 def test_package_root_names():

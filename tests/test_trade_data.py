@@ -2,6 +2,8 @@ import csv
 import gc
 import importlib.util
 import io
+import os
+import subprocess
 import sys
 import warnings
 from collections import Counter
@@ -608,6 +610,24 @@ class TestMerge:
         mm = money_from_records([rec("AAA", "BBB", "0", 1.0)], 2018)
         with pytest.raises(ValidationError):
             merge_country_group(mm, {"AAA", "XXX"}, "GRP")
+
+    def test_unknown_member_named_in_the_order_given(self):
+        # the error must not depend on the string hash seed, so each seed runs in its own process
+        probe = ("import wtnrank\n"
+                 "mm = wtnrank.money_from_records(\n"
+                 "    [wtnrank.TradeFlowRecord(2018, 'AAA', 'BBB', '0', 1.0)], 2018)\n"
+                 "try:\n"
+                 "    wtnrank.merge_country_group(mm, ['XXA', 'XXB', 'XXC'], 'GRP')\n"
+                 "except wtnrank.ValidationError as exc:\n"
+                 "    print(exc)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        messages = []
+        for seed in range(1, 7):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            run = subprocess.run([sys.executable, "-c", probe], env=env,
+                                 capture_output=True, text=True, check=True)
+            messages.append(run.stdout.strip())
+        assert messages == ["unknown member id 'XXA'"] * 6
 
     def test_label_collision(self):
         mm = money_from_records([rec("AAA", "BBB", "0", 1.0)], 2018)
