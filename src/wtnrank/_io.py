@@ -28,12 +28,14 @@ def open_output(dest):
 def open_input(source):
     """Text stream over ``source``: bytes, a text or binary stream, or a path.
 
-    A leading UTF-8 byte-order mark is dropped. Only a file opened here is
+    A leading UTF-8 byte-order mark is dropped. Bytes, a binary stream and a
+    path are read with ``newline=""``, so line ends reach the caller as they
+    are in the file. Only a file opened here is
     closed; a caller's binary stream is detached from its text wrapper, so
     it stays open too.
     """
     if isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8-sig"))
+        yield io.StringIO(source.decode("utf-8-sig"), newline="")
     elif isinstance(source, io.TextIOBase):
         yield source
     elif hasattr(source, "read"):

@@ -8,6 +8,7 @@ product, over a shared country registry.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -243,15 +244,16 @@ class MoneyMatrixSet:
         return total
 
     def _sorted_flows(self):
-        """Per product, in code order: its code and the exporter ids, importer ids and
-        values of its nonzero flows, as lists sorted by exporter, then importer id."""
-        ids, id_rank = np.array(self.countries.ids, dtype=object), self.countries.id_rank
+        """Per product, in code order: its code and the exporter positions, importer
+        positions and values of its nonzero flows, as arrays sorted by exporter, then
+        importer id."""
+        id_rank, n = self.countries.id_rank, self.n_countries
         for code, m in zip(self.products.codes, self.matrices):
             coo = m.tocoo()
             nonzero = coo.data != 0.0
             exp, imp, values = coo.col[nonzero], coo.row[nonzero], coo.data[nonzero]
-            order = np.lexsort((id_rank[imp], id_rank[exp]))
-            yield code, ids[exp[order]].tolist(), ids[imp[order]].tolist(), values[order].tolist()
+            order = np.argsort(id_rank[exp] * n + id_rank[imp], kind="stable")
+            yield code, exp[order], imp[order], values[order]
 
 
 @dataclass(frozen=True)
@@ -264,7 +266,7 @@ class IngestResult:
     duplicates_merged: int
 
 
-# Characters of whole lines per block (the hint of IOBase.readlines). At 194x10,
+# Characters read per block, before the rest of the line they end in. At 194x10,
 # 1M-character blocks raised the CLI's peak RSS by 8-10% over this size.
 _BLOCK = 1 << 18
 
@@ -289,9 +291,13 @@ def ingest_csv(source, year: int) -> IngestResult:
     Each distinct raw year, id and product field is canonicalized once per
     call; a bad one is never cached, so the error names the first line it is on.
 
-    The body is read in blocks of whole lines, each split by column while it is
-    plain (see ``_plain_block``). The first block that is not, and every line
-    after it, go through the ``csv.reader`` row loop, which words every error.
+    The body is read in blocks of whole lines, each one string: ``_BLOCK``
+    characters and the rest of the line they end in. Each block is split by column
+    while it is plain (see ``_plain_block``). The first block that is not, and every
+    block after it, go through the ``csv.reader`` row loop, which words every error.
+    It gets each block's lines from a ``StringIO`` with ``newline=""``: a line ends
+    at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in a file that ``open_input`` opens,
+    wherever a block ends.
     """
     in_year, ids = _InYear(year), _Keys(canonical_country_id)
     codes = _Keys(canonical_product_code)
@@ -307,12 +313,16 @@ def ingest_csv(source, year: int) -> IngestResult:
             if tuple(h.strip().lstrip("﻿") for h in header) != CSV_HEADER:
                 raise ParseError(f"expected header {','.join(CSV_HEADER)}", line=1)
             lineno = reader.line_num + 1
-            while ((lines := stream.readlines(_BLOCK))
-                   and (block := _plain_block(lines, in_year, ids, codes)) is not None):
-                blocks.append(block)
-                lineno += len(lines)
-            blocks.append(_row_loop(csv.reader(chain(lines, stream)), lineno, in_year, ids,
-                                    codes))
+            texts = iter(lambda: stream.read(_BLOCK) + stream.readline(), "")
+            for text in texts:
+                if (block := _plain_block(text, in_year, ids, codes)) is None:
+                    texts = chain([text], texts)
+                    break
+                n_lines, *columns = block
+                blocks.append(columns)
+                lineno += n_lines
+            lines = chain.from_iterable(io.StringIO(text, newline="") for text in texts)
+            blocks.append(_row_loop(csv.reader(lines), lineno, in_year, ids, codes))
     except UnicodeDecodeError as exc:
         raise ParseError(f"the trade CSV is not UTF-8 ({exc.reason})") from None
 
@@ -326,11 +336,13 @@ def ingest_csv(source, year: int) -> IngestResult:
     return IngestResult(money, values.size, self_flows, values.size - unique_keys)
 
 
-def _plain_block(lines, in_year, ids, codes):
-    """``_row_loop``'s result for a plain block of whole lines, or None when it is not plain.
+def _plain_block(text, in_year, ids, codes):
+    """The line count of a plain block of whole lines, given as one string, and
+    ``_row_loop``'s result for it; None when the block is not plain.
 
     A block is plain when it holds no ``"`` or NUL, no carriage return but one
-    directly before a line's ``\\n``, four commas on each line, no field over
+    directly before a line's ``\\n`` (so a ``\\n`` ends each line but perhaps the
+    last), four commas on each line, no field over
     ``csv.field_size_limit()`` UTF-8 bytes, and every field passes the row
     loop's check. csv would then split each line at its commas and drop its
     ``\\r\\n``, so the block is read from its UTF-8 bytes by column, and no field
@@ -338,11 +350,11 @@ def _plain_block(lines, in_year, ids, codes):
     and code once, and ``_values`` converts the values. The keys of a block are
     numbered, in ``ids`` and ``codes``, in the order ``_lookup`` meets them.
     """
-    text = "".join(lines)
     data = (text if text.endswith("\n") else text + "\n").encode(errors="surrogatepass")
+    lines = data.count(b"\n")
     raw = np.frombuffer(data + bytes(16), np.uint8)  # room to read 16 bytes from any field
     ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # one per field
-    if (b'"' in data or b"\0" in data or ends.size != 5 * len(lines)
+    if (b'"' in data or b"\0" in data or ends.size != 5 * lines
             or not np.all(raw[ends[4::5]] == ord("\n"))
             or np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1):
         return None
@@ -365,8 +377,8 @@ def _plain_block(lines, in_year, ids, codes):
         return None
     self_flow = keep & (exporter == importer)
     keep &= ~self_flow
-    return (int(np.count_nonzero(self_flow)), exporter[keep], importer[keep], product[keep],
-            value[keep])
+    return (lines, int(np.count_nonzero(self_flow)), exporter[keep], importer[keep],
+            product[keep], value[keep])
 
 
 # the low k bytes of a uint64, for k = 0..8
@@ -551,19 +563,35 @@ def _money_from_keys(ids, codes, exporter, importer, product, value, year, count
                                np.asarray(value, dtype=float), year, countries, products)
 
 
+# _money_from_columns sums over all n_products * n**2 keys while they are at most
+# this many per flow, at 9 bytes a key (its sum and a flag). At about 180k flows that
+# was faster than sorting up to about 4 keys a flow and raised the peak past it;
+# sorting keeps memory linear in the flows however many ids a file names
+_DENSE_KEYS = 4
+
+
 def _money_from_columns(exporter, importer, product, value, year, countries,
                         products) -> MoneyMatrixSet:
     """Money matrices from flows given as registry positions, dropping self-flows.
 
-    Flows sharing a key are added one by one in input order from 0.0 (``bincount``
-    over the ``unique`` inverse), so no sum hangs on a library's summation order.
-    The sorted keys, (product, exporter, importer), are each product's CSC order.
+    Flows sharing a key are added one by one in input order from 0.0, so no sum
+    hangs on a library's summation order: a ``bincount`` over all n_products·n²
+    keys where there are at most ``_DENSE_KEYS`` of them a flow, else over the
+    ``unique`` inverse. The sorted keys, (product, exporter, importer), are each
+    product's CSC order.
     """
     n, n_p = len(countries), len(products)
     keep = exporter != importer
     keys = (product[keep] * n + exporter[keep]) * n + importer[keep]
-    unique, inverse = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=value[keep])
+    if n_p * n * n <= _DENSE_KEYS * keys.size:
+        sums = np.bincount(keys, weights=value[keep], minlength=n_p * n * n)
+        seen = np.zeros(sums.size, bool)
+        seen[keys] = True
+        unique = np.flatnonzero(seen)
+        sums = sums[unique]
+    else:
+        unique, inverse = np.unique(keys, return_inverse=True)
+        sums = np.bincount(inverse, weights=value[keep])
     columns, rows = np.divmod(unique, n)  # column of the side-by-side blocks
     indptr = np.concatenate(([0], np.cumsum(np.bincount(columns, minlength=n_p * n))))
     # dtype: the bincount of no flows at all comes back as int64
@@ -619,15 +647,51 @@ def money_from_records(records: Iterable[TradeFlowRecord], year: int,
 def write_trade_csv(mm: MoneyMatrixSet, dest) -> None:
     """Serialize to the ingest CSV format (canonical row order, exact floats).
 
-    One string per product. Canonical ids, one-digit codes, int years and float
-    reprs never need quoting, so the bytes are those ``csv.writer`` would write.
+    One ASCII byte array per product, a row of fixed-width fields per flow:
+    "year,", the exporter's and the importer's "id," (row i of ``ids``: id i and a
+    "," right-aligned to the longest), "code,", the value from ``_value_texts`` and
+    "\\n". No field holds a space, so the spaces that pad them are dropped, and the
+    bytes left are the rows. Canonical ids, one-digit codes, int years and float
+    reprs never need quoting, so they are the bytes that ``csv.writer`` would write.
     """
+    width = max(map(len, mm.countries.ids)) + 1
+    ids = np.frombuffer("".join([f"{cid},".rjust(width) for cid in mm.countries.ids])
+                        .encode("ascii"), np.uint8).reshape(-1, width)
+    year_field = np.frombuffer(f"{mm.year},".encode("ascii"), np.uint8)
     with open_output(dest) as stream:
         stream.write(",".join(CSV_HEADER) + "\n")
-        for code, exporters, importers, values in mm._sorted_flows():
-            stream.write("".join([f"{mm.year},{exporter},{importer},{code},{value!r}\n"
-                                  for exporter, importer, value
-                                  in zip(exporters, importers, values)]))
+        for code, exporter, importer, value in mm._sorted_flows():
+            n = value.size
+            code_field = np.frombuffer(f"{code},".encode("ascii"), np.uint8)
+            rows = np.concatenate((np.broadcast_to(year_field, (n, year_field.size)),
+                                   ids[exporter], ids[importer],
+                                   np.broadcast_to(code_field, (n, code_field.size)),
+                                   _value_texts(value), np.full((n, 1), ord("\n"), np.uint8)),
+                                  axis=1)
+            stream.write(rows[rows != ord(" ")].tobytes().decode("ascii"))
+
+
+def _value_texts(value) -> np.ndarray:
+    """``repr(v)`` of each value v > 0 in a row of 23 ASCII bytes (the longest repr of
+    a positive float), right-aligned with spaces.
+
+    A whole v below 1e16 has as its repr its decimal digits and ".0"; numpy writes
+    those, one digit place of all such values a step. ``repr`` writes the others.
+    """
+    whole = (value == np.floor(value)) & (value < 1e16)
+    number = value[whole].astype(np.int64)
+    digits = np.empty((23, number.size), np.uint8)  # a row per byte, the last digit in row 20
+    digits[:5] = ord(" ")
+    digits[21:] = np.frombuffer(b".0", np.uint8)[:, None]
+    for place in range(20, 4, -1):
+        quotient = number // 10
+        digits[place] = np.where(number > 0, number - 10 * quotient + ord("0"), ord(" "))
+        number = quotient
+    texts = np.empty((value.size, 23), np.uint8)
+    texts[whole] = digits.T
+    texts[~whole] = np.frombuffer("".join([repr(v).rjust(23) for v in value[~whole].tolist()])
+                                  .encode("ascii"), np.uint8).reshape(-1, 23)
+    return texts
 
 
 def merge_country_group(mm: MoneyMatrixSet, members: Iterable[str], label: str,

@@ -5,6 +5,8 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -283,6 +285,44 @@ class TestWriteTradeCsv:
         assert got.getvalue() == want.getvalue()
 
 
+ID_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+IDS = st.tuples(st.sampled_from(ID_CHARS), st.text(ID_CHARS + "_-", max_size=11)).map("".join)
+# whole values on both sides of 2**53 and of 1e16, where numpy stops writing the
+# digits and repr turns to an exponent, and 2.2250738585072014e-308, whose 23
+# characters are the longest repr of a value
+WRITER_VALUES = st.one_of(
+    st.sampled_from([2.0 ** 53 - 2, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 1e16 - 2, 1e16,
+                     1e16 + 2, 1.0, 10.0, 999999999999999.0, 5e-324, 2.2250738585072014e-308,
+                     1e308, 0.1, 0.5, 0.0]),
+    st.integers(1, 2 ** 64).map(float),
+    st.floats(0.0, 1e308, allow_subnormal=True))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(IDS, min_size=2, max_size=6, unique=True),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from("0379"),
+                          WRITER_VALUES), max_size=30),
+       st.sampled_from(["0379", "037", "9"]), st.integers(1, 9999))
+def test_writer_matches_reference(ids, flows, codes, year):
+    """``write_trade_csv`` byte for byte as ``reference_trade_csv``, to a path and to a
+    caller's stream: ids of 1 to 12 characters in a registry not sorted by id, whole
+    values on both sides of 2**53 and 1e16, fractional, subnormal and huge ones, stored
+    zeros and products with no flow."""
+    n = len(ids)
+    records = [rec(ids[e % n], ids[i % n], p, v, year) for e, i, p, v in flows
+               if p in codes and e % n != i % n]
+    mm = money_from_records(records, year, CountryRegistry(ids), ProductRegistry(tuple(codes)))
+    want = io.StringIO()
+    reference_trade_csv(mm, want)
+    got = io.StringIO()
+    write_trade_csv(mm, got)
+    assert got.getvalue() == want.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trade.csv"
+        write_trade_csv(mm, path)
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
 def row_loop_only():
     """Patch ``_plain_block`` to refuse every block, so ``_row_loop`` reads the body."""
     return mock.patch.object(trade_data, "_plain_block", lambda *args: None)
@@ -326,6 +366,29 @@ class TestIngestBlocks:
             got = ingest_outcome(data)
             with row_loop_only():
                 assert ingest_outcome(data) == got == want
+
+    @pytest.mark.parametrize("block", [1, 7, 24, 40])
+    @pytest.mark.parametrize("cut", ["crlf", "lone-cr", "quoted", "bom"])
+    @pytest.mark.parametrize("kind", [str, bytes])
+    def test_block_cut_reads_as_the_row_loop(self, block, cut, kind):
+        # the first block's _BLOCK characters end at the cut: between "\r" and "\n",
+        # just before a lone "\r", inside a quoted field that spans lines, or inside a
+        # first line after a BOM-led header; a bad row closes the file
+        def row(width):  # a valid row of that many characters, or a blank one
+            return "2018,FRA,USA,7," + "1".rjust(width - 15, "0") if width > 15 else " " * width
+
+        head, tail = HEADER + "\n", "\r\n".join(BLOCK_ROWS[:3]) + "\r\n2018,FRA,USA,7,-1\n"
+        first = {"crlf": row(block - 1) + "\r\n",
+                 "lone-cr": row(block) + "\r",
+                 "quoted": '"' + "2018".rjust(block + 3, "0") + '\n",FRA,USA,7,1\n',
+                 "bom": row(block + 5) + "\n"}[cut]
+        text = ("\ufeff" if cut == "bom" else "") + head + first + tail
+        with mock.patch.object(trade_data, "_BLOCK", block):
+            got = ingest_outcome(text if kind is str else text.encode("utf-8"))
+            with row_loop_only():
+                assert ingest_outcome(text if kind is str else text.encode("utf-8")) == got
+        line = 1 + len(io.StringIO(first + tail, newline="").readlines())
+        assert got == (ValidationError, f"line {line}: negative or non-finite value -1.0", None)
 
     def test_plain_blocks_skip_the_row_loop(self):
         calls = []
@@ -452,15 +515,20 @@ class TestIngestBlocks:
 
 
 def read_block(lines, row_loop=False):
-    """``_plain_block`` of ``lines`` at year 2018 (or, with ``row_loop``, ``_row_loop``),
-    each position as its key and each value as its bits; None when not plain."""
+    """``_plain_block`` of ``lines``, joined, at year 2018 (or, with ``row_loop``,
+    ``_row_loop``), each position as its key and each value as its bits; None when not
+    plain. The block's line count must be that of ``lines``."""
     in_year = trade_data._InYear(2018)
     ids = trade_data._Keys(trade_data.canonical_country_id)
     codes = trade_data._Keys(trade_data.canonical_product_code)
-    block = (trade_data._row_loop(csv.reader(lines), 2, in_year, ids, codes) if row_loop
-             else trade_data._plain_block(lines, in_year, ids, codes))
-    if block is None:
-        return None
+    if row_loop:
+        block = trade_data._row_loop(csv.reader(lines), 2, in_year, ids, codes)
+    else:
+        block = trade_data._plain_block("".join(lines), in_year, ids, codes)
+        if block is None:
+            return None
+        assert block[0] == len(lines)
+        block = block[1:]
     self_flows, exporter, importer, product, value = block
     id_keys, code_keys = list(ids.positions), list(codes.positions)
     return (self_flows, [id_keys[i] for i in exporter], [id_keys[i] for i in importer],
@@ -1086,6 +1154,51 @@ class TestInputOrderSums:
                 if key[0] != key[1]:
                     flows[key] = flows.get(key, 0.0) + float(value)
         same_bits(merged, money_by_dict(flows, mm.year, merged.countries, merged.products))
+
+    # 0 sums every set over the unique keys, 10**9 every set over all possible keys
+    @pytest.mark.parametrize("dense_keys", [0, trade_data._DENSE_KEYS, 10 ** 9])
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(ORACLE_IDS), st.sampled_from(ORACLE_IDS),
+                              st.sampled_from("0479"), st.floats(0.0, 1e6)),
+                    min_size=1, max_size=60),
+           st.sets(st.sampled_from(ORACLE_IDS), min_size=1, max_size=3))
+    def test_key_sums_match_dict_reference(self, dense_keys, flows, members):
+        """Records and the merge of their set, bit for bit as an input-order dict sum,
+        whether the keys are summed by ``bincount`` over all of them or over the unique
+        ones; the default bound takes each way on some of these sets."""
+        records = [TradeFlowRecord(2018, *flow) for flow in flows]
+        countries, products = CountryRegistry(ORACLE_IDS), ProductRegistry.from_codes("0479")
+        with mock.patch.object(trade_data, "_DENSE_KEYS", dense_keys):
+            got = money_from_records(records, 2018, countries, products)
+            merged = merge_country_group(got, members, "GRP")
+        want = {}
+        for r in records:
+            if r.exporter != r.importer:
+                key = (r.exporter, r.importer, r.product)
+                want[key] = want.get(key, 0.0) + r.value_usd
+        same_bits(got, money_by_dict(want, 2018, countries, products))
+        merged_want = {}
+        for code, m in zip(products.codes, got.matrices):
+            coo = m.tocoo()  # each column's entries in storage order
+            for imp, exp, value in zip(coo.row, coo.col, coo.data):
+                key = tuple("GRP" if countries.ids[k] in members else countries.ids[k]
+                            for k in (exp, imp)) + (code,)
+                if key[0] != key[1]:
+                    merged_want[key] = merged_want.get(key, 0.0) + float(value)
+        same_bits(merged, money_by_dict(merged_want, 2018, merged.countries, products))
+
+    def test_many_ids_keep_memory_linear_in_flows(self):
+        """500 flows naming 1,000 ids have 10**7 possible keys: a sum over all of them
+        would hold about 90 MB, so these are summed over the unique keys."""
+        rows = "".join(f"2018,X{2 * i},X{2 * i + 1},{i % 10},1.0\n" for i in range(500))
+        tracemalloc.start()
+        try:
+            result = ingest_csv(io.StringIO(HEADER + "\n" + rows), 2018)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.rows_used, result.money.n_countries) == (500, 1000)
+        assert peak < 10 * 2 ** 20
 
     def test_rows_follow_ids_not_registry_positions(self):
         countries = CountryRegistry(("CCC", "AAA", "DDD", "BBB"))
