@@ -176,7 +176,8 @@ class MoneyMatrixSet:
     be sparse and n x n, with finite, nonnegative values and no nonzero
     diagonal entry, or ``ValidationError`` names the product. The set then
     holds canonical float64 CSC (sorted indices, no duplicates); any other
-    input is rebuilt, its duplicates added one by one in storage order from 0.0.
+    input is rebuilt, its duplicates added one by one in storage order from 0.0;
+    a sum past the largest finite float raises ``ValidationError`` naming its key.
 
     ``imports`` (``m @ ones``, each row in ascending column order) and ``exports``
     (``m.T @ ones``, each column's stored values, by row, from 0.0) are the only
@@ -347,22 +348,25 @@ def _plain_block(text, in_year, ids, codes):
     loop's check. csv would then split each line at its commas and drop its
     ``\\r\\n``, so the block is read from its UTF-8 bytes by column, and no field
     becomes a ``str`` of its own: ``_lookup`` decodes each distinct year, id
-    and code once, and ``_values`` converts the values. The keys of a block are
-    numbered, in ``ids`` and ``codes``, in the order ``_lookup`` meets them.
+    and code once, and ``_values`` converts the values, both a little-endian
+    word of 8 bytes at a time. The keys of a block are numbered, in ``ids`` and
+    ``codes``, in the order ``_lookup`` meets them.
     """
     data = (text if text.endswith("\n") else text + "\n").encode(errors="surrogatepass")
-    lines = data.count(b"\n")
     raw = np.frombuffer(data + bytes(16), np.uint8)  # room to read 16 bytes from any field
-    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # one per field
+    newline = raw == ord("\n")
+    lines = int(np.count_nonzero(newline))
+    ends = np.flatnonzero(newline | (raw == ord(",")))  # one per field
     if (b'"' in data or b"\0" in data or ends.size != 5 * lines
-            or not np.all(raw[ends[4::5]] == ord("\n"))
-            or np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1):
+            or not np.all(newline[ends[4::5]])):
         return None
     crlf = raw[ends[4::5] - 1] == ord("\r")
-    if data.count(b"\r") != np.count_nonzero(crlf):  # a "\r" not just before a "\n"
+    if np.count_nonzero(raw == ord("\r")) != np.count_nonzero(crlf):  # a "\r" not before "\n"
         return None
     start = np.concatenate(([0], ends[:-1] + 1)).reshape(-1, 5)
     length = ends.reshape(-1, 5) - start
+    if length.max() > csv.field_size_limit():
+        return None
     length[:, 4] -= crlf
     words = np.ndarray(raw.size - 7, "<u8", raw, strides=(1,))  # bytes i to i + 7 at i
     try:
@@ -370,7 +374,7 @@ def _plain_block(text, in_year, ids, codes):
         exporter, importer = np.split(_lookup(words, start[:, 1:3].T.ravel(),
                                               length[:, 1:3].T.ravel(), ids.__getitem__), 2)
         product = _lookup(words, start[:, 3], length[:, 3], codes.__getitem__)
-        value = _values(raw, start[:, 4], length[:, 4])
+        value = _values(raw, words, start[:, 4], length[:, 4])
     except (ValueError, ValidationError):
         return None
     if not np.all((value >= 0.0) & (value < math.inf)):
@@ -389,56 +393,115 @@ def _lookup(words, start, length, lookup) -> np.ndarray:
     """``lookup`` of the text of each field, called once per distinct field.
 
     ``words[i]`` is bytes i to i + 7 of the block as a little-endian uint64. A
-    field is packed into as many words as it needs, the bytes past its end
-    zeroed: one uint64 for up to 8 bytes, else a bytes string of whole words,
-    one group per word count. The block holds no NUL, so two fields pack alike
-    only when they are equal. Each group's distinct fields are looked up in
-    ascending order of their packed codes, one-word fields first.
+    field is packed with the bytes past its end zeroed. When no field is longer
+    than 8 bytes, each is one word, cut to a uint32 when none is longer than 4
+    (``unique`` sorts those faster). Otherwise a field takes as many words as it
+    needs, one uint64 for up to 8 bytes, else a bytes string of whole words, one
+    group per word count. The block holds no NUL, so two fields pack alike only
+    when they are equal. Each group's distinct fields are looked up in ascending
+    order of their packed codes, one-word fields first.
     """
+    longest = int(length.max())
+    if longest <= 8:
+        packed = words[start] & _LOW_BYTES[length]
+        return _lookup_packed(packed.astype("<u4") if longest <= 4 else packed, lookup)
     result = np.empty(start.size, np.int64)
     n_words = np.maximum(length + 7, 8) // 8
     for width in np.flatnonzero(np.bincount(n_words)).tolist():
         fields = n_words == width
         packed = words[8 * np.arange(width)[:, None] + start[fields]]  # word j of each in row j
         packed[-1] &= _LOW_BYTES[length[fields] - 8 * (width - 1)]
-        codes = packed[0] if width == 1 else np.ascontiguousarray(packed.T).view(
-            f"S{8 * width}").ravel()
-        distinct, inverse = np.unique(codes, return_inverse=True)
-        texts = distinct.view(f"S{8 * width}").tolist()  # trailing NULs dropped
-        result[fields] = np.array([lookup(t.decode(errors="surrogatepass")) for t in texts],
-                                  np.int64)[inverse]
+        result[fields] = _lookup_packed(packed[0] if width == 1 else np.ascontiguousarray(
+            packed.T).view(f"S{8 * width}").ravel(), lookup)
     return result
 
 
-# 10**k, exact in float64 for k <= 15
+def _lookup_packed(packed, lookup) -> np.ndarray:
+    """``lookup`` of each packed field, trailing NULs dropped, once per distinct one."""
+    distinct, inverse = np.unique(packed, return_inverse=True)
+    texts = distinct.view(f"S{distinct.itemsize}").tolist()
+    return np.array([lookup(t.decode(errors="surrogatepass")) for t in texts],
+                    np.int64)[inverse]
+
+
+# 10**k, exact in float64 for k <= 15, and in uint64
 _TEN = (10 ** np.arange(16)).astype(float)
+_POW10 = 10 ** np.arange(16, dtype=np.uint64)
+# for k = 0..8: the factor that moves the low k bytes of a word to its top, the
+# bytes above them falling off, and "0" in each of the 8 - k bytes left below
+_TO_TOP = np.array([(1 << 8 * (8 - k)) % (1 << 64) for k in range(9)], np.uint64)
+_ZERO_FILL = np.array([0x3030303030303030 >> 8 * k for k in range(9)], np.uint64)
 
 
-def _values(raw, start, length) -> np.ndarray:
+def _values(raw, words, start, length) -> np.ndarray:
     """``float(field.strip())`` of each value field; ``ValueError`` where that or the row
     loop's check fails.
 
-    A field of at most 16 bytes, all digits or digits and one point, is read
-    with int64 arithmetic: its digits d over 10**k, for k digits after the
-    point. An integer d below 10**16 converts to float64 correctly rounded; with
-    a point, d has at most 15 digits, so d and 10**k are exact in float64 and the
-    correctly rounded quotient is ``float``'s result (Clinger's fast path), also
-    for ``.5`` and ``5.``. The other fields go to ``_float_fields``.
+    A field of at most 16 bytes, all digits or digits and one point, is read a
+    word of 8 bytes at a time (``_digit_word``): ``words[start]``, and
+    ``words[start + 8]`` when a field of the block is over 8 bytes. SWAR masks,
+    which handle all 8 bytes of a word at once, find the point, check every
+    other byte is a digit, and read the point as a "0". That gives D', the
+    digits of the field with a 0 for the point. For f digits after the point,
+    the digits are then d = (D' - D' mod 10**f) / 10 + D' mod 10**f, and
+    d / 10**f is ``float``'s result: an integer d below 10**16 converts to
+    float64 correctly rounded, and with a point d has at most 15 digits, so d
+    and 10**f are exact and their correctly rounded quotient is the value
+    (Clinger's fast path), also for ``.5`` and ``5.``. The other fields go to
+    ``_float_fields``.
     """
-    digits, n_digits, point = np.zeros(start.size, np.int64), 0, -1
-    for k in range(min(int(length.max()), 16)):  # Horner's rule, one byte of each field a step
-        byte, inside = raw[k:][start], k < length
-        digit = byte - ord("0")  # uint8, so a byte below "0" wraps round
-        is_digit = inside & (digit < 10)
-        digits = np.where(is_digit, digits * 10 + digit, digits)
-        n_digits += is_digit
-        point = np.where(inside & (byte == ord(".")), k, point)
-    has_point = (n_digits == length - 1) & (point >= 0)  # one byte is no digit: a point
-    exact = (n_digits > 0) & ((n_digits == length) | has_point)
-    value = digits / _TEN[np.where(exact & has_point, length - 1 - point, 0)]
-    if not np.all(exact):
-        value[~exact] = _float_fields(raw, start[~exact], length[~exact])
+    # Every field reads the second word too. Reading it for the long fields only was
+    # faster on short values, but numpy keeps freed arrays under 1 KiB for reuse, and
+    # those subsets, a new size in each block, kept the heap from shrinking after ingest.
+    first = np.arange(0, 16 if length.max() > 8 else 8, 8)[:, None]  # a row per word
+    k = np.clip(length - first, 0, 8).astype(np.uint64)  # bytes of each field in each word
+    word_digits, word_plain, word_points, word_after = _digit_word(words[start + first], k)
+    digits, points, after = word_digits[0], word_points[0], word_after[0]
+    if first.size == 2:  # append the second word
+        digits = digits * _POW10[k[1]] + word_digits[1]
+        after = after + points * k[1] + word_after[1]  # the digits after a point
+        points = points + word_points[1]
+    plain = np.all(word_plain, axis=0) & (length <= 16) & (points <= 1) & (length > points)
+    has_point = plain & (points == 1)
+    after = np.where(has_point, after, 0)
+    if np.any(has_point):  # take the point's 0 out of the digits
+        tail = digits % _POW10[after]
+        digits = np.where(has_point, (digits - tail) // 10 + tail, digits)
+    value = digits.astype(np.int64) / _TEN[after]
+    if not np.all(plain):
+        value[~plain] = _float_fields(raw, start[~plain], length[~plain])
     return value
+
+
+def _digit_word(word, k):
+    """The number that the low k bytes of each word spell, a point read as "0";
+    whether each of those bytes is a digit or a point; how many are points; and
+    how many bytes follow the point.
+
+    The k bytes are moved to the top of the word, the last in byte 7, and "0"
+    fills the bytes below them, so ``_eight_digits`` reads 8 digits with leading
+    zeros.
+    """
+    word = word * _TO_TOP[k]
+    dot = word ^ 0x2E2E2E2E2E2E2E2E  # a 0 byte where a point is
+    point = ~(((dot & 0x7F7F7F7F7F7F7F7F) + 0x7F7F7F7F7F7F7F7F) | dot) & 0x8080808080808080
+    word = (word + (point >> 6)) | _ZERO_FILL[k]  # "." + 2 is "0"
+    plain = ((word & 0xF0F0F0F0F0F0F0F0) | (((word + 0x0606060606060606)
+                                             & 0xF0F0F0F0F0F0F0F0) >> 4)
+             ) == 0x3333333333333333  # every byte is "0" to "9"
+    mark = point >> 7  # 1 in the byte of each point; a product's top byte sums the marks
+    return (_eight_digits(word & 0x0F0F0F0F0F0F0F0F), plain,
+            (mark * 0x0101010101010101) >> 56,  # weighted 1 each
+            (mark * 0x0706050403020100) >> 56)  # weighted 7 - j in byte j
+
+
+def _eight_digits(word) -> np.ndarray:
+    """The number that the 8 digit values in the bytes of each word spell, byte 0 the
+    leading one: pairs, then fours, then all eight, a multiply, shift and mask each
+    (D. Lemire, "Number parsing at a gigabyte per second", Softw. Pract. Exp. 2021)."""
+    word = (word * 10 + (word >> 8)) & 0x00FF00FF00FF00FF
+    word = (word * 100 + (word >> 16)) & 0x0000FFFF0000FFFF
+    return (word * 10000 + (word >> 32)) & 0xFFFFFFFF
 
 
 def _float_fields(raw, start, length) -> list[float]:
@@ -578,7 +641,8 @@ def _money_from_columns(exporter, importer, product, value, year, countries,
     hangs on a library's summation order: a ``bincount`` over all n_products·n²
     keys where there are at most ``_DENSE_KEYS`` of them a flow, else over the
     ``unique`` inverse. The sorted keys, (product, exporter, importer), are each
-    product's CSC order.
+    product's CSC order. Each flow is finite and nonnegative, so a sum that is
+    not has overflowed: ``ValidationError`` names its product, exporter and importer.
     """
     n, n_p = len(countries), len(products)
     keep = exporter != importer
@@ -592,6 +656,12 @@ def _money_from_columns(exporter, importer, product, value, year, countries,
     else:
         unique, inverse = np.unique(keys, return_inverse=True)
         sums = np.bincount(inverse, weights=value[keep])
+    overflow = np.flatnonzero(sums == math.inf)
+    if overflow.size:
+        code, pair = divmod(int(unique[overflow[0]]), n * n)
+        raise ValidationError(f"product {products.codes[code]!r}: the flows "
+                              f"{countries.ids[pair // n]}->{countries.ids[pair % n]} "
+                              "sum past the largest finite float")
     columns, rows = np.divmod(unique, n)  # column of the side-by-side blocks
     indptr = np.concatenate(([0], np.cumsum(np.bincount(columns, minlength=n_p * n))))
     # dtype: the bincount of no flows at all comes back as int64

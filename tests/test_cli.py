@@ -224,6 +224,16 @@ def test_field_over_csv_limit_exits_2(tmp_path, capsys):
     assert "line 202: field larger than field limit" in capsys.readouterr().err
 
 
+def test_flows_summing_past_the_largest_float_exit_2(tmp_path, capsys):
+    path = tmp_path / "trade.csv"
+    path.write_text(HEADER + "\n" + "2018,AAA,BBB,0,1e308\n" * 2)
+    code = main(["ingest", "--input", str(path), "--year", "2018",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == ("wtnrank: error: product '0': the flows AAA->BBB "
+                                       "sum past the largest finite float\n")
+
+
 def test_non_utf8_csv_exits_2(tmp_path, capsys):
     path = tmp_path / "trade.csv"
     path.write_bytes(f"{HEADER}\n2018,AAA,BBB,1,2.5\n2018,C\xd4TE,BBB,1,2.5\n".encode("latin-1"))

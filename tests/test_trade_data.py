@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import importlib.util
@@ -22,7 +23,7 @@ from conftest import (
     records,
     small_money_set,
 )
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -311,7 +312,13 @@ def test_writer_matches_reference(ids, flows, codes, year):
     n = len(ids)
     records = [rec(ids[e % n], ids[i % n], p, v, year) for e, i, p, v in flows
                if p in codes and e % n != i % n]
-    mm = money_from_records(records, year, CountryRegistry(ids), ProductRegistry(tuple(codes)))
+    try:
+        mm = money_from_records(records, year, CountryRegistry(ids),
+                                ProductRegistry(tuple(codes)))
+    except ValidationError as exc:  # duplicates such as 1e308 + 2 * 3.99e307 overflow
+        if not str(exc).endswith("sum past the largest finite float"):
+            raise
+        reject()
     want = io.StringIO()
     reference_trade_csv(mm, want)
     got = io.StringIO()
@@ -506,6 +513,17 @@ class TestIngestBlocks:
         assert got[4] == np.array([212467.0, 0.5, 5.0, 1234567890123456.0,
                                    12345678901234.5]).view(np.int64).tolist()
 
+    def test_written_values_take_the_word_path(self):
+        # "N.0" of every length up to 16 bytes, as write_trade_csv writes whole values
+        values = [float(int("98765432109876"[:k])) for k in range(1, 15)]
+        mm = money_from_records([rec("AAA", f"B{k:02d}", "0", v) for k, v in enumerate(values)],
+                                2018)
+        buf = io.StringIO()
+        write_trade_csv(mm, buf)
+        assert "98765432109876.0\n" in buf.getvalue()
+        with mock.patch.object(trade_data, "_float_fields", side_effect=AssertionError):
+            same_bits(ingest_csv(io.StringIO(buf.getvalue()), 2018).money, mm)
+
     @pytest.mark.parametrize("line", [
         "2018,A\0B,USA,7,1\n", "2018,AB\0,USA,7,1\n", "2018\0,FRA,USA,7,1\n",
         "2018,FRA,USA,7,1\0\n", "2018,FRA,USA,7,1\r\r\n", "2018,FRA\r,USA,7,1\n"])
@@ -552,9 +570,39 @@ def test_block_values_match_float(values):
     assert (got and got[4]) == want
 
 
+DIGIT_RUN = "98765432109876543"
+WORD_VALUES = [
+    *[DIGIT_RUN[:k] for k in range(1, 18)],  # up to 2 words and one byte past them
+    *[DIGIT_RUN[:k] + "." + DIGIT_RUN[k:14] for k in range(15)],  # a point in 15 bytes
+    *[DIGIT_RUN[:k] + "." + DIGIT_RUN[k:15] for k in range(16)],  # and in 16
+    DIGIT_RUN[:8] + "." + DIGIT_RUN[8:16],  # 17 bytes with a point
+    "0", "0007", "0000000000000000", "000000000000000.5", "0000000.00000000", "00.50",
+    ".5", "5.", "0.", ".0",
+    str(2 ** 53 - 1), str(2 ** 53 + 1), str(10 ** 16 - 1), str(10 ** 16),
+    ".", "..5", "5..", "1.2.3", "", "1/2", "1:2", "1-2", "9" * 15 + "/",
+]
+
+
+@pytest.mark.parametrize("value", WORD_VALUES)
+def test_values_read_a_word_at_a_time(value):
+    """Each value reads bit for bit as ``float`` reads it, or the block is not plain
+    where ``float`` fails; a field of at most 16 bytes, digits and at most one
+    point, never reaches ``_float_fields``."""
+    try:
+        want = [np.float64(float(value)).view(np.int64).item()]
+    except ValueError:
+        want = None
+    on_words = len(value) <= 16 and value.count(".") <= 1 and value.replace(".", "").isdigit()
+    with (mock.patch.object(trade_data, "_float_fields", side_effect=AssertionError)
+          if on_words else contextlib.nullcontext()):
+        got = read_block([f"2018,FRA,USA,7,{value}\n"])
+    assert (got and got[4]) == want
+
+
 GOOD_FIELDS = {"year": ["2018", "2018", "2017", " 2018"],
                "id": ["FRA", "USA", "A_B", "C-D", "deu", " FRA", "ı", "ABCDEFGHIJ",
-                      "KEU9_LONGER"],
+                      "KEU9_LONGER", "ABCD", "ABCDE", "ABCDEFGH", "ABCDEFGHI",
+                      "ABCDEFGHIJKLMNOP", "ABCDEFGHIJKLMNOPQ"],
                "code": ["0", "7", "9", " 7"],
                "value": ["1", "2.5", "3e9", "0", "-0", "1e-300", " 4 ", "0007", "212467.0",
                          "123456789012345", "1234567890123456", "0.30000000000000004",
@@ -1251,6 +1299,9 @@ GATE_CONSTRUCTORS = {
 }
 
 
+OVERFLOW = "product '0': the flows AAA->BBB sum past the largest finite float"
+
+
 class TestGate:
     """MoneyMatrixSet construction checks every flow and holds canonical CSC."""
 
@@ -1323,6 +1374,28 @@ class TestGate:
         with pytest.raises(ValidationError, match="not a sparse 2x2 matrix"):
             MoneyMatrixSet((matrix,), 2018, CountryRegistry.from_ids(["AAA", "BBB"]),
                            ProductRegistry.from_codes(["0"]))
+
+    def test_ingest_names_the_key_whose_flows_overflow(self):
+        text = "\n".join([HEADER, "2018,AAA,CCC,0,1", *["2018,AAA,BBB,0,1e308"] * 2]) + "\n"
+        for patch in (contextlib.nullcontext(), row_loop_only()):
+            with patch, pytest.raises(ValidationError, match=rf"^{OVERFLOW}$"):
+                ingest_csv(io.StringIO(text), 2018)
+
+    def test_records_name_the_key_whose_flows_overflow(self):
+        records = [rec("AAA", "CCC", "0", 1.0), *[rec("AAA", "BBB", "0", 1e308)] * 2]
+        with pytest.raises(ValidationError, match=rf"^{OVERFLOW}$"):
+            money_from_records(records, 2018)
+
+    def test_rebuild_and_merge_name_the_key_whose_flows_overflow(self):
+        countries = CountryRegistry.from_ids(["AAA", "BBB", "CCC"])
+        products = ProductRegistry.from_codes(["0"])
+        duplicate = sparse.coo_matrix(([1e308, 1e308], ([1, 1], [0, 0])), shape=(3, 3))
+        with pytest.raises(ValidationError, match=rf"^{OVERFLOW}$"):
+            MoneyMatrixSet((duplicate,), 2018, countries, products)
+        mm = money_from_records([rec("AAA", "CCC", "0", 1e308), rec("BBB", "CCC", "0", 1e308)],
+                                2018)
+        with pytest.raises(ValidationError, match=r"^product '0': the flows GRP->CCC sum past"):
+            merge_country_group(mm, ["AAA", "BBB"], "GRP")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -3.0, "1e3", None])
     def test_records_reject_bad_values_at_the_door(self, value):
