@@ -178,11 +178,10 @@ def cmd_rank(args) -> int:
         write_csv(rows[0].keys(), (row.values() for row in rows),
                   _out_path(args, "rank_table.csv"))
 
-    id_rank = money.countries.id_rank
     header = ["country", "pagerank_index", "cheirank_index",
               "importrank_index", "exportrank_index"]
     rows = zip(money.countries.ids, direct.country_rank, inverted.country_rank,
-               assign_ranks(volumes.import_c, id_rank), assign_ranks(volumes.export_c, id_rank))
+               assign_ranks(volumes.import_c), assign_ranks(volumes.export_c))
     write_csv(header, rows, _out_path(args, "rank_plane.csv"))
     return EXIT_OK
 

@@ -96,20 +96,25 @@ def pagerank(g: GoogleMatrix, tol: float = DEFAULT_TOL,
 
 def _rank_vector(g: GoogleMatrix, probs: np.ndarray, residual: float,
                  iterations: int) -> RankVector:
+    """Marginals and rank indexes of the normalized node vector ``probs``.
+
+    Registry positions ascend with id and code, so ties break by position:
+    countries by id, products by code, and nodes by id, then code.
+    """
     n_c = len(g.countries)
     n_p = len(g.products)
     joint = probs.reshape(n_p, n_c)
     country_probs = joint.sum(axis=0)
     product_probs = joint.sum(axis=1)
-    node_keys = g.countries.id_rank * n_p + np.arange(n_p)[:, None]  # id, then code
+    node_keys = np.arange(n_c) * n_p + np.arange(n_p)[:, None]  # id, then code
     return RankVector(
         direction=g.direction,
         node_probs=probs,
         country_probs=country_probs,
         product_probs=product_probs,
         node_rank=assign_ranks(probs, node_keys.ravel()),
-        country_rank=assign_ranks(country_probs, g.countries.id_rank),
-        product_rank=assign_ranks(product_probs),  # codes are sorted: position order
+        country_rank=assign_ranks(country_probs),
+        product_rank=assign_ranks(product_probs),
         residual=residual,
         iterations=iterations,
         countries=g.countries,
@@ -134,8 +139,8 @@ def rank_table(direct: RankVector, inverted: RankVector,
     columns = {
         "pagerank_country": np.argsort(direct.country_rank),
         "cheirank_country": np.argsort(inverted.country_rank),
-        "importrank_country": np.argsort(assign_ranks(volumes.import_c, registry.id_rank)),
-        "exportrank_country": np.argsort(assign_ranks(volumes.export_c, registry.id_rank)),
+        "importrank_country": np.argsort(assign_ranks(volumes.import_c)),
+        "exportrank_country": np.argsort(assign_ranks(volumes.export_c)),
     }
     rows = []
     for r in range(min(top, len(registry))):

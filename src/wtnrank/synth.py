@@ -36,6 +36,8 @@ def gravity_money_set(seed: int, n_countries: int = DEFAULT_COUNTRIES,
     given product; missing links leave genuinely dangling columns in the
     Google matrix, which the tests rely on.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be at least 0, got {seed}")
     if n_countries < 2:
         raise ValidationError("need at least two countries")
     if not 1 <= n_products <= len(SITC1_CODES):

@@ -50,9 +50,23 @@ def canonical_product_code(raw: str) -> str:
     return code
 
 
+def _registry_keys(keys, canonical, name: str) -> tuple[str, ...]:
+    """``keys`` as a tuple (a list compares unequal), checked as a registry's keys: not
+    empty, each unchanged by ``canonical``, and strictly ascending, so none repeats."""
+    keys = tuple(keys)
+    if not keys:
+        raise ValidationError(f"no {name}s")
+    for key in keys:
+        if canonical(key) != key:
+            raise ValidationError(f"{name} {key!r} is not canonical")
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise ValidationError(f"{name}s must be strictly ascending")
+    return keys
+
+
 @dataclass(frozen=True)
 class ProductRegistry:
-    """Ordered one-digit SITC-1 product codes, sorted ascending.
+    """One-digit SITC-1 product codes, strictly ascending.
 
     The canonical registry carries all ten SITC level-1 codes; subsets are
     allowed so that reduced synthetic datasets stay first-class.
@@ -61,16 +75,8 @@ class ProductRegistry:
     codes: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "codes", codes := tuple(self.codes))  # lists compare unequal
-        if not codes:
-            raise ValidationError("product registry is empty")
-        for code in codes:
-            if code not in SITC1_CODES:
-                raise ValidationError(f"unknown product code {code!r}")
-        if len(self._index) != len(codes):
-            raise ValidationError("duplicate product codes")
-        if list(codes) != sorted(codes):
-            raise ValidationError("product codes must be sorted ascending")
+        object.__setattr__(self, "codes",
+                           _registry_keys(self.codes, canonical_product_code, "product code"))
 
     @classmethod
     def from_codes(cls, codes: Iterable[str]) -> "ProductRegistry":
@@ -92,26 +98,22 @@ class ProductRegistry:
 
 @dataclass(frozen=True)
 class CountryRegistry:
-    """Country ids in registry order, plus optional node-label overrides.
+    """Canonical country ids, strictly ascending, plus optional node-label overrides.
 
     Ids are stable text keys (ISO-3166 alpha-3 for real data) and name the
-    countries in every output. The order need not be sorted: ``id_rank``
-    gives the ascending-id order that breaks ties. ``short_codes`` optionally
-    overrides the two-letter node label; each code must be a valid id.
+    countries in every output. A registry position is thus the place in id
+    order, which breaks ties. ``short_codes`` optionally overrides the
+    two-letter node label; each code must be a valid id, and the registry keeps
+    a read-only copy, so no code changes after its check.
     """
 
     ids: tuple[str, ...]
     short_codes: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "ids", ids := tuple(self.ids))  # lists compare unequal
-        if not ids:
-            raise ValidationError("country registry is empty")
-        if len(self._index) != len(ids):
-            raise ValidationError("duplicate country ids")
-        for cid in ids:
-            if canonical_country_id(cid) != cid:
-                raise ValidationError(f"country id {cid!r} is not canonical")
+        object.__setattr__(self, "ids", _registry_keys(self.ids, canonical_country_id,
+                                                       "country id"))
+        object.__setattr__(self, "short_codes", MappingProxyType(dict(self.short_codes)))
         for cid, code in self.short_codes.items():  # they name nodes in the CSV and DOT outputs
             if not isinstance(code, str) or not _ID_RE.fullmatch(code):
                 raise ValidationError(f"short code {code!r} of {cid!r} is not a valid id")
@@ -123,13 +125,6 @@ class CountryRegistry:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {cid: i for i, cid in enumerate(self.ids)}
-
-    @cached_property
-    def id_rank(self) -> np.ndarray:
-        """Read-only map of registry position -> place in ascending id order."""
-        rank = np.argsort(np.argsort(np.array(self.ids, dtype=object)))
-        rank.flags.writeable = False
-        return rank
 
     @cached_property
     def display_codes(self) -> Mapping[str, str]:
@@ -243,18 +238,6 @@ class MoneyMatrixSet:
         for row in self.imports:
             total += float(np.sum(row))
         return total
-
-    def _sorted_flows(self):
-        """Per product, in code order: its code and the exporter positions, importer
-        positions and values of its nonzero flows, as arrays sorted by exporter, then
-        importer id."""
-        id_rank, n = self.countries.id_rank, self.n_countries
-        for code, m in zip(self.products.codes, self.matrices):
-            coo = m.tocoo()
-            nonzero = coo.data != 0.0
-            exp, imp, values = coo.col[nonzero], coo.row[nonzero], coo.data[nonzero]
-            order = np.argsort(id_rank[exp] * n + id_rank[imp], kind="stable")
-            yield code, exp[order], imp[order], values[order]
 
 
 @dataclass(frozen=True)
@@ -717,6 +700,8 @@ def money_from_records(records: Iterable[TradeFlowRecord], year: int,
 def write_trade_csv(mm: MoneyMatrixSet, dest) -> None:
     """Serialize to the ingest CSV format (canonical row order, exact floats).
 
+    Rows run by product, then exporter, then importer: each canonical CSC's storage
+    order, since registry positions ascend with code and id. Stored zeros are skipped.
     One ASCII byte array per product, a row of fixed-width fields per flow:
     "year,", the exporter's and the importer's "id," (row i of ``ids``: id i and a
     "," right-aligned to the longest), "code,", the value from ``_value_texts`` and
@@ -730,7 +715,10 @@ def write_trade_csv(mm: MoneyMatrixSet, dest) -> None:
     year_field = np.frombuffer(f"{mm.year},".encode("ascii"), np.uint8)
     with open_output(dest) as stream:
         stream.write(",".join(CSV_HEADER) + "\n")
-        for code, exporter, importer, value in mm._sorted_flows():
+        for code, m in zip(mm.products.codes, mm.matrices):
+            coo = m.tocoo()
+            nonzero = coo.data != 0.0
+            exporter, importer, value = coo.col[nonzero], coo.row[nonzero], coo.data[nonzero]
             n = value.size
             code_field = np.frombuffer(f"{code},".encode("ascii"), np.uint8)
             rows = np.concatenate((np.broadcast_to(year_field, (n, year_field.size)),
@@ -842,8 +830,10 @@ def volume_probabilities(mm: MoneyMatrixSet) -> VolumeProbabilities:
 def load_group_config(source) -> tuple[str, list[str], str | None]:
     """Read a group-merge JSON config: label, members, optional short code.
 
-    The label and members come back as canonical country ids; the members are
-    checked first, in config order, as ``merge_country_group`` checks them.
+    The config must be a JSON object with a string ``label``, a non-empty array
+    of strings ``members`` and, optionally, a string ``short``. The label and
+    members come back as canonical country ids; the members are checked first,
+    in config order, as ``merge_country_group`` checks them.
     """
     try:
         with open_input(source) as stream:
@@ -852,16 +842,13 @@ def load_group_config(source) -> tuple[str, list[str], str | None]:
         raise ValidationError(f"bad group config: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"bad group config: the file is not UTF-8 ({exc.reason})") from None
-    try:
-        label = cfg["label"]
-        members = list(cfg["members"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad group config: missing {exc}") from None
-    short = cfg.get("short")
-    if (not isinstance(label, str) or not members
+    if not isinstance(cfg, dict):  # an array, string or number fails the check below
+        cfg = {}
+    label, members, short = cfg.get("label"), cfg.get("members"), cfg.get("short")
+    if (not isinstance(label, str) or not isinstance(members, list) or not members
             or not all(isinstance(m, str) for m in members)
             or not isinstance(short, (str, type(None)))):
-        raise ValidationError("bad group config: need a label, string members "
-                              "and an optional string short code")
+        raise ValidationError("bad group config: need a JSON object with a string label, a "
+                              "non-empty array of string members and an optional string short")
     members = [canonical_country_id(m) for m in members]
     return canonical_country_id(label), members, short

@@ -252,7 +252,7 @@ def test_non_utf8_merge_config_exits_2(trade_csv, tmp_path, capsys):
     assert "bad group config: the file is not UTF-8" in capsys.readouterr().err
 
 
-def test_malformed_merge_config_exits_2(trade_csv, tmp_path):
+def test_malformed_merge_config_exits_2(trade_csv, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
     assert main(["rank", "--input", trade_csv, "--year", "2018",
@@ -260,11 +260,22 @@ def test_malformed_merge_config_exits_2(trade_csv, tmp_path):
                  "--out-dir", str(tmp_path / "out")]) == 2
     for bad in ('{"label": "G"}',  # missing members
                 '{"label": "G", "members": [1, 2]}',
-                '{"label": "G", "members": ["SAA", "SAB"], "short": 5}'):
+                '{"label": "G", "members": ["SAA", "SAB"], "short": 5}',
+                '{"label": "G", "members": "SAA"}',  # a string, not an array
+                '{"label": "G", "members": {"SAA": 1, "SAB": 2}}',
+                '[{"label": "G", "members": ["SAA", "SAB"]}]'):  # not an object
         cfg.write_text(bad)
+        capsys.readouterr()
         assert main(["rank", "--input", trade_csv, "--year", "2018",
                      "--merge-config", str(cfg),
-                     "--out-dir", str(tmp_path / "out")]) == 2
+                     "--out-dir", str(tmp_path / "out")]) == 2, bad
+        assert "error: bad group config: need a JSON object" in capsys.readouterr().err
+
+
+def test_negative_synth_seed_exits_2(tmp_path, capsys):
+    assert main(["synth", "--seed", "-1", "--out-dir", str(tmp_path)]) == 2
+    assert "error: seed must be at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "trade.csv").exists()
 
 
 SCALED_COMMANDS = (["rank"], ["balance"], ["sensitivity", "--perturb", "global", "--product", "3"],

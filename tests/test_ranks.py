@@ -177,25 +177,25 @@ def _hand_rank_vector(registry, products, country_probs, direction=DIRECT):
     )
 
 
-def unsorted_registry_set():
-    """Four countries registered out of id order; every flow is 1.0, so ranks tie."""
-    countries = CountryRegistry(("CCC", "AAA", "DDD", "BBB"))
+def tied_registry_set():
+    """Four countries; every flow is 1.0 and DDD exports nothing, so ranks tie."""
+    countries = CountryRegistry(("AAA", "BBB", "CCC", "DDD"))
     products = ProductRegistry.from_codes(["2", "5"])
     dense = np.ones((4, 4))
     np.fill_diagonal(dense, 0.0)
-    dense[:, 2] = 0.0  # DDD exports nothing
+    dense[:, 3] = 0.0  # DDD exports nothing
     return MoneyMatrixSet((sparse.csc_matrix(dense),) * 2, 2018, countries, products)
 
 
-class TestUnsortedRegistryTies:
-    """Ties break by country id, then product code, whatever the registry order."""
+class TestRegistryTies:
+    """Ties break by country id, then product code: by registry position."""
 
     def node_keys(self, g):
         return [(cid, code) for code in g.products.codes for cid in g.countries.ids]
 
     @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
     def test_pagerank_ties(self, direction):
-        g = build_google(unsorted_registry_set(), direction)
+        g = build_google(tied_registry_set(), direction)
         rv = pagerank(g)
         assert len(set(rv.node_probs)) < rv.node_probs.size  # there are ties to break
         np.testing.assert_array_equal(
@@ -207,7 +207,7 @@ class TestUnsortedRegistryTies:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_drawn_ties(self, seed):
-        g = build_google(unsorted_registry_set())
+        g = build_google(tied_registry_set())
         probs = np.random.default_rng(seed).choice([0.05, 0.1, 0.2], size=g.n_nodes)
         rv = _rank_vector(g, probs / probs.sum(), 0.0, 1)
         np.testing.assert_array_equal(
@@ -216,7 +216,7 @@ class TestUnsortedRegistryTies:
             rv.country_rank, sorted_reference_ranks(rv.country_probs, g.countries.ids))
 
     def test_rank_table(self):
-        mm = unsorted_registry_set()
+        mm = tied_registry_set()
         direct, inverted = pagerank(build_google(mm, DIRECT)), pagerank(build_google(mm, INVERTED))
         vp = volume_probabilities(mm)
         rows = rank_table(direct, inverted, vp, top=4)

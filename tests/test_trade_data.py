@@ -23,7 +23,7 @@ from conftest import (
     records,
     small_money_set,
 )
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -42,6 +42,7 @@ from wtnrank import (
     build_google,
     gravity_money_set,
     ingest_csv,
+    load_group_config,
     merge_country_group,
     money_from_records,
     perturb_money,
@@ -300,15 +301,15 @@ WRITER_VALUES = st.one_of(
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(st.lists(IDS, min_size=2, max_size=6, unique=True),
+@given(st.lists(IDS, min_size=2, max_size=6, unique=True).map(sorted),
        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from("0379"),
                           WRITER_VALUES), max_size=30),
        st.sampled_from(["0379", "037", "9"]), st.integers(1, 9999))
 def test_writer_matches_reference(ids, flows, codes, year):
     """``write_trade_csv`` byte for byte as ``reference_trade_csv``, to a path and to a
-    caller's stream: ids of 1 to 12 characters in a registry not sorted by id, whole
-    values on both sides of 2**53 and 1e16, fractional, subnormal and huge ones, stored
-    zeros and products with no flow."""
+    caller's stream: ids of 1 to 12 characters, whole values on both sides of 2**53
+    and 1e16, fractional, subnormal and huge ones, stored zeros and products with no
+    flow."""
     n = len(ids)
     records = [rec(ids[e % n], ids[i % n], p, v, year) for e, i, p, v in flows
                if p in codes and e % n != i % n]
@@ -757,7 +758,14 @@ class TestMerge:
         codes = merged.countries.display_codes
         assert dict(codes) == {"CCC": "CC", "GRP": "EU"}
         with pytest.raises(TypeError):
-            codes["CCC"] = "ZZ"  # read-only, like id_rank
+            codes["CCC"] = "ZZ"  # read-only
+
+    @pytest.mark.parametrize("text", [
+        '{"label": "G", "members": "USA"}', '{"label": "G", "members": {"USA": 1}}',
+        '[{"label": "G", "members": ["USA"]}]', '"G"', '{"label": "G", "members": []}'])
+    def test_group_config_must_be_object_with_member_array(self, text):
+        with pytest.raises(ValidationError, match="bad group config: need a JSON object"):
+            load_group_config(io.StringIO(text))
 
 
 class TestVolumeProbabilities:
@@ -947,8 +955,27 @@ class TestRegistries:
 
     def test_registries_hold_key_tuples(self):
         # a list would compare unequal to the same keys in a tuple
-        assert CountryRegistry(["CCC", "AAA"]).ids == ("CCC", "AAA")
+        assert CountryRegistry(["AAA", "CCC"]).ids == ("AAA", "CCC")
         assert ProductRegistry(["0", "7"]).codes == ("0", "7")
+
+    @pytest.mark.parametrize("make, keys", [
+        (CountryRegistry, ("BBB", "AAA")), (CountryRegistry, ("AAA", "AAA")),
+        (CountryRegistry, ()),
+        (ProductRegistry, ("7", "0")), (ProductRegistry, ("0", "0")),
+        (ProductRegistry, ()), (ProductRegistry, ("0", " 7")),
+    ])
+    def test_registries_reject_keys_not_canonical_and_ascending(self, make, keys):
+        with pytest.raises(ValidationError):
+            make(keys)
+
+    def test_short_codes_stay_as_checked(self):
+        codes = {"AAA": "EU"}
+        registry = CountryRegistry(("AAA", "BBB"), short_codes=codes)
+        codes["AAA"] = 'E"U'  # the caller's dict changes after the check
+        with pytest.raises(TypeError):
+            registry.short_codes["AAA"] = "x y"
+        assert dict(registry.short_codes) == {"AAA": "EU"}
+        assert registry.display_codes["AAA"] == "EU"
 
     def test_country_registry_unknown_lookup(self):
         reg = CountryRegistry.from_ids(["AAA"])
@@ -979,7 +1006,7 @@ class TestRegistries:
     @given(st.data())
     def test_display_codes_match_per_id_chain(self, data):
         # ids and codes from a three-character alphabet, so codes collide and are ids
-        ids = data.draw(st.lists(TINY_ID, min_size=1, max_size=8, unique=True))
+        ids = sorted(data.draw(st.lists(TINY_ID, min_size=1, max_size=8, unique=True)))
         overridden = data.draw(st.lists(st.sampled_from(ids), unique=True))
         codes = data.draw(st.lists(TINY_ID, min_size=len(overridden), max_size=len(overridden)))
         registry = CountryRegistry(ids, short_codes=dict(zip(overridden, codes)))
@@ -1097,7 +1124,7 @@ def bench_inputs():
     return module
 
 
-ORACLE_IDS = ("AAA", "USA", "FR1", "B-2", "C_D")
+ORACLE_IDS = ("AAA", "B-2", "C_D", "FR1", "USA")
 
 
 def spelled(keys):
@@ -1106,6 +1133,29 @@ def spelled(keys):
     return st.builds(lambda key, lower, left, right: (key, left + "".join(
         c.lower() if lower >> k & 1 else c for k, c in enumerate(key)) + right),
         st.sampled_from(keys), st.integers(0, 15), blanks, blanks)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(ORACLE_IDS), st.sampled_from(ORACLE_IDS),
+                          st.sampled_from("0479"), st.floats(0.0, 1e6)), min_size=1, max_size=30),
+       st.data())
+def test_built_registries_ascend(flows, data):
+    """Ingest, ``money_from_records`` without registries, a merge whose label sorts
+    between its members, and synth all build registries of strictly ascending ids."""
+    flows = [flow for flow in flows if flow[0] != flow[1]]
+    assume(flows)
+    text = "".join(f"2018,{e},{i},{p},{v!r}\n" for e, i, p, v in flows)
+    built = [ingest_csv(io.StringIO(HEADER + "\n" + text), 2018).money,
+             money_from_records([TradeFlowRecord(2018, *flow) for flow in flows], 2018)]
+    members = data.draw(st.sets(st.sampled_from(built[1].countries.ids), min_size=2))
+    label = min(members) + "Z"  # above the least member, below the rest
+    merged = merge_country_group(built[1], members, label)
+    built += [merged, gravity_money_set(data.draw(st.integers(0, 2 ** 32)),
+                                        data.draw(st.integers(2, 60)))]
+    assert sorted(members)[0] < label < sorted(members)[1]
+    for mm in built:
+        ids = mm.countries.ids
+        assert all(a < b for a, b in zip(ids, ids[1:])), ids
 
 
 class TestInputOrderSums:
@@ -1247,23 +1297,6 @@ class TestInputOrderSums:
             tracemalloc.stop()
         assert (result.rows_used, result.money.n_countries) == (500, 1000)
         assert peak < 10 * 2 ** 20
-
-    def test_rows_follow_ids_not_registry_positions(self):
-        countries = CountryRegistry(("CCC", "AAA", "DDD", "BBB"))
-        products = ProductRegistry.from_codes(["1", "4"])
-        rng = np.random.default_rng(0)
-        matrices = []
-        for _ in products.codes:
-            dense = np.round(rng.uniform(0.0, 10.0, (4, 4)), 2) * (rng.random((4, 4)) < 0.7)
-            np.fill_diagonal(dense, 0.0)
-            matrices.append(sparse.csc_matrix(dense))
-        mm = MoneyMatrixSet(tuple(matrices), 2018, countries, products)
-        want = records(mm)
-        assert [r.exporter for r in want[:2]] == ["AAA", "AAA"]
-        out = io.StringIO()
-        write_trade_csv(mm, out)
-        assert out.getvalue().splitlines() == [HEADER] + [
-            f"2018,{r.exporter},{r.importer},{r.product},{r.value_usd!r}" for r in want]
 
 
 def storage_order_twin(matrices, mm):
