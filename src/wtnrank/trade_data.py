@@ -103,8 +103,8 @@ class CountryRegistry:
     Ids are stable text keys (ISO-3166 alpha-3 for real data) and name the
     countries in every output. A registry position is thus the place in id
     order, which breaks ties. ``short_codes`` optionally overrides the
-    two-letter node label; each code must be a valid id, and the registry keeps
-    a read-only copy, so no code changes after its check.
+    two-letter node label of ids in the registry; each code must be a valid id, and
+    the registry keeps a read-only copy, so no code changes after its check.
     """
 
     ids: tuple[str, ...]
@@ -115,6 +115,8 @@ class CountryRegistry:
                                                        "country id"))
         object.__setattr__(self, "short_codes", MappingProxyType(dict(self.short_codes)))
         for cid, code in self.short_codes.items():  # they name nodes in the CSV and DOT outputs
+            if cid not in self._index:
+                raise ValidationError(f"short code {code!r} of {cid!r}, an id not in the registry")
             if not isinstance(code, str) or not _ID_RE.fullmatch(code):
                 raise ValidationError(f"short code {code!r} of {cid!r} is not a valid id")
 
@@ -263,7 +265,8 @@ def ingest_csv(source, year: int) -> IngestResult:
     source : path or byte/text stream
         UTF-8 CSV with header ``year,exporter,importer,product,value_usd``.
     year : int
-        Rows of other years are ignored; the year must occur in the data.
+        Rows of other years are ignored; the year must occur in the data. A year
+        that is not an int, or is a bool, raises ``ValidationError``.
 
     Self-flows (exporter == importer) are dropped and counted. Rows sharing
     the same (exporter, importer, product) key are summed. Unknown product
@@ -272,8 +275,9 @@ def ingest_csv(source, year: int) -> IngestResult:
     or value must be ASCII without ``_`` digit separators. Input that is not
     UTF-8, or that ``csv`` rejects (such as a field over
     ``csv.field_size_limit()``), raises ``ParseError``.
-    Each distinct raw year, id and product field is canonicalized once per
-    call; a bad one is never cached, so the error names the first line it is on.
+    Each distinct raw year, id and product field is canonicalized once per call,
+    into ``_Keys``; a bad one is never cached, so the error names the first line it
+    is on. The years' table is seeded with ``year``, which is thus position 0.
 
     The body is read in blocks of whole lines, each one string: ``_BLOCK``
     characters and the rest of the line they end in. Each block is split by column
@@ -283,7 +287,8 @@ def ingest_csv(source, year: int) -> IngestResult:
     at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in a file that ``open_input`` opens,
     wherever a block ends.
     """
-    in_year, ids = _InYear(year), _Keys(canonical_country_id)
+    _check_year(year)
+    years, ids = _Keys(_year, year), _Keys(canonical_country_id)
     codes = _Keys(canonical_product_code)
     blocks = []
     try:
@@ -299,14 +304,14 @@ def ingest_csv(source, year: int) -> IngestResult:
             lineno = reader.line_num + 1
             texts = iter(lambda: stream.read(_BLOCK) + stream.readline(), "")
             for text in texts:
-                if (block := _plain_block(text, in_year, ids, codes)) is None:
+                if (block := _plain_block(text, years, ids, codes)) is None:
                     texts = chain([text], texts)
                     break
                 n_lines, *columns = block
                 blocks.append(columns)
                 lineno += n_lines
             lines = chain.from_iterable(io.StringIO(text, newline="") for text in texts)
-            blocks.append(_row_loop(csv.reader(lines), lineno, in_year, ids, codes))
+            blocks.append(_row_loop(csv.reader(lines), lineno, years, ids, codes))
     except UnicodeDecodeError as exc:
         raise ParseError(f"the trade CSV is not UTF-8 ({exc.reason})") from None
 
@@ -320,7 +325,7 @@ def ingest_csv(source, year: int) -> IngestResult:
     return IngestResult(money, values.size, self_flows, values.size - unique_keys)
 
 
-def _plain_block(text, in_year, ids, codes):
+def _plain_block(text, years, ids, codes):
     """The line count of a plain block of whole lines, given as one string, and
     ``_row_loop``'s result for it; None when the block is not plain.
 
@@ -331,9 +336,10 @@ def _plain_block(text, in_year, ids, codes):
     loop's check. csv would then split each line at its commas and drop its
     ``\\r\\n``, so the block is read from its UTF-8 bytes by column, and no field
     becomes a ``str`` of its own: ``_lookup`` decodes each distinct year, id
-    and code once, and ``_values`` converts the values, both a little-endian
-    word of 8 bytes at a time. The keys of a block are numbered, in ``ids`` and
-    ``codes``, in the order ``_lookup`` meets them.
+    and code once from one packed word (a field over 8 bytes makes the block
+    not plain), and ``_values`` converts the values, 8 bytes a word. New keys are
+    numbered, in ``years``, ``ids`` and ``codes``, after the seed keys (the
+    year, at 0, in ``years``) in the order ``_lookup`` meets them.
     """
     data = (text if text.endswith("\n") else text + "\n").encode(errors="surrogatepass")
     raw = np.frombuffer(data + bytes(16), np.uint8)  # room to read 16 bytes from any field
@@ -353,7 +359,7 @@ def _plain_block(text, in_year, ids, codes):
     length[:, 4] -= crlf
     words = np.ndarray(raw.size - 7, "<u8", raw, strides=(1,))  # bytes i to i + 7 at i
     try:
-        keep = _lookup(words, start[:, 0], length[:, 0], in_year.__getitem__).astype(bool)
+        keep = _lookup(words, start[:, 0], length[:, 0], years.__getitem__) == 0
         exporter, importer = np.split(_lookup(words, start[:, 1:3].T.ravel(),
                                               length[:, 1:3].T.ravel(), ids.__getitem__), 2)
         product = _lookup(words, start[:, 3], length[:, 3], codes.__getitem__)
@@ -373,38 +379,23 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 
 
 def _lookup(words, start, length, lookup) -> np.ndarray:
-    """``lookup`` of the text of each field, called once per distinct field.
+    """``lookup`` of the text of each field, called once per distinct field;
+    ``ValueError`` when a field is over 8 bytes.
 
-    ``words[i]`` is bytes i to i + 7 of the block as a little-endian uint64. A
-    field is packed with the bytes past its end zeroed. When no field is longer
-    than 8 bytes, each is one word, cut to a uint32 when none is longer than 4
-    (``unique`` sorts those faster). Otherwise a field takes as many words as it
-    needs, one uint64 for up to 8 bytes, else a bytes string of whole words, one
-    group per word count. The block holds no NUL, so two fields pack alike only
-    when they are equal. Each group's distinct fields are looked up in ascending
-    order of their packed codes, one-word fields first.
+    ``words[i]`` is bytes i to i + 7 of the block as a little-endian uint64. Each
+    field is packed into one word with the bytes past its end zeroed, cut to a
+    uint32 when no field is over 4 bytes (``unique`` sorts those faster). The block
+    holds no NUL, so two fields pack alike only when they are equal. The distinct
+    fields are looked up in ascending order of their packed words, so a ``_Keys``
+    table numbers the new ones in that order, after its seed keys.
     """
-    longest = int(length.max())
-    if longest <= 8:
-        packed = words[start] & _LOW_BYTES[length]
-        return _lookup_packed(packed.astype("<u4") if longest <= 4 else packed, lookup)
-    result = np.empty(start.size, np.int64)
-    n_words = np.maximum(length + 7, 8) // 8
-    for width in np.flatnonzero(np.bincount(n_words)).tolist():
-        fields = n_words == width
-        packed = words[8 * np.arange(width)[:, None] + start[fields]]  # word j of each in row j
-        packed[-1] &= _LOW_BYTES[length[fields] - 8 * (width - 1)]
-        result[fields] = _lookup_packed(packed[0] if width == 1 else np.ascontiguousarray(
-            packed.T).view(f"S{8 * width}").ravel(), lookup)
-    return result
-
-
-def _lookup_packed(packed, lookup) -> np.ndarray:
-    """``lookup`` of each packed field, trailing NULs dropped, once per distinct one."""
-    distinct, inverse = np.unique(packed, return_inverse=True)
-    texts = distinct.view(f"S{distinct.itemsize}").tolist()
-    return np.array([lookup(t.decode(errors="surrogatepass")) for t in texts],
-                    np.int64)[inverse]
+    if (longest := int(length.max())) > 8:  # the row loop reads the block
+        raise ValueError(f"a key field of {longest} bytes")
+    packed = words[start] & _LOW_BYTES[length]
+    distinct, inverse = np.unique(packed.astype("<u4") if longest <= 4 else packed,
+                                  return_inverse=True)
+    return np.array([lookup(t.decode(errors="surrogatepass"))  # trailing NULs dropped
+                     for t in distinct.view(f"S{distinct.itemsize}").tolist()], np.int64)[inverse]
 
 
 # 10**k, exact in float64 for k <= 15, and in uint64
@@ -488,19 +479,35 @@ def _eight_digits(word) -> np.ndarray:
 
 
 def _float_fields(raw, start, length) -> list[float]:
-    """``float(field.strip())`` of the fields, decoded as one string; ``ValueError``
-    when one holds ``_`` or a non-ASCII character, as in the row loop."""
+    """``float(field.strip())`` of the fields, decoded as one string, under the row
+    loop's ``_number`` rule."""
     size = length + 1  # each field with the byte after it, which becomes its "\n"
     offset = np.cumsum(size) - size
     joined = raw[np.arange(size.sum()) + np.repeat(start - offset, size)]
     joined[offset + length] = ord("\n")
-    text = joined.tobytes().decode(errors="surrogatepass")
-    if "_" in text or not text.isascii():  # float() would take "_" and non-ASCII digits
-        raise ValueError(text)
+    text = _number(joined.tobytes().decode(errors="surrogatepass"))
     return list(map(float, map(str.strip, text.split("\n")[:-1])))
 
 
-def _row_loop(reader, first: int, in_year, ids, codes):
+def _number(raw: str) -> str:
+    """``raw``; ``ValueError`` on ``_`` or non-ASCII, which ``int`` and ``float`` take."""
+    if "_" in raw or not raw.isascii():
+        raise ValueError(raw)
+    return raw
+
+
+def _year(raw: str) -> int:
+    """The year that a raw year field spells, under the ``_number`` rule."""
+    return int(_number(raw).strip())
+
+
+def _check_year(year) -> None:
+    """``ValidationError`` unless ``year`` is an int, not a bool ("2018" matches no row)."""
+    if not isinstance(year, numbers.Integral) or isinstance(year, bool):
+        raise ValidationError(f"year {year!r} is not an int")
+
+
+def _row_loop(reader, first: int, years, ids, codes):
     """(self-flows, exporter, importer, product, value) of the rows of a ``csv.reader``
     whose first line is line ``first``; the reference that ``_plain_block`` matches.
     An error names the line on which its record starts, from ``reader.line_num``."""
@@ -515,13 +522,11 @@ def _row_loop(reader, first: int, in_year, ids, codes):
                 raise ParseError(f"expected 5 fields, got {len(row)}", line=lineno)
             raw_year, raw_exp, raw_imp, raw_prod, raw_val = row
             try:
-                wanted = in_year[raw_year]
+                wanted = years[raw_year] == 0
             except ValueError:
                 raise ParseError(f"bad year {raw_year!r}", line=lineno) from None
-            try:  # float() would take "_" digit separators and non-ASCII digits
-                if "_" in raw_val or not raw_val.isascii():
-                    raise ValueError
-                value = float(raw_val.strip())
+            try:
+                value = float(_number(raw_val).strip())
             except ValueError:
                 raise ParseError(f"bad value {raw_val!r}", line=lineno) from None
             if not 0.0 <= value < math.inf:
@@ -545,37 +550,21 @@ def _row_loop(reader, first: int, in_year, ids, codes):
             np.array(values, float))
 
 
-class _InYear(dict):
-    """Raw year field -> whether it is ``year``, each distinct field converted once.
-
-    A bad field raises ``ValueError`` and is never stored.
-    """
-
-    def __init__(self, year):
-        super().__init__()
-        self.year = year
-
-    def __missing__(self, raw):
-        if "_" in raw or not raw.isascii():  # int() would take "_" and non-ASCII digits
-            raise ValueError(raw)
-        self[raw] = match = bool(int(raw.strip()) == self.year)
-        return match
-
-
 class _Keys(dict):
     """Raw field -> position of its canonical key in ``positions``.
 
-    Keys are numbered in the order they are first looked up: the row loop's in
-    file order, a plain block's in ascending order of their packed bytes (see
-    ``_lookup``). ``ingest_csv`` builds its registries from the keys, sorted, so
-    no position reaches its result. Each distinct raw value goes through
-    ``canonical`` once. One that raises is never stored, so it raises again,
-    with the same message, on each use.
+    The seed ``keys`` come first, from 0, so the year ``ingest_csv`` reads is 0 in
+    its years. Others are numbered as first looked up: the row loop's in file
+    order, a plain block's in ascending order of their packed bytes (``_lookup``).
+    ``ingest_csv`` builds its registries from the keys, sorted, so no position
+    reaches its result. Each distinct raw value goes through ``canonical`` once.
+    One that raises is never stored, so it raises again, with the same message,
+    on each use.
     """
 
-    def __init__(self, canonical):
+    def __init__(self, canonical, *keys):
         super().__init__()
-        self.canonical, self.positions = canonical, {}
+        self.canonical, self.positions = canonical, {key: i for i, key in enumerate(keys)}
 
     def __missing__(self, raw):
         key = self.canonical(raw)
@@ -668,10 +657,11 @@ def money_from_records(records: Iterable[TradeFlowRecord], year: int,
                        products: ProductRegistry | None = None) -> MoneyMatrixSet:
     """Assemble a money matrix set from in-memory records.
 
-    Ids and product codes are canonicalized and self-flows dropped. Each
-    value must be a finite, nonnegative number, as each ingest row must;
-    records sharing a key are then summed.
+    Ids and product codes are canonicalized and self-flows dropped. As in
+    ``ingest_csv``, the year must be an int and no bool, and each value a finite,
+    nonnegative number; records sharing a key are then summed.
     """
+    _check_year(year)
     ids, codes = _Keys(canonical_country_id), _Keys(canonical_product_code)
     exporters, importers, flow_products, values = [], [], [], []
     for r in records:

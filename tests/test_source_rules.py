@@ -15,8 +15,12 @@ Registry lookups go once per distinct key, never per row: the
 ``np.fromiter(map(`` idiom of one ``index_of`` call per flow is forbidden.
 One solver: only ``google_matrix.py``, home of the per-product block LU of
 I - damping * S0, names a sparse or dense LU factorization or solve.
+One number rule: ``trade_data._number``, which every year and value field goes
+through, owns the one ``.isascii(`` line, since ``int`` and ``float`` would take
+non-ASCII digits.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -47,3 +51,14 @@ def test_source_rules(path):
               for pattern, allowed in RULES if path.name not in allowed
               for number, line in enumerate(lines, start=1) if pattern.search(line)]
     assert not broken, "\n".join(broken)
+
+
+def test_one_owner_of_the_number_rule():
+    hits = [(path, number) for path in SOURCE
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+            if re.search(r"\.isascii\(", line)]
+    assert len(hits) == 1, hits
+    path, number = hits[0]
+    owners = [node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.FunctionDef) and node.lineno <= number <= node.end_lineno]
+    assert (path.name, owners) == ("trade_data.py", ["_number"])

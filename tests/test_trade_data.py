@@ -4,6 +4,7 @@ import gc
 import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -99,6 +100,19 @@ class TestIngest:
     def test_only_self_flows_is_empty_data(self):
         with pytest.raises(EmptyDataError):
             ingest_csv(csv_stream("2018,FRA,FRA,0,1e6"), 2018)
+
+    @pytest.mark.parametrize("year", ["2018", 2018.0, True, None])
+    def test_year_must_be_an_int(self, year):
+        # checked before the source is read: an empty one would be "no header row"
+        with pytest.raises(ValidationError, match=rf"^year {re.escape(repr(year))} is not an int$"):
+            ingest_csv(io.StringIO(""), year)
+        assert ingest_csv(csv_stream("2018,FRA,USA,0,1"), np.int64(2018)).rows_used == 1
+
+    @pytest.mark.parametrize("year", ["2018", 2018.0, True, None])
+    def test_records_year_must_be_an_int(self, year):
+        with pytest.raises(ValidationError, match=rf"^year {re.escape(repr(year))} is not an int$"):
+            money_from_records([rec("FRA", "USA", "0", 1.0)], year)
+        assert money_from_records([rec("FRA", "USA", "0", 1.0)], np.int64(2018)).matrices[0].nnz
 
     def test_duplicate_keys_summed(self):
         rows = ["2018,FRA,USA,3,2.0", "2018,FRA,USA,3,3.0", "2018,USA,FRA,3,7.0"]
@@ -489,8 +503,8 @@ class TestIngestBlocks:
             ingest_csv(csv_stream("2018,FRA,USA,1,2", "2018,\ud800,USA,1,2"), 2018)
 
     @pytest.mark.parametrize("lines", [
-        ["2018,ABCDEFGHIJ,KEU9_LONGER,7,1\n", "2018,KEU9_LONGER,abcdefghij,7,2\n",
-         "2018,FRA,ABCDEFGHIJ,0,3\n", "2018,ABCDEFGHIJKLMNOPQ,FRA,0,4\n"],
+        ["00002018,ABCDEFGH,abcdefgh,7,1\n", "2018,ABCDEFG,ABCDEFGH,       0,2\n",
+         "2018, abcdefg,ABCDE,7,3\n", "2017,ABCDEFGH,ABCD,0,4\n"],
         ["2018,FRA,USA,7,1\r\n", "2018,USA,FRA,7, 2.5 \r\n", "2018,FRA,FRA,7,3\r\n",
          "2017,USA,FRA,7,4\r\n"],
         ["2018,FRA,USA,7,212467.0\n", "2018,USA,FRA,7,0.30000000000000004\n",
@@ -500,10 +514,41 @@ class TestIngestBlocks:
          "2018,USA,FRA,3,0.000000000000001\n", "2018,FRA,USA,4,1e3\n",
          # 16 and 17 digits, where a double of the digits would round twice
          "2018,USA,FRA,4,95142426273599.37\n", "2018,FRA,USA,5,43591.010316006538\n"],
-    ], ids=["long-ids", "crlf", "decimals"])
+    ], ids=["8-byte-keys", "crlf", "decimals"])
     def test_plain_block_reads_as_the_row_loop(self, lines):
         got = read_block(lines)
         assert got is not None and got == read_block(lines, row_loop=True)
+
+    @pytest.mark.parametrize("line", [
+        "2018,ABCDEFGHIJ,KEU9_LONGER,7,1\n", "2018,KEU9_LONGER,abcdefghij,7,2\n",
+        "2018,FRA,ABCDEFGHIJ,0,3\n", "2018,ABCDEFGHIJKLMNOPQ,FRA,0,4\n",
+        "000002018,FRA,USA,7,5\n", "2018,FRA,USA,        7,6\n"])
+    def test_key_field_over_8_bytes_is_not_plain(self, line):
+        # a year, id or code over 8 bytes: the row loop reads the block
+        assert read_block(["2018,FRA,USA,7,1\n", line]) is None
+        assert read_block(["2018,FRA,USA,7,1\n", line], row_loop=True)[0] == 0
+
+    def test_long_id_in_a_later_block_reads_as_the_row_loop(self):
+        rows = [*good_rows(20), "2018,ABCDEFGHI,USA,7,1", *good_rows(20)]
+        block = len("\n".join(rows[:12]))  # the first block ends before the long id
+        with mock.patch.object(trade_data, "_BLOCK", block), \
+                mock.patch.object(trade_data, "_row_loop", wraps=trade_data._row_loop) as loop:
+            got = ingest_outcome(csv_stream(*rows).getvalue())
+            with row_loop_only():
+                assert ingest_outcome(csv_stream(*rows).getvalue()) == got
+            assert loop.call_args_list[0].args[1] > 2  # a plain block came first
+            assert "ABCDEFGHI" in got[1] and got[4:] == (41, 0, 28)
+            with pytest.raises(ValidationError, match=r"^line 32: invalid country id 'ABCDEFG I'$"):
+                ingest_csv(csv_stream(*rows[:30], "2018,USA,ABCDEFG I,7,1", *rows[30:]), 2018)
+
+    @pytest.mark.parametrize("row", ["\x1c2018\x1f,FRA,USA,7,\x1d5\x1e", "2018,FRA,USA,7,\x1c5"])
+    def test_separator_blanks_around_numbers_are_stripped(self, row):
+        # as str.strip does; int() and float() alone reject "\x1c" to "\x1f"
+        text = "\n".join([HEADER, row]) + "\n"
+        got = ingest_outcome(text)
+        with row_loop_only():
+            assert ingest_outcome(text) == got
+        assert got[2:4] == (("7",), [([0, 1, 1], [1], [np.float64(5.0).view(np.int64)])])
 
     def test_short_decimals_take_the_exact_path(self):
         lines = ["2018,FRA,USA,7,212467.0\r\n", "2018,USA,FRA,7,.5\n", "2018,FRA,USA,7,5.\n",
@@ -537,13 +582,13 @@ def read_block(lines, row_loop=False):
     """``_plain_block`` of ``lines``, joined, at year 2018 (or, with ``row_loop``,
     ``_row_loop``), each position as its key and each value as its bits; None when not
     plain. The block's line count must be that of ``lines``."""
-    in_year = trade_data._InYear(2018)
+    years = trade_data._Keys(trade_data._year, 2018)
     ids = trade_data._Keys(trade_data.canonical_country_id)
     codes = trade_data._Keys(trade_data.canonical_product_code)
     if row_loop:
-        block = trade_data._row_loop(csv.reader(lines), 2, in_year, ids, codes)
+        block = trade_data._row_loop(csv.reader(lines), 2, years, ids, codes)
     else:
-        block = trade_data._plain_block("".join(lines), in_year, ids, codes)
+        block = trade_data._plain_block("".join(lines), years, ids, codes)
         if block is None:
             return None
         assert block[0] == len(lines)
@@ -759,6 +804,10 @@ class TestMerge:
         assert dict(codes) == {"CCC": "CC", "GRP": "EU"}
         with pytest.raises(TypeError):
             codes["CCC"] = "ZZ"  # read-only
+        # a merged member's override goes with it, as the registry takes none of an unknown id
+        again = merge_country_group(merged, {"GRP"}, "HHH")
+        assert dict(again.countries.short_codes) == {}
+        assert dict(again.countries.display_codes) == {"CCC": "CC", "HHH": "HH"}
 
     @pytest.mark.parametrize("text", [
         '{"label": "G", "members": "USA"}', '{"label": "G", "members": {"USA": 1}}',
@@ -995,12 +1044,14 @@ class TestRegistries:
         with pytest.raises(ValidationError):
             CountryRegistry.from_ids([cid, "BBB"])
 
-    @pytest.mark.parametrize("code", ['E"U', "", "eu", "E U", "EU\n", 5])
+    @pytest.mark.parametrize("code", ['E"U', "", "eu", "E U", "EU\n", 5,
+                                      pytest.param({"ZZZ": "EU"}, id="unknown-id")])
     def test_country_registry_rejects_bad_short_codes(self, code):
+        # a code that is no valid id, or a good code for an id the registry lacks
         ids = ("AAA", "BBB")
         assert CountryRegistry(ids, short_codes={"AAA": "EU"}).display_codes["AAA"] == "EU"
-        with pytest.raises(ValidationError, match="short code"):
-            CountryRegistry(ids, short_codes={"AAA": code})
+        with pytest.raises(ValidationError, match="^short code .* of '(AAA|ZZZ)'"):
+            CountryRegistry(ids, short_codes=code if isinstance(code, dict) else {"AAA": code})
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(st.data())
