@@ -2,8 +2,17 @@
 
 A shock multiplies selected money-matrix values by (1 + magnitude); the
 Google-matrix rebuild renormalizes columns, so product shocks and labor-cost
-shocks share one code path. Derivatives are central finite differences of
-the full pipeline (perturb, rebuild, re-rank, balance).
+shocks share one code path. ``balance_sensitivity`` takes the central finite
+difference of the full pipeline (perturb, rebuild, re-rank, balance).
+
+``labor_cost_matrix`` is the exact derivative at zero shock, for every target
+at once. With y = (I - damping * S0)^-1 v, PageRank is p = y / sum(y), and a
+shock moves y by dy = (I - damping * S0)^-1 (damping * dS0 y + dv) (Golub and
+Meyer, SIAM J. Alg. Disc. Meth. 7(2), 1986). A labor-cost shock on t scales
+column t of every money matrix. The direct flow's normalization cancels that
+(dS0 = 0); the inverted flow's scales row t of each block S0*, so that
+dS0* = e_t s_t^T - S0* diag(s_t), s_t being row t. Either way v moves through
+the product volumes. The volume balance is a closed form of the flow sums.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import numpy as np
 
 from ._io import write_csv, write_json
 from .errors import ValidationError
-from .google_matrix import DEFAULT_DAMPING, DIRECT, INVERTED, build_google
+from .google_matrix import DEFAULT_DAMPING, DIRECT, INVERTED, _block_solver, build_google
 from .ranks import DEFAULT_MAX_ITER, DEFAULT_TOL, pagerank
 from .trade_data import MoneyMatrixSet, volume_probabilities
 
@@ -87,7 +96,6 @@ class LaborCostMatrix:
     """dB_c/dsigma_c' for every (affected country c, shocked country c')."""
 
     description: str
-    step: float
     year: int
     countries: tuple[str, ...]
     targets: tuple[str, ...]
@@ -188,25 +196,80 @@ def balance_sensitivity(mm: MoneyMatrixSet, perturbation: Perturbation,
                              plus.countries, derivatives, diagonal)
 
 
-def labor_cost_matrix(mm: MoneyMatrixSet, description: str,
-                      step: float = DEFAULT_STEP, *,
-                      damping: float = DEFAULT_DAMPING, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> LaborCostMatrix:
-    """Labor-cost sensitivities for every shocked country in the registry."""
-    targets = mm.countries.ids
-    columns = []
-    countries = None
-    for target in targets:
-        report = balance_sensitivity(
-            mm, Perturbation(LABOR_COST, target_country=target), description,
-            step, damping=damping, tol=tol, max_iter=max_iter)
-        if countries is None:
-            countries = report.countries
-        elif report.countries != countries:
-            raise ValidationError("labor-cost sweep changed the reported country set")
-        columns.append(report.derivatives)
-    return LaborCostMatrix(description, step, mm.year, countries, targets,
-                           np.column_stack(columns))
+def labor_cost_matrix(mm: MoneyMatrixSet, description: str, *,
+                      damping: float = DEFAULT_DAMPING) -> LaborCostMatrix:
+    """Exact labor-cost sensitivities dB_c/dsigma_t for every target t in the registry.
+
+    The derivative at zero shock, as ``balance_sensitivity`` approximates it by
+    differences. Rank-based, each direction takes one ``build_google``, one
+    factorization of I - damping * S0 and one solve per target; volume-based is a
+    closed form. Rows are the countries of the balance report (those with any
+    probability); a block with no stationary solution, possible only at damping 1,
+    raises ``ConvergenceError``.
+    """
+    if description == RANK_BASED:
+        present, derivatives = _rank_labor_response(mm, damping)
+    elif description == VOLUME_BASED:
+        present, derivatives = _volume_labor_response(mm)
+    else:
+        raise ValidationError(f"unknown description {description!r}")
+    countries = tuple(cid for cid, keep in zip(mm.countries.ids, present) if keep)
+    return LaborCostMatrix(description, mm.year, countries, mm.countries.ids, derivatives)
+
+
+def _rank_labor_response(mm: MoneyMatrixSet, damping: float):
+    """Countries with P + P* > 0, and dB/dsigma on them: 2 (P dP* - P* dP) / (P + P*)^2."""
+    n_c, n_p = mm.n_countries, mm.n_products
+    googles = [build_google(mm, direction, damping) for direction in (DIRECT, INVERTED)]
+    # v = W_p / (n_c W), and a shock on t adds E[p, t] to W_p and E_t to W. The part
+    # through W is a multiple of v, which moves y along itself and p not at all.
+    dv = mm.exports / (n_c * mm.total_volume())
+    probs, shifts = [], []
+    for g in googles:
+        a_links = damping * g.links
+        solve = _block_solver(g, np.arange(g.n_nodes), a_links)
+        y = solve(g.personalization)
+        total = y.sum()
+        p = y / total
+        if g.direction == INVERTED:  # row t of every block, target-major: one slice per t
+            order = np.arange(g.n_nodes).reshape(n_p, n_c).T.ravel()
+            rows, a_y = g.links.tocsr()[order], a_links @ y
+        dp = np.empty((n_c, n_c))
+        for t in range(n_c):
+            rhs = np.repeat(dv[:, t], n_c)
+            if g.direction == INVERTED:  # + damping (e_t (S0* y)_t - S0* (s_t * y))
+                nodes = order[t * n_p:(t + 1) * n_p]
+                lo, hi = rows.indptr[t * n_p], rows.indptr[(t + 1) * n_p]
+                cols = rows.indices[lo:hi]
+                s_y = np.zeros(g.n_nodes)
+                s_y[cols] = rows.data[lo:hi] * y[cols]
+                rhs -= a_links @ s_y
+                rhs[nodes] += a_y[nodes]
+            dy = solve(rhs)
+            dp[:, t] = ((dy - p * dy.sum()) / total).reshape(n_p, n_c).sum(axis=0)
+        probs.append(p.reshape(n_p, n_c).sum(axis=0))
+        shifts.append(dp)
+    (p, p_star), (dp, dp_star) = probs, shifts
+    present = (p + p_star) > 0.0
+    p, p_star = p[present, None], p_star[present, None]
+    return present, 2.0 * (p * dp_star[present] - p_star * dp[present]) / (p + p_star) ** 2
+
+
+def _volume_labor_response(mm: MoneyMatrixSet):
+    """Countries with E + I > 0, and dB/dsigma on them: 2 (I dE - E dI) / (E + I)^2.
+
+    Per unit of a shock on t, E_t gains E_t and each I_c gains m_p[c, t] summed over
+    products; the total volume divides out of the balance.
+    """
+    vp = volume_probabilities(mm)
+    e, i = vp.export_c, vp.import_c
+    present = (e + i) > 0.0
+    d_imports = sum(m.toarray() for m in mm.matrices)[present] / mm.total_volume()
+    e, i = e[present], i[present]
+    d_exports = np.zeros((e.size, mm.n_countries))
+    d_exports[np.arange(e.size), np.flatnonzero(present)] = e
+    return present, 2.0 * (i[:, None] * d_exports - e[:, None] * d_imports) \
+        / ((e + i) ** 2)[:, None]
 
 
 def write_balance_csv(report: BalanceReport, dest) -> None:

@@ -1,9 +1,15 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import money_sets_equal, random_money_set, small_money_set
 
 from wtnrank import (
     COUNTRY_PRODUCT,
+    DIRECT,
+    INVERTED,
+    ConvergenceError,
     CountryRegistry,
     GLOBAL_PRODUCT,
     LABOR_COST,
@@ -16,10 +22,12 @@ from wtnrank import (
     balance,
     balance_report,
     balance_sensitivity,
+    build_google,
     labor_cost_matrix,
     money_from_records,
     perturb_money,
 )
+from wtnrank import sensitivity
 
 
 def rec(exp, imp, prod, value):
@@ -218,15 +226,59 @@ class TestBalanceSensitivity:
         assert np.all(np.isfinite(report.derivatives))
 
 
+# an error of the step-h central difference at most C h^2 (it was under 0.2 h^2 on these
+# sets), falling 4-fold per halving of h wherever it stands clear of roundoff
+CENTRAL_C, RATIO_FLOOR = 1.0, 1e-9
+
+
 class TestLaborCostMatrix:
-    def test_matches_one_at_a_time_calls(self):
-        mm = small_money_set(29, 3, 2, density=1.0)
-        table = labor_cost_matrix(mm, RANK_BASED)
-        for j, target in enumerate(table.targets):
-            single = balance_sensitivity(
-                mm, Perturbation(LABOR_COST, target_country=target), RANK_BASED)
-            assert single.countries == table.countries
-            np.testing.assert_array_equal(table.derivatives[:, j], single.derivatives)
+    @pytest.mark.parametrize("description", [RANK_BASED, VOLUME_BASED])
+    @pytest.mark.parametrize("seed, n_countries, n_products, density",
+                             [(29, 3, 2, 1.0), (36, 8, 3, 0.3)])
+    def test_central_differences_converge_to_it(self, seed, n_countries, n_products,
+                                                density, description):
+        mm = small_money_set(seed, n_countries, n_products, density=density)
+        if density < 1.0:  # the sparse set has dangling columns in both directions
+            assert all(build_google(mm, d).dangling.any() for d in (DIRECT, INVERTED))
+        table = labor_cost_matrix(mm, description)
+        error = {}
+        for step in (0.01, 0.005):
+            columns = []
+            for target in table.targets:
+                single = balance_sensitivity(
+                    mm, Perturbation(LABOR_COST, target_country=target), description, step)
+                assert single.countries == table.countries
+                columns.append(single.derivatives)
+            error[step] = np.abs(np.column_stack(columns) - table.derivatives)
+            assert np.all(error[step] <= CENTRAL_C * step ** 2)
+        clear = error[0.01] > RATIO_FLOOR
+        assert clear.sum() >= table.derivatives.shape[0]
+        ratio = error[0.01][clear] / error[0.005][clear]
+        assert np.all((3.9 <= ratio) & (ratio <= 4.1)), ratio
+
+    @pytest.mark.parametrize("description, per_direction", [(RANK_BASED, 2), (VOLUME_BASED, 0)])
+    def test_one_build_and_one_factorization_per_direction(self, description, per_direction):
+        names = ("build_google", "_block_solver", "pagerank", "perturb_money")
+        with contextlib.ExitStack() as stack:
+            calls = {name: stack.enter_context(mock.patch.object(
+                sensitivity, name, wraps=getattr(sensitivity, name))) for name in names}
+            labor_cost_matrix(small_money_set(30, 4, 2), description)
+        assert {name: spy.call_count for name, spy in calls.items()} == {
+            "build_google": per_direction, "_block_solver": per_direction,
+            "pagerank": 0, "perturb_money": 0}
+
+    def test_unknown_description_rejected_before_any_build(self):
+        with (mock.patch.object(sensitivity, "build_google") as build,
+              mock.patch.object(sensitivity, "perturb_money") as perturb):
+            with pytest.raises(ValidationError, match="unknown description"):
+                labor_cost_matrix(two_country(), "other")
+        build.assert_not_called()
+        perturb.assert_not_called()
+
+    def test_singular_block_at_damping_one(self):
+        # AAA <-> BBB alone is a closed class: I - S0 has no inverse
+        with pytest.raises(ConvergenceError, match="singular in product 0"):
+            labor_cost_matrix(two_country(), RANK_BASED, damping=1.0)
 
     def test_diagonal_reported_separately(self):
         mm = small_money_set(30, 4, 1)

@@ -658,7 +658,13 @@ BAD_FIELDS = {"year": ["20_18", "x", "２０１８", "", "2018\r", "2018\0"],
               "code": ["X", "77"],
               "value": ["-1", "nan", "inf", "1_0", "abc", "５", "1\r", "1\0", "", "1.2.3"]}
 KINDS = ("year", "id", "id", "code", "value")
-PLAIN_ROW = st.tuples(*[st.sampled_from(GOOD_FIELDS[k]) for k in KINDS])
+# an id over 8 bytes makes its block not plain, so plain rows draw the others
+# and long ids come in as odd rows of their own
+LONG_IDS = [i for i in GOOD_FIELDS["id"] if len(i.encode()) > 8]
+PLAIN_ROW = st.tuples(*[st.sampled_from([f for f in GOOD_FIELDS[k] if f not in LONG_IDS])
+                        for k in KINDS])
+LONG_ID_ROW = st.tuples(PLAIN_ROW, st.integers(1, 2), st.sampled_from(LONG_IDS)).map(
+    lambda t: tuple(t[2] if i == t[1] else f for i, f in enumerate(t[0])))
 BAD_FIELD = st.sampled_from([0, 1, 2, 3, 4, 4]).flatmap(
     lambda k: st.tuples(st.just(k), st.sampled_from(BAD_FIELDS[KINDS[k]])))
 BAD_ROW = st.tuples(PLAIN_ROW, BAD_FIELD).map(
@@ -670,14 +676,16 @@ ODD_ROW = st.sampled_from(["", "   ", "2018,FRA,USA,7", "2018,FRA,USA,7,1,2", "2
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
 @given(st.lists(PLAIN_ROW.map(",".join), max_size=40),
        st.lists(st.tuples(st.integers(0, 40), st.one_of(BAD_ROW.map(",".join),
-                                                         QUOTED_ROW.map(",".join), ODD_ROW)),
+                                                         QUOTED_ROW.map(",".join), ODD_ROW,
+                                                         LONG_ID_ROW.map(",".join))),
                 max_size=3),
        st.sampled_from(["\n", "\n", "\r\n", "mixed"]), st.booleans(),
        st.sampled_from([1, 24, 48, 96]))
 def test_block_parser_matches_row_loop(rows, odd_rows, ends, final_newline, block):
     """Bit-identical matrices and counters, or the same error and line, with and
     without the block parser: plain rows with up to three others (a bad field,
-    a quoted one, a blank, short or long row) put in, and CRLF ends on all rows or on one."""
+    a quoted one, a blank, short or long row, an id over 8 bytes) put in, and CRLF
+    ends on all rows or on one."""
     for position, row in odd_rows:
         rows.insert(position, row)
     crlf = len(rows) // 2 if ends == "mixed" else None
