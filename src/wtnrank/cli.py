@@ -16,7 +16,7 @@ from . import sensitivity as sens_mod
 from ._io import write_csv, write_json
 from .errors import ConvergenceError, EmptyDataError, ParseError, ValidationError
 from .google_matrix import DEFAULT_DAMPING, DIRECT, INVERTED, build_google
-from .ranks import DEFAULT_MAX_ITER, DEFAULT_TOL, assign_ranks, pagerank, rank_table
+from .ranks import DEFAULT_MAX_ITER, DEFAULT_TOL, pagerank, rank_table
 from .synth import (
     DEFAULT_COUNTRIES,
     DEFAULT_DENSITY,
@@ -181,7 +181,7 @@ def cmd_rank(args) -> int:
     header = ["country", "pagerank_index", "cheirank_index",
               "importrank_index", "exportrank_index"]
     rows = zip(money.countries.ids, direct.country_rank, inverted.country_rank,
-               assign_ranks(volumes.import_c), assign_ranks(volumes.export_c))
+               volumes.import_rank, volumes.export_rank)
     write_csv(header, rows, _out_path(args, "rank_plane.csv"))
     return EXIT_OK
 

@@ -128,7 +128,8 @@ def rank_table(direct: RankVector, inverted: RankVector,
 
     Each row's keys, in order, are the table's columns: ``rank``, then the
     country ids by PageRank (direct), CheiRank (inverted), ImportRank and
-    ExportRank (trade volume). ``top`` is clipped to the country count.
+    ExportRank (``volumes.import_rank`` and ``export_rank``). ``top`` is clipped to
+    the country count.
     """
     if top < 1:
         raise ValidationError(f"top must be at least 1, got {top}")
@@ -139,8 +140,8 @@ def rank_table(direct: RankVector, inverted: RankVector,
     columns = {
         "pagerank_country": np.argsort(direct.country_rank),
         "cheirank_country": np.argsort(inverted.country_rank),
-        "importrank_country": np.argsort(assign_ranks(volumes.import_c)),
-        "exportrank_country": np.argsort(assign_ranks(volumes.export_c)),
+        "importrank_country": np.argsort(volumes.import_rank),
+        "exportrank_country": np.argsort(volumes.export_rank),
     }
     rows = []
     for r in range(min(top, len(registry))):

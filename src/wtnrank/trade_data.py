@@ -277,7 +277,9 @@ def ingest_csv(source, year: int) -> IngestResult:
     ``csv.field_size_limit()``), raises ``ParseError``.
     Each distinct raw year, id and product field is canonicalized once per call,
     into ``_Keys``; a bad one is never cached, so the error names the first line it
-    is on. The years' table is seeded with ``year``, which is thus position 0.
+    is on. The years' table is seeded with ``year``, which is thus position 0. The
+    ``_Keys`` live only as long as the call: what one call meets never reaches
+    another.
 
     The body is read in blocks of whole lines, each one string: ``_BLOCK``
     characters and the rest of the line they end in. Each block is split by column
@@ -335,10 +337,11 @@ def _plain_block(text, years, ids, codes):
     ``csv.field_size_limit()`` UTF-8 bytes, and every field passes the row
     loop's check. csv would then split each line at its commas and drop its
     ``\\r\\n``, so the block is read from its UTF-8 bytes by column, and no field
-    becomes a ``str`` of its own: ``_lookup`` decodes each distinct year, id
-    and code once from one packed word (a field over 8 bytes makes the block
-    not plain), and ``_values`` converts the values, 8 bytes a word. New keys are
-    numbered, in ``years``, ``ids`` and ``codes``, after the seed keys (the
+    becomes a ``str`` of its own: ``_lookup`` packs each year, id and code into
+    one word (a field over 8 bytes makes the block not plain) and finds it in the
+    hash table of ``years``, ``ids`` or ``codes``; it decodes a word only the first
+    time the call meets it. ``_values`` converts the values, 8 bytes a word. New
+    keys are numbered, in ``years``, ``ids`` and ``codes``, after the seed keys (the
     year, at 0, in ``years``) in the order ``_lookup`` meets them.
     """
     data = (text if text.endswith("\n") else text + "\n").encode(errors="surrogatepass")
@@ -359,10 +362,10 @@ def _plain_block(text, years, ids, codes):
     length[:, 4] -= crlf
     words = np.ndarray(raw.size - 7, "<u8", raw, strides=(1,))  # bytes i to i + 7 at i
     try:
-        keep = _lookup(words, start[:, 0], length[:, 0], years.__getitem__) == 0
+        keep = _lookup(words, start[:, 0], length[:, 0], years) == 0
         exporter, importer = np.split(_lookup(words, start[:, 1:3].T.ravel(),
-                                              length[:, 1:3].T.ravel(), ids.__getitem__), 2)
-        product = _lookup(words, start[:, 3], length[:, 3], codes.__getitem__)
+                                              length[:, 1:3].T.ravel(), ids), 2)
+        product = _lookup(words, start[:, 3], length[:, 3], codes)
         value = _values(raw, words, start[:, 4], length[:, 4])
     except (ValueError, ValidationError):
         return None
@@ -376,26 +379,41 @@ def _plain_block(text, years, ids, codes):
 
 # the low k bytes of a uint64, for k = 0..8
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+# _Keys' table: the odd multipliers it tries in turn, 2**64 over the golden ratio
+# (D. E. Knuth, TAOCP Vol. 3, 6.4), then those of SplitMix64's and MurmurHash3's
+# mixers; at least this many slots a word; and at most 2**16 slots
+_MULTIPLIERS = tuple(map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
+                                     0x94D049BB133111EB, 0xFF51AFD7ED558CCD)))
+_SLOTS_PER_WORD = 16
+_MAX_SLOT_BITS = 16
 
 
-def _lookup(words, start, length, lookup) -> np.ndarray:
-    """``lookup`` of the text of each field, called once per distinct field;
-    ``ValueError`` when a field is over 8 bytes.
+def _lookup(words, start, length, keys) -> np.ndarray:
+    """The position in ``keys`` of each field; ``ValueError`` when a field is over
+    8 bytes.
 
     ``words[i]`` is bytes i to i + 7 of the block as a little-endian uint64. Each
-    field is packed into one word with the bytes past its end zeroed, cut to a
-    uint32 when no field is over 4 bytes (``unique`` sorts those faster). The block
-    holds no NUL, so two fields pack alike only when they are equal. The distinct
-    fields are looked up in ascending order of their packed words, so a ``_Keys``
-    table numbers the new ones in that order, after its seed keys.
+    field is packed into one word with the bytes past its end zeroed. The block
+    holds no NUL, so two fields pack alike only when they are equal. A field whose
+    word is in its slot of ``keys``' table takes the position stored there. Only
+    the others, the misses, are sorted: each distinct one goes through ``keys``
+    once, in ascending order of the packed words, so ``keys`` numbers the new ones
+    in that order, after its seed keys. Then they are stored in the table.
     """
     if (longest := int(length.max())) > 8:  # the row loop reads the block
         raise ValueError(f"a key field of {longest} bytes")
     packed = words[start] & _LOW_BYTES[length]
-    distinct, inverse = np.unique(packed.astype("<u4") if longest <= 4 else packed,
-                                  return_inverse=True)
-    return np.array([lookup(t.decode(errors="surrogatepass"))  # trailing NULs dropped
-                     for t in distinct.view(f"S{distinct.itemsize}").tolist()], np.int64)[inverse]
+    slot = keys.slot(packed)
+    position = keys.slot_positions[slot]
+    miss = (keys.slot_words[slot] != packed) | (position < 0)
+    if miss.any():
+        miss = np.flatnonzero(miss)
+        distinct, inverse = np.unique(packed[miss], return_inverse=True)
+        found = np.array([keys[t.decode(errors="surrogatepass")]  # trailing NULs dropped
+                          for t in distinct.view("S8").tolist()], np.int64)
+        position[miss] = found[inverse]
+        keys.store(distinct, found)
+    return position
 
 
 # 10**k, exact in float64 for k <= 15, and in uint64
@@ -555,16 +573,63 @@ class _Keys(dict):
 
     The seed ``keys`` come first, from 0, so the year ``ingest_csv`` reads is 0 in
     its years. Others are numbered as first looked up: the row loop's in file
-    order, a plain block's in ascending order of their packed bytes (``_lookup``).
-    ``ingest_csv`` builds its registries from the keys, sorted, so no position
-    reaches its result. Each distinct raw value goes through ``canonical`` once.
-    One that raises is never stored, so it raises again, with the same message,
-    on each use.
+    order, a plain block's misses in ascending order of their packed bytes
+    (``_lookup``). ``ingest_csv`` builds its registries from the keys, sorted, so no
+    position reaches its result. Each distinct raw value goes through ``canonical``
+    once. One that raises is never stored, so it raises again, with the same
+    message, on each use.
+
+    Beside the dict, a direct-mapped table maps the packed words of plain fields to
+    positions: a word stored by ``store`` is ``slot_words[slot(word)]``, its position
+    ``slot_positions[slot(word)]``. An empty slot holds position -1, so it matches
+    no word, not even the 0 of an empty field. The table has a power-of-two number
+    of slots, at least ``_SLOTS_PER_WORD`` for each word it holds, and no two of its
+    words share a slot.
     """
 
     def __init__(self, canonical, *keys):
         super().__init__()
         self.canonical, self.positions = canonical, {key: i for i, key in enumerate(keys)}
+        self._build(np.zeros(0, np.uint64), np.zeros(0, np.int64))
+
+    def slot(self, words) -> np.ndarray:
+        """Each packed word's slot: the top bits of word * multiplier mod 2**64, as
+        many as the table's size has (Knuth's multiplicative hashing)."""
+        return ((words * self.multiplier) >> self.shift).view(np.int64)
+
+    def store(self, words, positions) -> None:
+        """Put distinct words that the table does not hold in it, with their positions:
+        the table is rebuilt with them, unless it is at its largest, where they go
+        into the free slots only, so that a word whose slot is taken stays a miss
+        without a rebuild in every block."""
+        if self.slot_positions.size < 1 << _MAX_SLOT_BITS:
+            held = self.slot_positions >= 0
+            self._build(np.concatenate((self.slot_words[held], words)),
+                        np.concatenate((self.slot_positions[held], positions)))
+        else:
+            self._fill(self.slot(words), words, positions)
+
+    def _build(self, words, positions) -> None:
+        """A new table of the words: the fewest slots, at least ``_SLOTS_PER_WORD`` a
+        word, and the first of ``_MULTIPLIERS`` that give every word a slot of its
+        own; past ``_MAX_SLOT_BITS``, the last try, a word whose slot is taken left
+        out (it stays a miss, which ``_lookup`` looks up exactly)."""
+        least = min((_SLOTS_PER_WORD * words.size - 1).bit_length(), _MAX_SLOT_BITS)
+        for bits, multiplier in ((b, m) for b in range(least, _MAX_SLOT_BITS + 1)
+                                 for m in _MULTIPLIERS):
+            self.multiplier, self.shift = multiplier, np.uint64(64 - bits)
+            if np.unique(slot := self.slot(words)).size == words.size:
+                break
+        self.slot_words = np.zeros(1 << bits, np.uint64)
+        self.slot_positions = np.full(1 << bits, -1, np.int64)
+        self._fill(slot, words, positions)
+
+    def _fill(self, slot, words, positions) -> None:
+        """Store each word whose slot is free, the first of words that share one."""
+        slot, first = np.unique(slot, return_index=True)
+        free = self.slot_positions[slot] < 0
+        self.slot_words[slot[free]] = words[first[free]]
+        self.slot_positions[slot[free]] = positions[first[free]]
 
     def __missing__(self, raw):
         key = self.canonical(raw)
@@ -785,6 +850,8 @@ class VolumeProbabilities:
     """Import/export trade-volume probabilities (the one-step baseline ranking).
 
     Joint arrays are (n_products, n_countries); the two joints each sum to 1.
+    ``import_rank`` and ``export_rank`` (ImportRank and ExportRank) are each
+    ranked once, on first use.
     """
 
     import_pc: np.ndarray
@@ -796,6 +863,18 @@ class VolumeProbabilities:
     countries: CountryRegistry
     products: ProductRegistry
     year: int
+
+    @cached_property
+    def import_rank(self) -> np.ndarray:
+        """``assign_ranks(import_c)``: each country's 1-based rank, ties by id."""
+        from .ranks import assign_ranks  # ranks imports this module
+        return assign_ranks(self.import_c)
+
+    @cached_property
+    def export_rank(self) -> np.ndarray:
+        """``assign_ranks(export_c)``: each country's 1-based rank, ties by id."""
+        from .ranks import assign_ranks
+        return assign_ranks(self.export_c)
 
 
 def volume_probabilities(mm: MoneyMatrixSet) -> VolumeProbabilities:

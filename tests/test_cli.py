@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import re
@@ -5,11 +6,12 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import wtnrank
-from wtnrank import TradeFlowRecord, money_from_records, write_trade_csv
+from wtnrank import TradeFlowRecord, money_from_records, ranks, write_trade_csv
 from wtnrank.cli import main
 
 HEADER = "year,exporter,importer,product,value_usd"
@@ -319,6 +321,24 @@ def test_rank_outputs(trade_csv, tmp_path):
     plane = (out / "rank_plane.csv").read_text().splitlines()
     assert plane[0] == "country,pagerank_index,cheirank_index,importrank_index,exportrank_index"
     assert len(plane) == 9  # 8 countries
+
+
+def test_rank_ranks_each_volume_column_once(trade_csv, tmp_path):
+    real = ranks.assign_ranks
+    assign = mock.Mock(wraps=real)
+    with contextlib.ExitStack() as stack:  # wherever a module binds the name
+        for module in [m for name, m in sys.modules.items() if name.startswith("wtnrank")]:
+            if getattr(module, "assign_ranks", None) is real:
+                stack.enter_context(mock.patch.object(module, "assign_ranks", assign))
+        assert main(["rank", "--input", trade_csv, "--year", "2018", "--top", "3",
+                     "--out-dir", str(tmp_path)]) == 0
+    # nodes, countries and products of each pagerank, then ImportRank and ExportRank
+    assert assign.call_count == 8
+    plane = (tmp_path / "rank_plane.csv").read_text().splitlines()[1:]
+    table = (tmp_path / "rank_table.csv").read_text().splitlines()[1:]
+    for column in (3, 4):  # each table column lists the ids of ranks 1, 2, 3 in the plane
+        by_rank = {int(row.split(",")[column]): row.split(",")[0] for row in plane}
+        assert [row.split(",")[column] for row in table] == [by_rank[r] for r in (1, 2, 3)]
 
 
 def test_rank_json_format(trade_csv, tmp_path):

@@ -582,18 +582,29 @@ def read_block(lines, row_loop=False):
     """``_plain_block`` of ``lines``, joined, at year 2018 (or, with ``row_loop``,
     ``_row_loop``), each position as its key and each value as its bits; None when not
     plain. The block's line count must be that of ``lines``."""
+    return read_blocks([lines], row_loop)
+
+
+def read_blocks(blocks, row_loop=False):
+    """``read_block`` of blocks read in turn with one set of ``_Keys``, each a list of
+    lines, their columns joined; None when one is not plain."""
     years = trade_data._Keys(trade_data._year, 2018)
     ids = trade_data._Keys(trade_data.canonical_country_id)
     codes = trade_data._Keys(trade_data.canonical_product_code)
-    if row_loop:
-        block = trade_data._row_loop(csv.reader(lines), 2, years, ids, codes)
-    else:
-        block = trade_data._plain_block("".join(lines), years, ids, codes)
-        if block is None:
-            return None
-        assert block[0] == len(lines)
-        block = block[1:]
-    self_flows, exporter, importer, product, value = block
+    parts = []
+    for lines in blocks:
+        if row_loop:
+            block = trade_data._row_loop(csv.reader(lines), 2, years, ids, codes)
+        else:
+            block = trade_data._plain_block("".join(lines), years, ids, codes)
+            if block is None:
+                return None
+            assert block[0] == len(lines)
+            block = block[1:]
+        parts.append(block)
+    self_flows = sum(part[0] for part in parts)
+    exporter, importer, product, value = (np.concatenate(column)
+                                          for column in zip(*[part[1:] for part in parts]))
     id_keys, code_keys = list(ids.positions), list(codes.positions)
     return (self_flows, [id_keys[i] for i in exporter], [id_keys[i] for i in importer],
             [code_keys[i] for i in product], value.view(np.int64).tolist())
@@ -697,6 +708,161 @@ def test_block_parser_matches_row_loop(rows, odd_rows, ends, final_newline, bloc
         got = ingest_outcome(text)
         with row_loop_only():
             assert ingest_outcome(text) == got
+
+def all_in_one_slot():
+    """Patch ``_Keys`` so that every packed word hashes to slot 0: a table holds one
+    word, and every other field is a miss, looked up on the exact path."""
+    return mock.patch.object(trade_data._Keys, "slot",
+                             lambda self, words: np.zeros(words.shape, np.int64))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.lists(PLAIN_ROW.map(lambda row: ",".join(row) + "\n"), min_size=1,
+                         max_size=12), min_size=1, max_size=4))
+def test_colliding_slots_read_as_the_table_and_row_loop(blocks):
+    """Plain blocks read in turn with one set of ``_Keys``: bit-identical columns with
+    the hash table, with every word in one slot, and with the row loop."""
+    got = read_blocks(blocks)
+    assert got is not None
+    with all_in_one_slot():
+        assert read_blocks(blocks) == got
+    assert read_blocks(blocks, row_loop=True) == got
+
+
+def trade_csv_text(mm):
+    buf = io.StringIO()
+    write_trade_csv(mm, buf)
+    return buf.getvalue()
+
+
+def lookup_calls(text):
+    """(``_Keys``, packed fields, arrays it passed to ``np.unique``) of each ``_lookup``
+    call that ``ingest_csv`` of ``text`` makes, in order."""
+    calls, real_lookup, real_unique = [], trade_data._lookup, np.unique
+
+    def lookup(words, start, length, keys):
+        calls.append((keys, (words[start] & trade_data._LOW_BYTES[length]).tolist(), []))
+        return real_lookup(words, start, length, keys)
+
+    def unique(values, *args, **kwargs):
+        if sys._getframe(1).f_code is real_lookup.__code__:
+            calls[-1][2].append(np.array(values).tolist())
+        return real_unique(values, *args, **kwargs)
+
+    with mock.patch.object(trade_data, "_lookup", lookup), mock.patch.object(np, "unique", unique):
+        ingest_csv(io.StringIO(text), 2018)
+    return calls
+
+
+class TestKeyTable:
+    """``_Keys``' hash table: ``_lookup`` sorts only the fields a block has not met."""
+
+    def test_colliding_slots_on_a_multi_block_file(self):
+        text = trade_csv_text(gravity_money_set(5, 40, 4, density=0.5))
+        with mock.patch.object(trade_data, "_BLOCK", 4096):
+            assert len(text) > 8 * trade_data._BLOCK
+            got = ingest_outcome(text)
+            with all_in_one_slot():
+                assert ingest_outcome(text) == got
+            with row_loop_only():
+                assert ingest_outcome(text) == got
+        assert got[4] > 2000
+
+    @pytest.mark.parametrize("row, bad", [
+        (",FRA,USA,1,2", True), ("2018,,USA,1,2", True), ("2018,FRA,,1,2", True),
+        ("2018,FRA,USA,,2", True), ("000002018,FRA,USA,1,2", False),
+        ("2018,ABCDEFGHI,USA,1,2", False), ("2018,FRA,USA,        1,2", False),
+        ("2018,NEW,USA,7,2", False)],
+        ids=["empty-year", "empty-exporter", "empty-importer", "empty-product", "long-year",
+             "long-id", "long-product", "new-id"])
+    @pytest.mark.parametrize("slots", [contextlib.nullcontext, all_in_one_slot])
+    def test_later_block_reads_as_the_row_loop(self, row, bad, slots):
+        # the table is full once the first block is read; the row is on line 42
+        rows = [*good_rows(40), row, *good_rows(5)]
+        plain = []
+
+        def plain_block(*args):
+            plain.append(block := real(*args))
+            return block
+
+        real = trade_data._plain_block
+        with mock.patch.object(trade_data, "_BLOCK", len("\n".join(rows[:20]))), slots():
+            with mock.patch.object(trade_data, "_plain_block", plain_block):
+                got = ingest_outcome(csv_stream(*rows).getvalue())
+            with row_loop_only():
+                assert ingest_outcome(csv_stream(*rows).getvalue()) == got
+        assert plain[0] is not None and plain[0][0] < 40  # a plain block filled the table
+        if bad:
+            assert got[0] in (ParseError, ValidationError)
+            assert got[2] == 42 or got[1].startswith("line 42: ")
+        else:
+            assert got[4] == 46 and row.split(",")[1] in got[1]
+
+    @pytest.mark.parametrize("slots", [contextlib.nullcontext, all_in_one_slot])
+    def test_empty_field_matches_no_slot(self, slots):
+        # an empty field packs to 0, which an empty slot 0 holds too
+        raw = np.frombuffer(b"FRA,USA,," + bytes(16), np.uint8)
+        words = np.ndarray(raw.size - 7, "<u8", raw, strides=(1,))
+        with slots():
+            ids = trade_data._Keys(trade_data.canonical_country_id)
+            assert trade_data._lookup(words, np.array([0, 4, 0]), np.array([3, 3, 3]),
+                                      ids).tolist() == [0, 1, 0]
+            # slot 0: empty, so only its position -1 tells it from the field, or FRA's
+            assert ids.slot_positions[0] == (-1 if slots is contextlib.nullcontext else 0)
+            with pytest.raises(ValidationError, match=r"^invalid country id ''$"):
+                trade_data._lookup(words, np.array([0, 8]), np.array([3, 0]), ids)
+
+    def test_table_gives_each_word_its_own_slot(self):
+        ids = trade_data._Keys(trade_data.canonical_country_id)
+        words = np.array([int.from_bytes(cid.encode(), "little")
+                          for cid in synth_country_ids(600)], np.uint64)
+        for part in np.array_split(words, 7):
+            ids.store(part, np.arange(part.size))
+        held = ids.slot_positions >= 0
+        assert np.count_nonzero(held) == words.size
+        assert ids.slot_positions.size >= trade_data._SLOTS_PER_WORD * words.size
+        assert set(ids.slot_words[held].tolist()) == set(words.tolist())
+        assert np.all(ids.slot(ids.slot_words[held]) == np.flatnonzero(held))
+
+    @pytest.mark.parametrize("kind", ["taken", "shared"])
+    def test_a_slot_clash_rebuilds_the_table(self, kind):
+        # 5 words take 128 slots, room for 8: a new word in a taken slot, or two new
+        # words in one slot, still get slots of their own
+        ids = trade_data._Keys(trade_data.canonical_country_id)
+        words = np.arange(1, 6, dtype=np.uint64)
+        ids.store(words, np.arange(5))
+        assert ids.slot_positions.size == 128
+        candidates = np.arange(6, 1 << 16, dtype=np.uint64)
+        slots = ids.slot(candidates)
+        taken = np.isin(slots, ids.slot(words))
+        new = (candidates[taken][:1] if kind == "taken"
+               else candidates[slots == slots[~taken][0]][:2])
+        ids.store(new, np.arange(5, 5 + new.size))
+        words = np.concatenate((words, new))
+        assert np.count_nonzero(ids.slot_positions >= 0) == words.size
+        assert ids.slot_words[ids.slot(words)].tolist() == words.tolist()
+        assert ids.slot_positions[ids.slot(words)].tolist() == list(range(words.size))
+
+    def test_only_misses_reach_unique(self):
+        # 194x10 at density 0.2: about 75k rows in 8 blocks, sorted by product, then
+        # exporter, so later blocks meet new exporters and codes
+        mm = gravity_money_set(3, 194, 10, density=0.2)
+        header, *rows = trade_csv_text(mm).splitlines(keepends=True)
+        ids, codes = mm.countries.ids, mm.products.codes
+        every_key = [f"{mm.year},{ids[i]},{ids[i - 1]},{codes[i % len(codes)]},1.0\n"
+                     for i in range(len(ids))]
+        for lead, new_keys in (([], True), (every_key, False)):
+            calls = lookup_calls(header + "".join(lead + rows))
+            assert len(calls) >= 4 * 3  # three a block
+            met = {}
+            for k, (keys, packed, uniques) in enumerate(calls):
+                seen = met.setdefault(id(keys), set())
+                if k >= 3:  # after the first block: the fields it has not met, or nothing
+                    assert uniques == ([[w for w in packed if w not in seen]]
+                                       if not seen.issuperset(packed) else [])
+                seen.update(packed)
+            assert any(uniques for _, _, uniques in calls[3:]) == new_keys
+
 
 MERGE_IDS = ("AAA", "BBB", "CAA", "DDD")
 
