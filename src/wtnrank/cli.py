@@ -45,6 +45,19 @@ _PERTURB_KINDS = {
 }
 
 
+class UsageError(Exception):
+    """A command line that ``parser`` rejects."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it as argparse would, or as JSON
+        raise UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument("--input", required=True, help="trade-flow CSV path")
@@ -64,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     solver.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                         help="power-iteration cap (default %(default)s)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wtnrank",
         description="Google matrix analysis of multiproduct trade networks",
     )
@@ -260,7 +273,15 @@ def _report_error(exc: Exception, json_errors: bool) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        # argparse takes any prefix of --json-errors: no other option starts with --j
+        if not any(len(a) > 2 and "--json-errors".startswith(a) for a in argv):
+            argparse.ArgumentParser.error(exc.parser, str(exc))  # usage text, exit 2
+        _report_error(exc, True)
+        raise SystemExit(EXIT_USAGE) from None
     try:
         return args.func(args)
     except (ParseError, ValidationError, EmptyDataError, OSError) as exc:

@@ -9,16 +9,15 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .google_matrix import GoogleMatrix
-from .trade_data import CountryRegistry, ProductRegistry, VolumeProbabilities
+from .trade_data import CountryRegistry, VolumeProbabilities
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
 
 
-def assign_ranks(probs, keys=None) -> np.ndarray:
-    """Rank indexes 1..n by descending probability; ties by ascending key.
+def assign_ranks(probs) -> np.ndarray:
+    """Rank indexes 1..n by descending probability; ties by ascending position.
 
-    ``keys[i]`` is the tie-break key of entry ``i``, one scalar per entry (default: position).
     Returns an array where ``ranks[i]`` is the 1-based rank of entry ``i``.
     """
     p = np.asarray(probs, dtype=float)
@@ -26,33 +25,27 @@ def assign_ranks(probs, keys=None) -> np.ndarray:
         raise ValidationError("probabilities must be one-dimensional")
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise ValidationError("probabilities must be finite and nonnegative")
-    keys = np.arange(p.size) if keys is None else np.asarray(keys)
-    if keys.shape != p.shape:
-        raise ValidationError("keys must be one-dimensional, one per probability")
     ranks = np.empty(p.size, dtype=np.int64)
-    ranks[np.lexsort((keys, -p))] = np.arange(1, p.size + 1)
+    ranks[np.argsort(-p, kind="stable")] = np.arange(1, p.size + 1)
     return ranks
 
 
 @dataclass(frozen=True, eq=False)
 class RankVector:
-    """Stationary probabilities of one flow direction with rank indexes.
+    """Stationary probabilities of one flow direction, with country rank indexes.
 
-    Country and product probabilities are sums of the joint node vector;
-    every ``*_rank`` array maps registry position to a 1-based rank index.
+    ``node_probs`` is the joint (country, product) vector, product-major: node
+    ``p * n_countries + c``. ``country_probs`` is its sum over products, and
+    ``country_rank`` maps registry position to a 1-based rank index, ties by id.
     """
 
     direction: str
     node_probs: np.ndarray
     country_probs: np.ndarray
-    product_probs: np.ndarray
-    node_rank: np.ndarray
     country_rank: np.ndarray
-    product_rank: np.ndarray
     residual: float
     iterations: int
     countries: CountryRegistry
-    products: ProductRegistry
 
 
 def pagerank(g: GoogleMatrix, tol: float = DEFAULT_TOL,
@@ -85,7 +78,9 @@ def pagerank(g: GoogleMatrix, tol: float = DEFAULT_TOL,
                                    f"{iteration}", residual=residual, iterations=iteration)
         if residual <= tol:
             x = x / x.sum()
-            return _rank_vector(g, x, residual, iteration)
+            country_probs = x.reshape(len(g.products), len(g.countries)).sum(axis=0)
+            return RankVector(g.direction, x, country_probs, assign_ranks(country_probs),
+                              residual, iteration, g.countries)
     raise ConvergenceError(
         f"power iteration did not reach {tol} in {max_iter} iterations "
         f"(last residual {residual:.3e})",
@@ -94,42 +89,15 @@ def pagerank(g: GoogleMatrix, tol: float = DEFAULT_TOL,
     )
 
 
-def _rank_vector(g: GoogleMatrix, probs: np.ndarray, residual: float,
-                 iterations: int) -> RankVector:
-    """Marginals and rank indexes of the normalized node vector ``probs``.
-
-    Registry positions ascend with id and code, so ties break by position:
-    countries by id, products by code, and nodes by id, then code.
-    """
-    n_c = len(g.countries)
-    n_p = len(g.products)
-    joint = probs.reshape(n_p, n_c)
-    country_probs = joint.sum(axis=0)
-    product_probs = joint.sum(axis=1)
-    node_keys = np.arange(n_c) * n_p + np.arange(n_p)[:, None]  # id, then code
-    return RankVector(
-        direction=g.direction,
-        node_probs=probs,
-        country_probs=country_probs,
-        product_probs=product_probs,
-        node_rank=assign_ranks(probs, node_keys.ravel()),
-        country_rank=assign_ranks(country_probs),
-        product_rank=assign_ranks(product_probs),
-        residual=residual,
-        iterations=iterations,
-        countries=g.countries,
-        products=g.products,
-    )
-
-
 def rank_table(direct: RankVector, inverted: RankVector,
                volumes: VolumeProbabilities, top: int) -> list[dict]:
     """Top countries under the four orderings, one row per rank position.
 
     Each row's keys, in order, are the table's columns: ``rank``, then the
-    country ids by PageRank (direct), CheiRank (inverted), ImportRank and
-    ExportRank (``volumes.import_rank`` and ``export_rank``). ``top`` is clipped to
-    the country count.
+    country ids by PageRank (``direct.country_rank``), CheiRank
+    (``inverted.country_rank``), ImportRank and ExportRank
+    (``volumes.import_rank`` and ``export_rank``); nothing is ranked again.
+    ``top`` is clipped to the country count.
     """
     if top < 1:
         raise ValidationError(f"top must be at least 1, got {top}")

@@ -849,20 +849,15 @@ def merge_country_group(mm: MoneyMatrixSet, members: Iterable[str], label: str,
 class VolumeProbabilities:
     """Import/export trade-volume probabilities (the one-step baseline ranking).
 
-    Joint arrays are (n_products, n_countries); the two joints each sum to 1.
+    ``import_c`` and ``export_c`` are each country's share of total trade volume
+    as importer and as exporter, by registry position; each sums to 1.
     ``import_rank`` and ``export_rank`` (ImportRank and ExportRank) are each
     ranked once, on first use.
     """
 
-    import_pc: np.ndarray
-    export_pc: np.ndarray
     import_c: np.ndarray
     export_c: np.ndarray
-    import_p: np.ndarray
-    export_p: np.ndarray
     countries: CountryRegistry
-    products: ProductRegistry
-    year: int
 
     @cached_property
     def import_rank(self) -> np.ndarray:
@@ -882,18 +877,8 @@ def volume_probabilities(mm: MoneyMatrixSet) -> VolumeProbabilities:
     total = mm.total_volume()
     if total <= 0.0:
         raise EmptyDataError("zero total trade volume")
-    import_pc, export_pc = mm.imports / total, mm.exports / total
-    return VolumeProbabilities(
-        import_pc=import_pc,
-        export_pc=export_pc,
-        import_c=import_pc.sum(axis=0),
-        export_c=export_pc.sum(axis=0),
-        import_p=import_pc.sum(axis=1),
-        export_p=export_pc.sum(axis=1),
-        countries=mm.countries,
-        products=mm.products,
-        year=mm.year,
-    )
+    return VolumeProbabilities((mm.imports / total).sum(axis=0),
+                               (mm.exports / total).sum(axis=0), mm.countries)
 
 
 def load_group_config(source) -> tuple[str, list[str], str | None]:

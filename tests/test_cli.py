@@ -64,6 +64,46 @@ def test_json_errors_flag(tmp_path, capsys):
     assert payload["message"]
 
 
+@pytest.mark.parametrize("flag", ["--json-errors", "--json"])  # argparse takes a prefix
+def test_json_errors_flag_covers_usage_errors(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--input", "x.csv", "--year", "abc", flag])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "UsageError",
+                               "message": "argument --year: invalid int value: 'abc'"}
+
+
+def test_usage_error_without_json_errors_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--input", "x.csv", "--year", "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: wtnrank rank [-h] --input INPUT --year YEAR")
+    assert err.endswith("\nwtnrank rank: error: argument --year: invalid int value: 'abc'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank"],  # required options missing
+    ["rank", "--input", "x.csv", "--year", "2018", "--format", "xml"],  # bad choice
+    ["rank", "--input", "x.csv", "--year", "2018", "--bogus"],  # unknown option
+    ["frobnicate"],  # unknown command
+], ids=["missing", "choice", "unknown-option", "unknown-command"])
+def test_json_usage_error_carries_argparse_message(capsys, argv):
+    with pytest.raises(SystemExit) as plain:
+        main(argv)
+    err = capsys.readouterr().err
+    assert plain.value.code == 2 and err.startswith("usage: wtnrank")
+    message = err.splitlines()[-1].split(": error: ", 1)[1]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json-errors"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "UsageError", "message": message}
+
+
 @pytest.mark.parametrize("step", ["0", "nan", "inf", "1", "1.5", "-0.5"])
 def test_zero_step_exits_2(trade_csv, tmp_path, capsys, step):
     # the minus side scales the flows by 1 - step, so the step must lie in (0, 1)
@@ -332,8 +372,8 @@ def test_rank_ranks_each_volume_column_once(trade_csv, tmp_path):
                 stack.enter_context(mock.patch.object(module, "assign_ranks", assign))
         assert main(["rank", "--input", trade_csv, "--year", "2018", "--top", "3",
                      "--out-dir", str(tmp_path)]) == 0
-    # nodes, countries and products of each pagerank, then ImportRank and ExportRank
-    assert assign.call_count == 8
+    # the country rank of each pagerank, then ImportRank and ExportRank
+    assert assign.call_count == 4
     plane = (tmp_path / "rank_plane.csv").read_text().splitlines()[1:]
     table = (tmp_path / "rank_table.csv").read_text().splitlines()[1:]
     for column in (3, 4):  # each table column lists the ids of ranks 1, 2, 3 in the plane

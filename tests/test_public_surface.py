@@ -1,12 +1,16 @@
 """The public surface, pinned: each subcommand's options, in order with their
-defaults, types, choices, required flags and help texts, and the names that the
-package root exports.
+defaults, types, choices, required flags and help texts; the names that the
+package root exports; the fields of its dataclasses; and the parameters of its
+functions, with their defaults.
 
-A new or changed option, or a name added to or dropped from ``wtnrank``, fails
-here until this file lists it, so every change to the surface shows in the diff.
+A new or changed option, a name added to or dropped from ``wtnrank``, or a field
+or parameter added, dropped or reordered fails here until this file lists it, so
+every change to the surface shows in the diff.
 """
 
 import argparse
+import dataclasses
+import inspect
 import types
 
 import wtnrank
@@ -85,6 +89,52 @@ ROOT_NAMES = {
     "strongest_links", "volume_probabilities", "write_trade_csv",
 }
 
+FIELDS = {
+    "BalanceReport": ("description", "year", "countries", "balances"),
+    "CountryRegistry": ("ids", "short_codes"),
+    "GoogleMatrix": ("links", "damping", "personalization", "dangling", "direction",
+                     "countries", "products"),
+    "IngestResult": ("money", "rows_used", "self_flows_dropped", "duplicates_merged"),
+    "LaborCostMatrix": ("description", "year", "countries", "targets", "derivatives"),
+    "MoneyMatrixSet": ("matrices", "year", "countries", "products"),
+    "Perturbation": ("kind", "product", "target_country"),
+    "ProductRegistry": ("codes",),
+    "RankVector": ("direction", "node_probs", "country_probs", "country_rank", "residual",
+                   "iterations", "countries"),
+    "ReducedGoogleMatrix": ("direction", "nodes", "labels", "g_r", "g_rr", "g_pr", "g_qr",
+                            "lambda_c", "series_terms", "residuals"),
+    "SensitivityReport": ("description", "perturbation", "step", "year", "countries",
+                          "derivatives", "diagonal"),
+    "TradeFlowRecord": ("year", "exporter", "importer", "product", "value_usd"),
+    "VolumeProbabilities": ("import_c", "export_c", "countries"),
+}
+
+# each function's parameters in order: a bare name, or (name, default)
+SOLVER_PARAMS = (("damping", 0.5), ("tol", 1e-12), ("max_iter", 10000))
+PARAMETERS = {
+    "assign_ranks": ("probs",),
+    "balance": ("export_probs", "import_probs", "countries", "description", "year"),
+    "balance_report": ("mm", "description", *SOLVER_PARAMS),
+    "balance_sensitivity": ("mm", "perturbation", "description", ("step", 0.01),
+                            *SOLVER_PARAMS),
+    "build_google": ("mm", ("direction", "direct"), ("damping", 0.5)),
+    "gravity_money_set": ("seed", ("n_countries", 12), ("n_products", 4), ("year", 2018),
+                          ("density", 0.75)),
+    "ingest_csv": ("source", "year"),
+    "labor_cost_matrix": ("mm", "description", ("damping", 0.5)),
+    "load_group_config": ("source",),
+    "merge_country_group": ("mm", "members", "label", ("short", None)),
+    "money_from_records": ("records", "year", ("countries", None), ("products", None)),
+    "pagerank": ("g", ("tol", 1e-12), ("max_iter", 10000)),
+    "personalization_vector": ("mm",),
+    "perturb_money": ("mm", "perturbation", "magnitude"),
+    "rank_table": ("direct", "inverted", "volumes", "top"),
+    "reduce": ("g", "selection"),
+    "strongest_links": ("m", "k"),
+    "volume_probabilities": ("mm",),
+    "write_trade_csv": ("mm", "dest"),
+}
+
 
 def _subcommands():
     parser = build_parser()
@@ -114,3 +164,20 @@ def test_package_root_names():
     names = {name for name, value in vars(wtnrank).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert names == ROOT_NAMES
+
+
+def test_dataclass_fields():
+    got = {name: tuple(f.name for f in dataclasses.fields(value))
+           for name, value in vars(wtnrank).items()
+           if name in ROOT_NAMES and isinstance(value, type) and dataclasses.is_dataclass(value)}
+    assert got == FIELDS
+
+
+def test_function_parameters():
+    def pinned(param):
+        return param.name if param.default is param.empty else (param.name, param.default)
+
+    got = {name: tuple(pinned(p) for p in inspect.signature(value).parameters.values())
+           for name, value in vars(wtnrank).items()
+           if name in ROOT_NAMES and inspect.isfunction(value)}
+    assert got == PARAMETERS

@@ -23,7 +23,6 @@ from wtnrank import (
     rank_table,
     volume_probabilities,
 )
-from wtnrank.ranks import _rank_vector
 
 
 def sorted_reference_ranks(probs, keys):
@@ -68,10 +67,8 @@ class TestPagerank:
     def test_marginal_consistency(self):
         rv = pagerank(build(6))
         assert abs(rv.country_probs.sum() - 1.0) <= 1e-10
-        assert abs(rv.product_probs.sum() - 1.0) <= 1e-10
-        joint = rv.node_probs.reshape(len(rv.products), len(rv.countries))
+        joint = rv.node_probs.reshape(-1, len(rv.countries))
         np.testing.assert_allclose(joint.sum(axis=0), rv.country_probs, atol=1e-12)
-        np.testing.assert_allclose(joint.sum(axis=1), rv.product_probs, atol=1e-12)
 
     def test_deterministic(self):
         g = build(7)
@@ -105,18 +102,13 @@ class TestPagerank:
     def test_rank_arrays_are_permutations(self):
         rv = pagerank(build(9))
         assert sorted(rv.country_rank) == list(range(1, len(rv.countries) + 1))
-        assert sorted(rv.node_rank) == list(range(1, rv.node_probs.size + 1))
-        by_rank = rv.node_probs[np.argsort(rv.node_rank)]
+        by_rank = rv.country_probs[np.argsort(rv.country_rank)]
         assert np.all(np.diff(by_rank) <= 0)
 
 
 class TestAssignRanks:
     def test_already_sorted(self):
         np.testing.assert_array_equal(assign_ranks([0.5, 0.3, 0.2]), [1, 2, 3])
-
-    def test_tie_broken_by_key(self):
-        ranks = assign_ranks([0.4, 0.4, 0.2], keys=["B", "A", "C"])
-        np.testing.assert_array_equal(ranks, [2, 1, 3])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sort_oracle(self, seed):
@@ -136,45 +128,25 @@ class TestAssignRanks:
         with pytest.raises(ValidationError):
             assign_ranks([0.1, np.nan])
 
+    @pytest.mark.parametrize("probs", [0.5, [[0.5, 0.5]], [[0.5], [0.5]]])
+    def test_rejects_non_vector(self, probs):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            assign_ranks(probs)
+
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("key_kind", ["string", "integer", "default"])
-    def test_matches_sorted_reference_with_ties(self, seed, key_kind):
-        rng = np.random.default_rng(seed)
-        p = rng.choice([0.0, 0.125, 0.3], size=60)  # many ties
-        keys = {
-            "string": ["".join(rng.choice(list("ABCD"), 3)) for _ in range(p.size)],
-            "integer": list(rng.integers(-5, 5, p.size)),  # repeated keys too
-            "default": None,
-        }[key_kind]
-        want = sorted_reference_ranks(p, range(p.size) if keys is None else keys)
-        got = assign_ranks(p, keys)
+    def test_matches_sorted_reference_with_ties(self, seed):
+        p = np.random.default_rng(seed).choice([0.0, 0.125, 0.3], size=60)  # many ties
+        got = assign_ranks(p)
         assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("keys", [["A", "B"], ["A", "B", "C", "D"],
-                                      [("A", "0"), ("B", "0"), ("C", "0")], [[1, 2, 3]]])
-    def test_keys_must_be_one_per_probability(self, keys):
-        with pytest.raises(ValidationError):
-            assign_ranks([0.5, 0.3, 0.2], keys)
+        np.testing.assert_array_equal(got, sorted_reference_ranks(p, range(p.size)))
 
 
-def _hand_rank_vector(registry, products, country_probs, direction=DIRECT):
-    country_probs = np.asarray(country_probs, dtype=float)
-    n_p = len(products)
-    node = np.tile(country_probs / n_p, n_p)
-    return RankVector(
-        direction=direction,
-        node_probs=node / node.sum(),
-        country_probs=country_probs / country_probs.sum(),
-        product_probs=np.full(n_p, 1.0 / n_p),
-        node_rank=assign_ranks(node),
-        country_rank=assign_ranks(country_probs, list(registry.ids)),
-        product_rank=assign_ranks(np.full(n_p, 1.0 / n_p), list(products.codes)),
-        residual=0.0,
-        iterations=1,
-        countries=registry,
-        products=products,
-    )
+def _hand_rank_vector(registry, country_probs, direction=DIRECT):
+    """One product: the node vector is the country vector."""
+    probs = np.asarray(country_probs, dtype=float) / np.sum(country_probs)
+    return RankVector(direction=direction, node_probs=probs, country_probs=probs,
+                      country_rank=assign_ranks(probs), residual=0.0, iterations=1,
+                      countries=registry)
 
 
 def tied_registry_set():
@@ -188,32 +160,34 @@ def tied_registry_set():
 
 
 class TestRegistryTies:
-    """Ties break by country id, then product code: by registry position."""
-
-    def node_keys(self, g):
-        return [(cid, code) for code in g.products.codes for cid in g.countries.ids]
+    """Ties break by country id: by registry position."""
 
     @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
     def test_pagerank_ties(self, direction):
         g = build_google(tied_registry_set(), direction)
         rv = pagerank(g)
-        assert len(set(rv.node_probs)) < rv.node_probs.size  # there are ties to break
-        np.testing.assert_array_equal(
-            rv.node_rank, sorted_reference_ranks(rv.node_probs, self.node_keys(g)))
+        assert len(set(rv.country_probs)) < len(g.countries)  # there are ties to break
         np.testing.assert_array_equal(
             rv.country_rank, sorted_reference_ranks(rv.country_probs, g.countries.ids))
-        np.testing.assert_array_equal(
-            rv.product_rank, sorted_reference_ranks(rv.product_probs, g.products.codes))
+
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    def test_node_ranks_from_node_probs(self, direction):
+        """README's recipe: node ranks, country-major, ties by id, then code."""
+        g = build_google(tied_registry_set(), direction)
+        rv = pagerank(g)
+        by_country = rv.node_probs.reshape(len(g.products), -1).T.ravel()
+        assert len(set(by_country)) < by_country.size  # there are ties to break
+        keys = [(cid, code) for cid in g.countries.ids for code in g.products.codes]
+        np.testing.assert_array_equal(assign_ranks(by_country),
+                                      sorted_reference_ranks(by_country, keys))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_drawn_ties(self, seed):
         g = build_google(tied_registry_set())
         probs = np.random.default_rng(seed).choice([0.05, 0.1, 0.2], size=g.n_nodes)
-        rv = _rank_vector(g, probs / probs.sum(), 0.0, 1)
-        np.testing.assert_array_equal(
-            rv.node_rank, sorted_reference_ranks(rv.node_probs, self.node_keys(g)))
-        np.testing.assert_array_equal(
-            rv.country_rank, sorted_reference_ranks(rv.country_probs, g.countries.ids))
+        country_probs = probs.reshape(len(g.products), -1).sum(axis=0)
+        np.testing.assert_array_equal(assign_ranks(country_probs),
+                                      sorted_reference_ranks(country_probs, g.countries.ids))
 
     def test_rank_table(self):
         mm = tied_registry_set()
@@ -234,13 +208,9 @@ class TestRegistryTies:
 class TestRankTable:
     def test_single_country(self):
         registry = CountryRegistry.from_ids(["AAA"])
-        products = ProductRegistry.from_codes(["0"])
-        rv = _hand_rank_vector(registry, products, [1.0])
-        vp = VolumeProbabilities(
-            import_pc=np.array([[1.0]]), export_pc=np.array([[1.0]]),
-            import_c=np.array([1.0]), export_c=np.array([1.0]),
-            import_p=np.array([1.0]), export_p=np.array([1.0]),
-            countries=registry, products=products, year=2018)
+        rv = _hand_rank_vector(registry, [1.0])
+        vp = VolumeProbabilities(import_c=np.array([1.0]), export_c=np.array([1.0]),
+                                 countries=registry)
         rows = rank_table(rv, rv, vp, top=1)
         assert rows == [{
             "rank": 1, "pagerank_country": "AAA", "cheirank_country": "AAA",

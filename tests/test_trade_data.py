@@ -1005,19 +1005,14 @@ class TestVolumeProbabilities:
         vp = volume_probabilities(mm)
         dense = np.stack([m.toarray() for m in mm.matrices])  # (p, imp, exp)
         total = dense.sum()
-        np.testing.assert_allclose(vp.import_pc, dense.sum(axis=2) / total, atol=1e-15)
-        np.testing.assert_allclose(vp.export_pc, dense.sum(axis=1) / total, atol=1e-15)
         np.testing.assert_allclose(vp.import_c, dense.sum(axis=(0, 2)) / total, atol=1e-15)
-        np.testing.assert_allclose(vp.export_p, dense.sum(axis=1).sum(axis=1) / total,
-                                   atol=1e-15)
+        np.testing.assert_allclose(vp.export_c, dense.sum(axis=(0, 1)) / total, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_joints_sum_to_one(self, seed):
+    def test_shares_sum_to_one(self, seed):
         vp = volume_probabilities(random_money_set(seed))
-        assert abs(vp.import_pc.sum() - 1.0) <= 1e-12
-        assert abs(vp.export_pc.sum() - 1.0) <= 1e-12
         assert abs(vp.import_c.sum() - 1.0) <= 1e-12
-        assert abs(vp.export_p.sum() - 1.0) <= 1e-12
+        assert abs(vp.export_c.sum() - 1.0) <= 1e-12
 
     def test_zero_volume_rejected(self):
         mm = money_from_records(
