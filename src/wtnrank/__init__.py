@@ -37,7 +37,6 @@ from .sensitivity import (
     balance_report,
     balance_sensitivity,
     labor_cost_matrix,
-    perturb_money,
 )
 from .synth import gravity_money_set
 from .trade_data import (

@@ -107,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", choices=_PERTURB_KINDS, required=True, help="shock kind")
     p.add_argument("--product", default=None, help="product code for product shocks")
     p.add_argument("--target", default=None, help="country applying the shock")
-    p.add_argument("--step", type=float, default=sens_mod.DEFAULT_STEP,
-                   help="finite-difference step (default %(default)s)")
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("regomax", parents=[inputs, outputs, damping],
@@ -219,7 +217,7 @@ def cmd_sensitivity(args) -> int:
     for description, stem in ((sens_mod.RANK_BASED, "sensitivity_rank"),
                               (sens_mod.VOLUME_BASED, "sensitivity_volume")):
         report = sens_mod.balance_sensitivity(
-            money, perturbation, description, args.step,
+            money, perturbation, description,
             damping=args.alpha, tol=args.tol, max_iter=args.max_iter)
         sens_mod.write_sensitivity_csv(report, _out_path(args, stem + ".csv"))
         sens_mod.write_sensitivity_json(report, _out_path(args, stem + ".json"))

@@ -8,6 +8,7 @@ vector, which weights products by their share of total traded volume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,3 +140,39 @@ def _block_solver(g: GoogleMatrix, nodes: np.ndarray, a_links):
         return x
 
     return solve
+
+
+def _iterate(step, x: np.ndarray, tol: float, max_iter: int, name: str):
+    """(x, residual, iterations) at the first x <- step(x) with L1 change at most ``tol``.
+
+    ``ConvergenceError``, carrying the last residual and iteration count, at the first
+    non-finite residual or after ``max_iter`` iterations above ``tol``.
+    """
+    if not math.isfinite(tol) or tol <= 0.0:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    residual = np.inf
+    for iteration in range(1, max_iter + 1):
+        x_next = step(x)
+        residual = float(np.abs(x_next - x).sum())
+        x = x_next
+        if not math.isfinite(residual):
+            raise ConvergenceError(f"{name} residual is {residual} at iteration {iteration}",
+                                   residual=residual, iterations=iteration)
+        if residual <= tol:
+            return x, residual, iteration
+    raise ConvergenceError(
+        f"{name} did not reach {tol} in {max_iter} iterations (last residual {residual:.3e})",
+        residual=residual, iterations=max_iter)
+
+
+def _series_solver(a_links, tol: float, max_iter: int):
+    """Solver of (I - damping * S0) x = b: x <- a_links @ x + b from x = b, by ``_iterate``.
+
+    ``a_links`` is the caller's sparse damping * S0. Sparse products and numpy sums
+    only, so the bytes do not depend on the BLAS kernel. Each step shrinks the error
+    by the damping; at damping 1 on a closed class of S0 the series never settles.
+    """
+    return lambda b: _iterate(lambda x: a_links @ x + b, b, tol, max_iter,
+                              "response series")[0]

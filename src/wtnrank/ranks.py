@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
-from .google_matrix import GoogleMatrix
+from .errors import ValidationError
+from .google_matrix import GoogleMatrix, _iterate
 from .trade_data import CountryRegistry, VolumeProbabilities
 
 DEFAULT_TOL = 1e-12
@@ -55,38 +54,14 @@ def pagerank(g: GoogleMatrix, tol: float = DEFAULT_TOL,
     Starts from the personalization vector and stops at the first iterate
     with L1 change at most ``tol``. At damping < 1 the map is a contraction,
     so this converges for any start; the personalization start is canonical
-    and fast.
-
-    Raises
-    ------
-    ConvergenceError
-        After ``max_iter`` iterations above tolerance, or at the first
-        non-finite residual (carries the last residual and iteration count).
+    and fast. ``ConvergenceError`` as in ``google_matrix._iterate``.
     """
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
-    x = g.personalization.copy()
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
-        x_next = g.apply(x)
-        residual = float(np.abs(x_next - x).sum())
-        x = x_next
-        if not math.isfinite(residual):
-            raise ConvergenceError(f"power iteration residual is {residual} at iteration "
-                                   f"{iteration}", residual=residual, iterations=iteration)
-        if residual <= tol:
-            x = x / x.sum()
-            country_probs = x.reshape(len(g.products), len(g.countries)).sum(axis=0)
-            return RankVector(g.direction, x, country_probs, assign_ranks(country_probs),
-                              residual, iteration, g.countries)
-    raise ConvergenceError(
-        f"power iteration did not reach {tol} in {max_iter} iterations "
-        f"(last residual {residual:.3e})",
-        residual=residual,
-        iterations=max_iter,
-    )
+    x, residual, iterations = _iterate(g.apply, g.personalization, tol, max_iter,
+                                       "power iteration")
+    x = x / x.sum()
+    country_probs = x.reshape(len(g.products), len(g.countries)).sum(axis=0)
+    return RankVector(g.direction, x, country_probs, assign_ranks(country_probs),
+                      residual, iterations, g.countries)
 
 
 def rank_table(direct: RankVector, inverted: RankVector,

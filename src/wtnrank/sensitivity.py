@@ -1,30 +1,35 @@
-"""Trade balances and their linear response to price and labor-cost shocks.
+"""Trade balances and their exact linear response to price and labor-cost shocks.
 
-A shock multiplies selected money-matrix values by (1 + magnitude); the
-Google-matrix rebuild renormalizes columns, so product shocks and labor-cost
-shocks share one code path. ``balance_sensitivity`` takes the central finite
-difference of the full pipeline (perturb, rebuild, re-rank, balance).
-
-``labor_cost_matrix`` is the exact derivative at zero shock, for every target
-at once. With y = (I - damping * S0)^-1 v, PageRank is p = y / sum(y), and a
-shock moves y by dy = (I - damping * S0)^-1 (damping * dS0 y + dv) (Golub and
-Meyer, SIAM J. Alg. Disc. Meth. 7(2), 1986). A labor-cost shock on t scales
-column t of every money matrix. The direct flow's normalization cancels that
-(dS0 = 0); the inverted flow's scales row t of each block S0*, so that
-dS0* = e_t s_t^T - S0* diag(s_t), s_t being row t. Either way v moves through
-the product volumes. The volume balance is a closed form of the flow sums.
+A shock scales exporter columns of money matrices: labor-cost column t of every
+product, country-product column t of one product, global-product all of one
+product. ``balance_sensitivity`` and ``labor_cost_matrix`` give the derivative at
+zero shock, with no perturbed copy. PageRank is p = y / sum(y) with
+y = (I - damping * S0)^-1 v, and a shock moves y by the solution of the same system
+with right-hand side damping * dS0 y + dv (Golub and Meyer, SIAM J. Alg. Disc.
+Meth. 7(2), 1986). Column normalization cancels the scale in the direct flow, and
+for a whole product in the inverted one; else row t of each touched block S0*
+moves, dS0* = e_t s_t^T - S0* diag(s_t) with s_t that row. v moves through the
+product volumes. A single shock solves by a series with sparse products only,
+whose bytes do not depend on the BLAS kernel; the labor-cost matrix reuses one LU
+per product block. The volume balance is a closed form of the flow sums.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._io import write_csv, write_json
 from .errors import ValidationError
-from .google_matrix import DEFAULT_DAMPING, DIRECT, INVERTED, _block_solver, build_google
+from .google_matrix import (
+    DEFAULT_DAMPING,
+    DIRECT,
+    INVERTED,
+    _block_solver,
+    _series_solver,
+    build_google,
+)
 from .ranks import DEFAULT_MAX_ITER, DEFAULT_TOL, pagerank
 from .trade_data import MoneyMatrixSet, volume_probabilities
 
@@ -34,8 +39,6 @@ VOLUME_BASED = "volume-based"
 GLOBAL_PRODUCT = "global-product"
 COUNTRY_PRODUCT = "country-product"
 LABOR_COST = "labor-cost"
-
-DEFAULT_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -53,15 +56,12 @@ class Perturbation:
     target_country: str | None = None
 
     def __post_init__(self):
-        if self.kind == GLOBAL_PRODUCT:
-            ok = self.product is not None and self.target_country is None
-        elif self.kind == COUNTRY_PRODUCT:
-            ok = self.product is not None and self.target_country is not None
-        elif self.kind == LABOR_COST:
-            ok = self.product is None and self.target_country is not None
-        else:
+        # whether each kind names (a product, a target country)
+        names = {GLOBAL_PRODUCT: (True, False), COUNTRY_PRODUCT: (True, True),
+                 LABOR_COST: (False, True)}
+        if self.kind not in names:
             raise ValidationError(f"unknown perturbation kind {self.kind!r}")
-        if not ok:
+        if names[self.kind] != (self.product is not None, self.target_country is not None):
             raise ValidationError(
                 f"perturbation kind {self.kind!r} got product={self.product!r}, "
                 f"target_country={self.target_country!r}"
@@ -84,7 +84,6 @@ class SensitivityReport:
 
     description: str
     perturbation: Perturbation
-    step: float
     year: int
     countries: tuple[str, ...]
     derivatives: np.ndarray
@@ -103,11 +102,8 @@ class LaborCostMatrix:
 
     def diagonal(self) -> dict[str, float]:
         """Self-sensitivities dB_c/dsigma_c, reported apart from the table."""
-        out = {}
-        for j, target in enumerate(self.targets):
-            if target in self.countries:
-                out[target] = float(self.derivatives[self.countries.index(target), j])
-        return out
+        return {target: float(self.derivatives[self.countries.index(target), j])
+                for j, target in enumerate(self.targets) if target in self.countries}
 
 
 def balance(export_probs, import_probs, countries, description: str,
@@ -145,108 +141,93 @@ def balance_report(mm: MoneyMatrixSet, description: str, *,
     raise ValidationError(f"unknown description {description!r}")
 
 
-def perturb_money(mm: MoneyMatrixSet, perturbation: Perturbation,
-                  magnitude: float) -> MoneyMatrixSet:
-    """Scale the selected flows by (1 + magnitude); everything else untouched.
-
-    Shocked matrices keep the sparsity pattern of the input.
-    """
-    if not math.isfinite(magnitude) or magnitude <= -1.0:
-        raise ValidationError(f"magnitude must be finite and exceed -1, got {magnitude}")
-    factor = 1.0 + magnitude
-    scale = np.ones(mm.n_countries)
-    if perturbation.target_country is None:
-        scale[:] = factor
-    else:
-        scale[mm.countries.index_of(perturbation.target_country)] = factor
-    p_idx = None
-    if perturbation.product is not None:
-        p_idx = mm.products.index_of(perturbation.product)
-
-    matrices = []
-    for p, m in enumerate(mm.matrices):
-        if p_idx is None or p == p_idx:  # labor-cost shocks every product
-            m = m.copy()
-            m.data *= np.repeat(scale, np.diff(m.indptr))
-        matrices.append(m)
-    return MoneyMatrixSet(tuple(matrices), mm.year, mm.countries, mm.products)
-
-
 def balance_sensitivity(mm: MoneyMatrixSet, perturbation: Perturbation,
-                        description: str, step: float = DEFAULT_STEP, *,
-                        damping: float = DEFAULT_DAMPING, tol: float = DEFAULT_TOL,
+                        description: str, *, damping: float = DEFAULT_DAMPING,
+                        tol: float = DEFAULT_TOL,
                         max_iter: int = DEFAULT_MAX_ITER) -> SensitivityReport:
-    """Central-difference derivative of every country's balance.
+    """Exact derivative of every country's balance at zero shock, per unit shock.
 
-    Each side of the difference runs the full pipeline on the perturbed
-    money matrices, so the result captures the network response, not just
-    the direct flow change.
+    Rank-based, each direction takes one ``build_google`` and two series solves, each
+    to L1 change ``tol`` within ``max_iter`` steps (else ``ConvergenceError``, as at
+    damping 1 on a closed class); volume-based is a closed form.
     """
-    if not 0.0 < step < 1.0:  # the minus side scales the flows by 1 - step
-        raise ValidationError(f"step must be in (0, 1), got {step}")
-    plus = balance_report(perturb_money(mm, perturbation, +step), description,
-                          damping=damping, tol=tol, max_iter=max_iter)
-    minus = balance_report(perturb_money(mm, perturbation, -step), description,
-                           damping=damping, tol=tol, max_iter=max_iter)
-    if plus.countries != minus.countries:
-        raise ValidationError("the shocked flows changed the reported country set")
-    derivatives = (plus.balances - minus.balances) / (2.0 * step)
-    diagonal = np.array([c == perturbation.target_country for c in plus.countries])
-    return SensitivityReport(description, perturbation, step, mm.year,
-                             plus.countries, derivatives, diagonal)
+    target, product = perturbation.target_country, perturbation.product
+    t = None if target is None else mm.countries.index_of(target)
+    touched = np.full(mm.n_products, product is None)
+    if product is not None:
+        touched[mm.products.index_of(product)] = True
+    countries, derivatives = _response(
+        mm, description, [(t, touched)], damping,
+        lambda g, a_links: _series_solver(a_links, tol, max_iter))
+    diagonal = np.array([c == target for c in countries])
+    return SensitivityReport(description, perturbation, mm.year, countries,
+                             derivatives[:, 0], diagonal)
 
 
 def labor_cost_matrix(mm: MoneyMatrixSet, description: str, *,
                       damping: float = DEFAULT_DAMPING) -> LaborCostMatrix:
-    """Exact labor-cost sensitivities dB_c/dsigma_t for every target t in the registry.
+    """``balance_sensitivity`` of the labor-cost shock on every target, at once.
 
-    The derivative at zero shock, as ``balance_sensitivity`` approximates it by
-    differences. Rank-based, each direction takes one ``build_google``, one
-    factorization of I - damping * S0 and one solve per target; volume-based is a
-    closed form. Rows are the countries of the balance report (those with any
-    probability); a block with no stationary solution, possible only at damping 1,
-    raises ``ConvergenceError``.
+    Rank-based, each direction takes one ``build_google``, one factorization of
+    I - damping * S0 and one solve per target; a block with no stationary solution,
+    possible only at damping 1, raises ``ConvergenceError``.
     """
-    if description == RANK_BASED:
-        present, derivatives = _rank_labor_response(mm, damping)
-    elif description == VOLUME_BASED:
-        present, derivatives = _volume_labor_response(mm)
-    else:
-        raise ValidationError(f"unknown description {description!r}")
-    countries = tuple(cid for cid, keep in zip(mm.countries.ids, present) if keep)
+    shocks = [(t, np.ones(mm.n_products, dtype=bool)) for t in range(mm.n_countries)]
+    countries, derivatives = _response(
+        mm, description, shocks, damping,
+        lambda g, a_links: _block_solver(g, np.arange(g.n_nodes), a_links))
     return LaborCostMatrix(description, mm.year, countries, mm.countries.ids, derivatives)
 
 
-def _rank_labor_response(mm: MoneyMatrixSet, damping: float):
-    """Countries with P + P* > 0, and dB/dsigma on them: 2 (P dP* - P* dP) / (P + P*)^2."""
+def _response(mm: MoneyMatrixSet, description: str, shocks, damping: float, solver):
+    """The balance report's countries, and dB on them, one column per shock.
+
+    A shock (t, touched) scales column t, or every column if t is None, of the
+    touched products' money matrices. ``solver(g, damping * S0)`` solves I - damping * S0.
+    """
+    if description == RANK_BASED:
+        present, derivatives = _rank_response(mm, shocks, damping, solver)
+    elif description == VOLUME_BASED:
+        present, derivatives = _volume_response(mm, shocks)
+    else:
+        raise ValidationError(f"unknown description {description!r}")
+    return tuple(cid for cid, keep in zip(mm.countries.ids, present) if keep), derivatives
+
+
+def _rank_response(mm: MoneyMatrixSet, shocks, damping: float, solver):
+    """Countries with P + P* > 0, and dB per shock on them: 2 (P dP* - P* dP) / (P + P*)^2."""
     n_c, n_p = mm.n_countries, mm.n_products
-    googles = [build_google(mm, direction, damping) for direction in (DIRECT, INVERTED)]
-    # v = W_p / (n_c W), and a shock on t adds E[p, t] to W_p and E_t to W. The part
-    # through W is a multiple of v, which moves y along itself and p not at all.
+    # v = W_p / (n_c W), and a shock adds dW_p to W_p and to W. The part through W is
+    # a multiple of v, which moves y along itself and p not at all.
     dv = mm.exports / (n_c * mm.total_volume())
     probs, shifts = [], []
-    for g in googles:
+    for direction in (DIRECT, INVERTED):
+        g = build_google(mm, direction, damping)
         a_links = damping * g.links
-        solve = _block_solver(g, np.arange(g.n_nodes), a_links)
+        solve = solver(g, a_links)
         y = solve(g.personalization)
         total = y.sum()
         p = y / total
-        if g.direction == INVERTED:  # row t of every block, target-major: one slice per t
+        if direction == INVERTED:  # row t of every block, target-major: one slice per t
             order = np.arange(g.n_nodes).reshape(n_p, n_c).T.ravel()
             rows, a_y = g.links.tocsr()[order], a_links @ y
-        dp = np.empty((n_c, n_c))
-        for t in range(n_c):
-            rhs = np.repeat(dv[:, t], n_c)
-            if g.direction == INVERTED:  # + damping (e_t (S0* y)_t - S0* (s_t * y))
-                nodes = order[t * n_p:(t + 1) * n_p]
+        dp = np.empty((n_c, len(shocks)))
+        for k, (t, touched) in enumerate(shocks):
+            # a whole product adds dW_p = W_p, and its scale cancels in S0 and S0*
+            dw = g.personalization[::n_c] if t is None else dv[:, t]
+            rhs = np.repeat(np.where(touched, dw, 0.0), n_c)
+            if t is not None and direction == INVERTED:
+                # + damping (e_t (S0* y)_t - S0* (s_t * y)) on the touched blocks
                 lo, hi = rows.indptr[t * n_p], rows.indptr[(t + 1) * n_p]
                 cols = rows.indices[lo:hi]
                 s_y = np.zeros(g.n_nodes)
                 s_y[cols] = rows.data[lo:hi] * y[cols]
+                s_y.reshape(n_p, n_c)[~touched] = 0.0  # row (p, t) reaches block p only
+                nodes = order[t * n_p:(t + 1) * n_p][touched]
                 rhs -= a_links @ s_y
                 rhs[nodes] += a_y[nodes]
             dy = solve(rhs)
-            dp[:, t] = ((dy - p * dy.sum()) / total).reshape(n_p, n_c).sum(axis=0)
+            dp[:, k] = ((dy - p * dy.sum()) / total).reshape(n_p, n_c).sum(axis=0)
         probs.append(p.reshape(n_p, n_c).sum(axis=0))
         shifts.append(dp)
     (p, p_star), (dp, dp_star) = probs, shifts
@@ -255,21 +236,30 @@ def _rank_labor_response(mm: MoneyMatrixSet, damping: float):
     return present, 2.0 * (p * dp_star[present] - p_star * dp[present]) / (p + p_star) ** 2
 
 
-def _volume_labor_response(mm: MoneyMatrixSet):
-    """Countries with E + I > 0, and dB/dsigma on them: 2 (I dE - E dI) / (E + I)^2.
+def _volume_response(mm: MoneyMatrixSet, shocks):
+    """Countries with s = E + I > 0, and dB on them: (2 I / s) (dE / s) - (2 E / s) (dI / s).
 
-    Per unit of a shock on t, E_t gains E_t and each I_c gains m_p[c, t] summed over
-    products; the total volume divides out of the balance.
+    dE and dI are the shocked flows' sums; the total volume divides out of the
+    balance. Each factor is at most 1 in size, so none underflows to 0 / 0.
     """
     vp = volume_probabilities(mm)
     e, i = vp.export_c, vp.import_c
     present = (e + i) > 0.0
-    d_imports = sum(m.toarray() for m in mm.matrices)[present] / mm.total_volume()
-    e, i = e[present], i[present]
-    d_exports = np.zeros((e.size, mm.n_countries))
-    d_exports[np.arange(e.size), np.flatnonzero(present)] = e
-    return present, 2.0 * (i[:, None] * d_exports - e[:, None] * d_imports) \
-        / ((e + i) ** 2)[:, None]
+    d_exports = np.zeros((mm.n_countries, len(shocks)))
+    d_imports = np.zeros_like(d_exports)
+    for k, (t, touched) in enumerate(shocks):
+        for p in np.flatnonzero(touched):
+            if t is None:
+                d_exports[:, k] += mm.exports[p]
+                d_imports[:, k] += mm.imports[p]
+            else:
+                m = mm.matrices[p]
+                lo, hi = m.indptr[t], m.indptr[t + 1]
+                d_exports[t, k] += mm.exports[p, t]
+                d_imports[m.indices[lo:hi], k] += m.data[lo:hi]
+    s, total = (e + i)[present, None], mm.total_volume()
+    return present, (2.0 * i[present, None] / s) * (d_exports[present] / total / s) \
+        - (2.0 * e[present, None] / s) * (d_imports[present] / total / s)
 
 
 def write_balance_csv(report: BalanceReport, dest) -> None:
@@ -299,7 +289,6 @@ def write_sensitivity_json(report: SensitivityReport, dest) -> None:
     payload = {
         "description": report.description,
         "year": report.year,
-        "step": report.step,
         "perturbation": {
             "kind": report.perturbation.kind,
             "product": report.perturbation.product,

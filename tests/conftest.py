@@ -3,7 +3,7 @@
 import numpy as np
 from scipy import sparse
 
-from wtnrank import MoneyMatrixSet, TradeFlowRecord, gravity_money_set
+from wtnrank import MoneyMatrixSet, TradeFlowRecord, balance_report, gravity_money_set
 
 
 def random_money_set(seed, min_countries=3, max_countries=30, max_products=4):
@@ -21,6 +21,31 @@ def effective_dense(g):
     dense = g.damping * g.links.toarray()
     dense += np.outer(g.personalization, g.damping * g.dangling + (1.0 - g.damping))
     return dense
+
+
+def perturb_money(mm, perturbation, magnitude):
+    """``mm`` with the flows a ``Perturbation`` selects scaled by (1 + magnitude),
+    through the ``MoneyMatrixSet`` gate; everything else untouched."""
+    target = perturbation.target_country
+    scale = np.full(mm.n_countries, 1.0 + magnitude if target is None else 1.0)
+    if target is not None:
+        scale[mm.countries.index_of(target)] = 1.0 + magnitude
+    matrices = []
+    for code, m in zip(mm.products.codes, mm.matrices):
+        if perturbation.product in (None, code):  # labor-cost shocks every product
+            m = m.copy()
+            m.data *= np.repeat(scale, np.diff(m.indptr))
+        matrices.append(m)
+    return MoneyMatrixSet(tuple(matrices), mm.year, mm.countries, mm.products)
+
+
+def central_difference(mm, perturbation, description, step, **solver):
+    """(B(+step) - B(-step)) / (2 step) of the full pipeline on two perturbed copies,
+    the oracle of ``balance_sensitivity``: its error is O(step^2)."""
+    plus, minus = (balance_report(perturb_money(mm, perturbation, sign * step), description,
+                                  **solver) for sign in (1.0, -1.0))
+    assert plus.countries == minus.countries
+    return (plus.balances - minus.balances) / (2.0 * step)
 
 
 def small_money_set(seed, n_countries, n_products, density=0.8):

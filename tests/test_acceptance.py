@@ -8,11 +8,19 @@ Set WTN_UPDATE_GOLDENS=1 to regenerate the committed CLI golden outputs.
 import filecmp
 import os
 import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
-from conftest import effective_dense, money_sets_equal, node_pairs, records
+from conftest import (
+    central_difference,
+    effective_dense,
+    money_sets_equal,
+    node_pairs,
+    records,
+)
 
 import wtnrank
 from wtnrank import (
@@ -166,20 +174,23 @@ def test_merge_conservation():
 
 
 def test_sensitivity_consistency():
-    """Step-halving ratio near 4, analytic two-country cancellation, antisymmetry."""
+    """Central differences converge to the exact derivative at O(h^2) (error at most
+    h^2, shrinking 4-fold per halving of h), analytic two-country cancellation,
+    antisymmetry."""
     start = time.perf_counter()
-    ratios = []
+    ratios, ratio_ok = [], True
     for seed in range(10):
         # at least two products, so a one-product shock shifts relative weights
         mm = _sized_network(seed + 500, max_countries=10, max_products=3,
                             min_products=2)
         description = RANK_BASED if seed % 2 == 0 else VOLUME_BASED
         pert = Perturbation(GLOBAL_PRODUCT, product=mm.products.codes[0])
-        d = {step: balance_sensitivity(mm, pert, description, step).derivatives
-             for step in (0.02, 0.01, 0.005)}
-        ratios.append(np.abs(d[0.02] - d[0.01]).sum()
-                      / np.abs(d[0.01] - d[0.005]).sum())
-    ratio_ok = all(2.8 <= r <= 5.2 for r in ratios)
+        exact = balance_sensitivity(mm, pert, description).derivatives
+        error = {step: np.abs(central_difference(mm, pert, description, step) - exact)
+                 for step in (0.01, 0.005)}
+        ratio_ok &= all(float(e.max()) <= step ** 2 for step, e in error.items())
+        ratios.append(error[0.01].sum() / error[0.005].sum())
+    ratio_ok &= all(3.9 <= r <= 4.1 for r in ratios)
 
     two = money_from_records(
         [TradeFlowRecord(2018, "AAA", "BBB", "0", 13.0),
@@ -256,6 +267,29 @@ def test_cli_golden_suite(tmp_path):
     elapsed = time.perf_counter() - start
     detail = " regenerated" if update else (f" {mismatches}" if mismatches else "")
     _verdict("cli golden suite", not mismatches, elapsed, detail)
+
+
+# the golden steps that go through no LAPACK call; ``regomax`` still does
+KERNEL_FREE_STEPS = ("sensitivity_global", "sensitivity_labor")
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_sensitivity_goldens_independent_of_blas_kernel(tmp_path, coretype):
+    """The sensitivity golden steps give the committed bytes under another
+    OpenBLAS kernel, chosen by OPENBLAS_CORETYPE before numpy loads."""
+    trade = str(tmp_path / "synth" / "trade.csv")
+    commands = [[a.format(trade=trade) for a in argv] + ["--out-dir", str(tmp_path / step)]
+                for step, argv in GOLDEN_STEPS if step in ("synth", *KERNEL_FREE_STEPS)]
+    script = f"from wtnrank.cli import main\nfor argv in {commands!r}:\n    assert main(argv) == 0"
+    package_root = os.path.dirname(os.path.dirname(wtnrank.__file__))
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": package_root}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
+    for step in KERNEL_FREE_STEPS:
+        names = sorted(os.listdir(os.path.join(GOLDEN_DIR, step)))
+        assert sorted(os.listdir(tmp_path / step)) == names
+        match, diff, errors = filecmp.cmpfiles(os.path.join(GOLDEN_DIR, step),
+                                               tmp_path / step, names, shallow=False)
+        assert not diff and not errors, (step, diff + errors)
 
 
 @pytest.mark.skipif(DATA_ENV not in os.environ,

@@ -2,7 +2,9 @@
 
 ``bench/tracer.py`` wraps each function listed in its ``LAYERS`` table and
 reports a name it cannot find as absent, so without this check a renamed
-function would quietly read 0 in its per-layer metric.
+function would quietly read 0 in its per-layer metric. A layer whose function
+the library dropped on purpose is listed in ``RETIRED``, and must stay absent
+until the benchmark's table drops it too.
 """
 
 import dataclasses
@@ -30,11 +32,17 @@ def load_layers():
 
 LAYERS = load_layers()
 
+# the exact sensitivities made no perturbed copies, and the function went
+RETIRED = {"sensitivity.perturb_money"}
+
 
 @pytest.mark.parametrize("layer, module_name, names, work_attr", LAYERS,
                          ids=[layer[0] for layer in LAYERS])
 def test_layer_is_defined(layer, module_name, names, work_attr):
     module = importlib.import_module(module_name)
+    if layer in RETIRED:
+        assert not any(hasattr(module, name) for name in names), f"{layer} is back"
+        return
     for name in names:
         fn = getattr(module, name, None)
         assert callable(fn), f"{layer}: {module_name}.{name} is not defined"

@@ -104,16 +104,6 @@ def test_json_usage_error_carries_argparse_message(capsys, argv):
     assert json.loads(err) == {"error": "UsageError", "message": message}
 
 
-@pytest.mark.parametrize("step", ["0", "nan", "inf", "1", "1.5", "-0.5"])
-def test_zero_step_exits_2(trade_csv, tmp_path, capsys, step):
-    # the minus side scales the flows by 1 - step, so the step must lie in (0, 1)
-    code = main(["sensitivity", "--input", trade_csv, "--year", "2018",
-                 "--perturb", "global", "--product", "0", "--step", step,
-                 "--out-dir", str(tmp_path / "out")])
-    assert code == 2
-    assert capsys.readouterr().err == f"wtnrank: error: step must be in (0, 1), got {float(step)}\n"
-
-
 @pytest.mark.parametrize("top", ["0", "-3"])
 def test_nonpositive_top_exits_2(trade_csv, tmp_path, top):
     out = tmp_path / "out"
@@ -210,6 +200,25 @@ def test_regomax_nilpotent_scattering_exits_3(tmp_path, capsys):
     assert code == 3
     assert "degenerate scattering eigenvectors" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sensitivity_closed_class_at_damping_one_exits_3(tmp_path, capsys):
+    # at damping 1 AAA <-> BBB is a closed class: the response series never settles
+    path = tmp_path / "cycle.csv"
+    path.write_text(f"{HEADER}\n2018,AAA,BBB,0,5\n2018,BBB,AAA,0,3\n")
+    out = tmp_path / "out"
+    code = main(["sensitivity", "--input", str(path), "--year", "2018", "--alpha", "1",
+                 "--perturb", "labor", "--target", "AAA", "--out-dir", str(out)])
+    assert code == 3
+    assert "response series did not reach" in capsys.readouterr().err
+    assert not list(out.glob("sensitivity_*"))
+
+
+def test_sensitivity_nan_tol_exits_2(trade_csv, tmp_path, capsys):
+    code = main(["sensitivity", "--input", trade_csv, "--year", "2018", "--tol", "nan",
+                 "--perturb", "global", "--product", "0", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "wtnrank: error: tol must be positive and finite, got nan\n"
 
 
 def test_solver_failure_exits_3(trade_csv, tmp_path, capsys):
@@ -410,6 +419,7 @@ def test_sensitivity_outputs(trade_csv, tmp_path):
     assert lines[0] == "country,derivative,is_diagonal"
     assert sum(1 for ln in lines[1:] if ln.endswith(",true")) == 1
     payload = json.loads((out / "sensitivity_rank.json").read_text())
+    assert set(payload) == {"description", "year", "perturbation", "derivatives"}
     assert payload["perturbation"] == {
         "kind": "labor-cost", "product": None, "target_country": "SAB"}
 

@@ -4,6 +4,7 @@ from conftest import (
     effective_dense,
     node_pairs,
     non_canonical,
+    perturb_money,
     random_money_set,
     records,
     small_money_set,
@@ -34,7 +35,6 @@ from wtnrank import (
     money_from_records,
     pagerank,
     personalization_vector,
-    perturb_money,
     reduce,
 )
 from wtnrank.google_matrix import _block_solver

@@ -25,7 +25,7 @@ OPTIONS = {
     "merge": INPUT,
     "rank": INPUT | SOLVER | {"--top", "--format"},
     "balance": INPUT | SOLVER,
-    "sensitivity": INPUT | SOLVER | {"--perturb", "--product", "--target", "--step"},
+    "sensitivity": INPUT | SOLVER | {"--perturb", "--product", "--target"},
     "regomax": INPUT | {"--alpha", "--actors", "--k"},
     "synth": COMMON | {"--seed", "--countries", "--products", "--year", "--density"},
 }
@@ -60,9 +60,7 @@ OPTION_DETAILS = {
                     (("--perturb",), None, None, ["global", "country", "labor"], True,
                      "shock kind"),
                     (("--product",), None, None, None, False, "product code for product shocks"),
-                    (("--target",), None, None, None, False, "country applying the shock"),
-                    (("--step",), 0.01, float, None, False,
-                     "finite-difference step (default %(default)s)")],
+                    (("--target",), None, None, None, False, "country applying the shock")],
     "regomax": [HELP, *INPUT_DETAILS, *OUTPUT_DETAILS, *ALPHA_DETAILS,
                 (("--actors",), None, None, None, True, "comma-separated country ids to keep"),
                 (("--k",), 4, int, None, False,
@@ -85,7 +83,7 @@ ROOT_NAMES = {
     "balance", "balance_report", "balance_sensitivity", "build_google",
     "gravity_money_set", "ingest_csv", "labor_cost_matrix", "load_group_config",
     "merge_country_group", "money_from_records", "pagerank",
-    "personalization_vector", "perturb_money", "rank_table", "reduce",
+    "personalization_vector", "rank_table", "reduce",
     "strongest_links", "volume_probabilities", "write_trade_csv",
 }
 
@@ -103,8 +101,8 @@ FIELDS = {
                    "iterations", "countries"),
     "ReducedGoogleMatrix": ("direction", "nodes", "labels", "g_r", "g_rr", "g_pr", "g_qr",
                             "lambda_c", "series_terms", "residuals"),
-    "SensitivityReport": ("description", "perturbation", "step", "year", "countries",
-                          "derivatives", "diagonal"),
+    "SensitivityReport": ("description", "perturbation", "year", "countries", "derivatives",
+                          "diagonal"),
     "TradeFlowRecord": ("year", "exporter", "importer", "product", "value_usd"),
     "VolumeProbabilities": ("import_c", "export_c", "countries"),
 }
@@ -115,8 +113,7 @@ PARAMETERS = {
     "assign_ranks": ("probs",),
     "balance": ("export_probs", "import_probs", "countries", "description", "year"),
     "balance_report": ("mm", "description", *SOLVER_PARAMS),
-    "balance_sensitivity": ("mm", "perturbation", "description", ("step", 0.01),
-                            *SOLVER_PARAMS),
+    "balance_sensitivity": ("mm", "perturbation", "description", *SOLVER_PARAMS),
     "build_google": ("mm", ("direction", "direct"), ("damping", 0.5)),
     "gravity_money_set": ("seed", ("n_countries", 12), ("n_products", 4), ("year", 2018),
                           ("density", 0.75)),
@@ -127,7 +124,6 @@ PARAMETERS = {
     "money_from_records": ("records", "year", ("countries", None), ("products", None)),
     "pagerank": ("g", ("tol", 1e-12), ("max_iter", 10000)),
     "personalization_vector": ("mm",),
-    "perturb_money": ("mm", "perturbation", "magnitude"),
     "rank_table": ("direct", "inverted", "volumes", "top"),
     "reduce": ("g", "selection"),
     "strongest_links": ("m", "k"),

@@ -3,7 +3,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import money_sets_equal, random_money_set, small_money_set
+from conftest import (
+    central_difference,
+    money_sets_equal,
+    perturb_money,
+    random_money_set,
+    small_money_set,
+)
 
 from wtnrank import (
     COUNTRY_PRODUCT,
@@ -25,7 +31,6 @@ from wtnrank import (
     build_google,
     labor_cost_matrix,
     money_from_records,
-    perturb_money,
 )
 from wtnrank import sensitivity
 
@@ -123,21 +128,12 @@ class TestPerturb:
 
     def test_unknown_product_or_country(self):
         mm = two_country()
-        with pytest.raises(ValidationError):
-            perturb_money(mm, Perturbation(GLOBAL_PRODUCT, product="9"), 0.1)
-        with pytest.raises(ValidationError):
-            perturb_money(mm, Perturbation(LABOR_COST, target_country="ZZZ"), 0.1)
-
-    def test_magnitude_must_exceed_minus_one(self):
-        mm = two_country()
-        with pytest.raises(ValidationError):
-            perturb_money(mm, Perturbation(GLOBAL_PRODUCT, product="0"), -1.0)
-
-    @pytest.mark.parametrize("magnitude", [np.nan, np.inf])
-    def test_magnitude_must_be_finite(self, magnitude):
-        mm = two_country()
-        with pytest.raises(ValidationError):
-            perturb_money(mm, Perturbation(GLOBAL_PRODUCT, product="0"), magnitude)
+        for description in (RANK_BASED, VOLUME_BASED):
+            with pytest.raises(ValidationError, match="product '9' not in registry"):
+                balance_sensitivity(mm, Perturbation(GLOBAL_PRODUCT, product="9"), description)
+            with pytest.raises(ValidationError, match="'ZZZ' not in registry"):
+                balance_sensitivity(mm, Perturbation(LABOR_COST, target_country="ZZZ"),
+                                    description)
 
     def test_perturbation_kind_validation(self):
         with pytest.raises(ValidationError):
@@ -148,12 +144,107 @@ class TestPerturb:
             Perturbation(LABOR_COST, product="0", target_country="AAA")
 
 
+# an error of the step-h central difference at most C h^2 (it was under 0.2 h^2 on these
+# sets), falling 4-fold per halving of h wherever it stands clear of roundoff
+CENTRAL_C, RATIO_FLOOR = 1.0, 1e-9
+
+# (seed, countries, products, density): every flow present, and a sparse set with
+# dangling columns in both directions
+ORACLE_SETS = [(29, 3, 2, 1.0), (36, 8, 3, 0.3)]
+
+
+def oracle_set(seed, n_countries, n_products, density):
+    mm = small_money_set(seed, n_countries, n_products, density=density)
+    if density < 1.0:
+        assert all(build_google(mm, d).dangling.any() for d in (DIRECT, INVERTED))
+    return mm
+
+
+def assert_central_differences_converge(mm, shocks, description, exact):
+    """Each column of ``exact`` against the step h and h/2 central differences of the
+    shock at its position: error at most C h^2, shrinking 4-fold where clear."""
+    error = {}
+    for step in (0.01, 0.005):
+        oracle = np.column_stack([central_difference(mm, shock, description, step)
+                                  for shock in shocks])
+        error[step] = np.abs(oracle - exact)
+        assert np.all(error[step] <= CENTRAL_C * step ** 2)
+    clear = error[0.01] > RATIO_FLOOR
+    ratio = error[0.01][clear] / error[0.005][clear]
+    assert np.all((3.9 <= ratio) & (ratio <= 4.1)), ratio
+    return clear.sum()
+
+
+def every_kind(mm):
+    """One shock of each kind, on the last product and the second country."""
+    code, target = mm.products.codes[-1], mm.countries.ids[1]
+    return {GLOBAL_PRODUCT: Perturbation(GLOBAL_PRODUCT, product=code),
+            COUNTRY_PRODUCT: Perturbation(COUNTRY_PRODUCT, product=code, target_country=target),
+            LABOR_COST: Perturbation(LABOR_COST, target_country=target)}
+
+
 class TestBalanceSensitivity:
-    def test_zero_step_rejected(self):
-        mm = two_country()
-        with pytest.raises(ValidationError):
-            balance_sensitivity(mm, Perturbation(GLOBAL_PRODUCT, product="0"),
-                                VOLUME_BASED, step=0.0)
+    @pytest.mark.parametrize("description", [RANK_BASED, VOLUME_BASED])
+    @pytest.mark.parametrize("kind", [GLOBAL_PRODUCT, COUNTRY_PRODUCT, LABOR_COST])
+    @pytest.mark.parametrize("seed, n_countries, n_products, density", ORACLE_SETS)
+    def test_central_differences_converge_to_it(self, seed, n_countries, n_products,
+                                                density, kind, description):
+        mm = oracle_set(seed, n_countries, n_products, density)
+        shock = every_kind(mm)[kind]
+        report = balance_sensitivity(mm, shock, description)
+        assert report.countries == balance_report(mm, description).countries
+        clear = assert_central_differences_converge(mm, [shock], description,
+                                                    report.derivatives[:, None])
+        assert clear >= 2
+
+    @pytest.mark.parametrize("description", [RANK_BASED, VOLUME_BASED])
+    @pytest.mark.parametrize("seed, n_countries, n_products, density", ORACLE_SETS)
+    def test_labor_kind_matches_labor_cost_matrix(self, seed, n_countries, n_products,
+                                                  density, description):
+        mm = oracle_set(seed, n_countries, n_products, density)
+        table = labor_cost_matrix(mm, description)
+        for j, target in enumerate(table.targets):
+            report = balance_sensitivity(
+                mm, Perturbation(LABOR_COST, target_country=target), description)
+            assert report.countries == table.countries
+            np.testing.assert_allclose(report.derivatives, table.derivatives[:, j],
+                                       rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("description, builds", [(RANK_BASED, 2), (VOLUME_BASED, 0)])
+    def test_call_counts(self, description, builds):
+        names = ("build_google", "_block_solver", "pagerank")
+        mm = small_money_set(30, 4, 2)
+        for shock in every_kind(mm).values():
+            with contextlib.ExitStack() as stack:
+                calls = {name: stack.enter_context(mock.patch.object(
+                    sensitivity, name, wraps=getattr(sensitivity, name))) for name in names}
+                balance_sensitivity(mm, shock, description)
+            assert {name: spy.call_count for name, spy in calls.items()} == {
+                "build_google": builds, "_block_solver": 0, "pagerank": 0}
+
+    def test_closed_class_at_damping_one(self):
+        # AAA <-> BBB alone is a closed class: the series for (I - S0)^-1 never settles
+        with pytest.raises(ConvergenceError, match="response series did not reach"):
+            balance_sensitivity(two_country(), Perturbation(GLOBAL_PRODUCT, product="0"),
+                                RANK_BASED, damping=1.0)
+
+    @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
+    def test_subnormal_only_flow_gives_finite_derivatives(self, tiny):
+        # CCC's only flow is subnormal: E + I is too, and (E + I)^2 underflows to 0
+        mm = money_from_records([rec("AAA", "BBB", "1", 1.3), rec("BBB", "AAA", "1", 0.5),
+                                 rec("CCC", "AAA", "1", tiny)], 2018)
+        assert balance_report(mm, VOLUME_BASED).countries == ("AAA", "BBB", "CCC")
+        for description in (RANK_BASED, VOLUME_BASED):
+            table = labor_cost_matrix(mm, description)
+            assert table.countries == ("AAA", "BBB", "CCC")
+            assert np.all(np.isfinite(table.derivatives))
+            for shock in every_kind(mm).values():
+                report = balance_sensitivity(mm, shock, description)
+                assert report.countries == table.countries
+                assert np.all(np.isfinite(report.derivatives))
+                if description == VOLUME_BASED:  # CCC only exports: its balance stays 1
+                    assert report.derivatives[2] == 0.0
+        np.testing.assert_array_equal(labor_cost_matrix(mm, VOLUME_BASED).derivatives[2], 0.0)
 
     def test_absent_product_gives_zero_derivatives(self):
         # product "1" is registered but carries no flows at all
@@ -172,15 +263,6 @@ class TestBalanceSensitivity:
             two_country(7.0, 3.0), Perturbation(GLOBAL_PRODUCT, product="0"),
             VOLUME_BASED)
         assert np.abs(report.derivatives).max() <= 1e-10
-
-    @pytest.mark.parametrize("description", [RANK_BASED, VOLUME_BASED])
-    def test_step_halving_ratio(self, description):
-        mm = small_money_set(25, 7, 2, density=0.7)
-        pert = Perturbation(GLOBAL_PRODUCT, product=mm.products.codes[0])
-        d = {step: balance_sensitivity(mm, pert, description, step).derivatives
-             for step in (0.02, 0.01, 0.005)}
-        ratio = np.abs(d[0.02] - d[0.01]).sum() / np.abs(d[0.01] - d[0.005]).sum()
-        assert 2.8 <= ratio <= 5.2
 
     def test_rank_based_reproducible_bitwise(self):
         mm = small_money_set(26, 6, 2)
@@ -205,75 +287,48 @@ class TestBalanceSensitivity:
             mm, Perturbation(GLOBAL_PRODUCT, product=mm.products.codes[0]), RANK_BASED)
         assert not report.diagonal.any()
 
-    def test_country_set_change_rejected(self):
-        # at -h the subnormal flow rounds to 0.0 and CCC leaves the volume report;
-        # at +h it stays, so the two sides cannot be differenced country by country
-        mm = money_from_records([rec("AAA", "BBB", "1", 1.3), rec("BBB", "AAA", "1", 0.5),
-                                 rec("CCC", "AAA", "1", 5e-324)], 2018)
-        shock = Perturbation(GLOBAL_PRODUCT, product="1")
-        assert "CCC" in balance_report(perturb_money(mm, shock, 0.5), VOLUME_BASED).countries
-        assert "CCC" not in balance_report(perturb_money(mm, shock, -0.5), VOLUME_BASED).countries
-        with pytest.raises(ValidationError, match="country set"):
-            balance_sensitivity(mm, shock, VOLUME_BASED, 0.5)
-
     def test_subnormal_flow_keeps_rank_sensitivity_finite(self):
         # CCC's only flow is subnormal: its Google matrix column must not hold inf
         mm = money_from_records([rec("AAA", "BBB", "1", 13.0), rec("BBB", "AAA", "1", 5.0),
                                  rec("CCC", "AAA", "1", 5e-324)], 2018)
         report = balance_sensitivity(mm, Perturbation(GLOBAL_PRODUCT, product="1"),
-                                     RANK_BASED, 0.5)
+                                     RANK_BASED)
         assert report.countries == ("AAA", "BBB", "CCC")
         assert np.all(np.isfinite(report.derivatives))
 
 
-# an error of the step-h central difference at most C h^2 (it was under 0.2 h^2 on these
-# sets), falling 4-fold per halving of h wherever it stands clear of roundoff
-CENTRAL_C, RATIO_FLOOR = 1.0, 1e-9
-
-
 class TestLaborCostMatrix:
     @pytest.mark.parametrize("description", [RANK_BASED, VOLUME_BASED])
-    @pytest.mark.parametrize("seed, n_countries, n_products, density",
-                             [(29, 3, 2, 1.0), (36, 8, 3, 0.3)])
+    @pytest.mark.parametrize("seed, n_countries, n_products, density", ORACLE_SETS)
     def test_central_differences_converge_to_it(self, seed, n_countries, n_products,
                                                 density, description):
-        mm = small_money_set(seed, n_countries, n_products, density=density)
-        if density < 1.0:  # the sparse set has dangling columns in both directions
-            assert all(build_google(mm, d).dangling.any() for d in (DIRECT, INVERTED))
+        mm = oracle_set(seed, n_countries, n_products, density)
         table = labor_cost_matrix(mm, description)
-        error = {}
-        for step in (0.01, 0.005):
-            columns = []
-            for target in table.targets:
-                single = balance_sensitivity(
-                    mm, Perturbation(LABOR_COST, target_country=target), description, step)
-                assert single.countries == table.countries
-                columns.append(single.derivatives)
-            error[step] = np.abs(np.column_stack(columns) - table.derivatives)
-            assert np.all(error[step] <= CENTRAL_C * step ** 2)
-        clear = error[0.01] > RATIO_FLOOR
-        assert clear.sum() >= table.derivatives.shape[0]
-        ratio = error[0.01][clear] / error[0.005][clear]
-        assert np.all((3.9 <= ratio) & (ratio <= 4.1)), ratio
+        assert table.countries == balance_report(mm, description).countries
+        shocks = [Perturbation(LABOR_COST, target_country=t) for t in table.targets]
+        clear = assert_central_differences_converge(mm, shocks, description,
+                                                    table.derivatives)
+        assert clear >= table.derivatives.shape[0]
 
     @pytest.mark.parametrize("description, per_direction", [(RANK_BASED, 2), (VOLUME_BASED, 0)])
     def test_one_build_and_one_factorization_per_direction(self, description, per_direction):
-        names = ("build_google", "_block_solver", "pagerank", "perturb_money")
+        names = ("build_google", "_block_solver", "_series_solver", "pagerank")
         with contextlib.ExitStack() as stack:
             calls = {name: stack.enter_context(mock.patch.object(
                 sensitivity, name, wraps=getattr(sensitivity, name))) for name in names}
             labor_cost_matrix(small_money_set(30, 4, 2), description)
         assert {name: spy.call_count for name, spy in calls.items()} == {
             "build_google": per_direction, "_block_solver": per_direction,
-            "pagerank": 0, "perturb_money": 0}
+            "_series_solver": 0, "pagerank": 0}
 
     def test_unknown_description_rejected_before_any_build(self):
-        with (mock.patch.object(sensitivity, "build_google") as build,
-              mock.patch.object(sensitivity, "perturb_money") as perturb):
+        with mock.patch.object(sensitivity, "build_google") as build:
             with pytest.raises(ValidationError, match="unknown description"):
                 labor_cost_matrix(two_country(), "other")
+            with pytest.raises(ValidationError, match="unknown description"):
+                balance_sensitivity(two_country(), Perturbation(GLOBAL_PRODUCT, product="0"),
+                                    "other")
         build.assert_not_called()
-        perturb.assert_not_called()
 
     def test_singular_block_at_damping_one(self):
         # AAA <-> BBB alone is a closed class: I - S0 has no inverse

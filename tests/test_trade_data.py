@@ -20,6 +20,7 @@ from conftest import (
     money_sets_equal,
     non_canonical,
     non_canonical_matrices,
+    perturb_money,
     random_money_set,
     records,
     small_money_set,
@@ -46,7 +47,6 @@ from wtnrank import (
     load_group_config,
     merge_country_group,
     money_from_records,
-    perturb_money,
     volume_probabilities,
     write_trade_csv,
 )
