@@ -73,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="damping factor (default %(default)s)")
     solver = argparse.ArgumentParser(add_help=False, parents=[damping])
     solver.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="power-iteration L1 tolerance (default %(default)s)")
+                        help="L1 tolerance of each iterative solve (default %(default)s)")
     solver.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
-                        help="power-iteration cap (default %(default)s)")
+                        help="step cap of each iterative solve (default %(default)s)")
 
     parser = _Parser(
         prog="wtnrank",

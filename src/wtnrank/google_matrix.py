@@ -9,6 +9,7 @@ vector, which weights products by their share of total traded volume.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,10 +149,10 @@ def _iterate(step, x: np.ndarray, tol: float, max_iter: int, name: str):
     ``ConvergenceError``, carrying the last residual and iteration count, at the first
     non-finite residual or after ``max_iter`` iterations above ``tol``.
     """
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValidationError(f"max_iter must be an int of at least 1, got {max_iter!r}")
     residual = np.inf
     for iteration in range(1, max_iter + 1):
         x_next = step(x)

@@ -7,7 +7,9 @@ Q = I - psi_r psi_l^T / (psi_l psi_r) onto the complement of the scattering
 block's leading eigenmode commutes with G_ss, so one solve splits the indirect
 part into a rank-one term along that mode and the multi-step pathways
 G_rs Q (I - G_ss)^-1 G_sr. All of it works on the sparse links plus the
-rank-one teleport term.
+rank-one teleport term. The eigenmode runs PageRank's loop, ``google_matrix._iterate``:
+L1 change at most ``EIGEN_TOL``, at most ``EIGEN_MAX_ITER`` steps, and
+``ConvergenceError`` at the first non-finite residual.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scipy.sparse.linalg import aslinearoperator
 
 from ._io import open_output, write_csv
 from .errors import ConvergenceError, ValidationError
-from .google_matrix import DIRECT, GoogleMatrix, _block_solver
+from .google_matrix import DIRECT, GoogleMatrix, _block_solver, _iterate
 
 EIGEN_TOL = 1e-13
 EIGEN_MAX_ITER = 100_000
@@ -59,8 +61,8 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
     No dense N x N copy: G_ss = damping * S0_ss + v_s w_s^T, so one dense LU per
     product block of I - damping * S0_ss and a Sherman-Morrison step give
     paths = (I - G_ss)^-1 G_sr. The same solves drive the Perron pair: power
-    iteration on G_ss (I - G_ss)^-1 and on its transpose gives psi_r and psi_l with
-    eigenvalue mu, and lambda_c = mu / (1 + mu). Then
+    iteration on G_ss (I - G_ss)^-1 and on its transpose, by the loop of ``pagerank``,
+    gives psi_r and psi_l with eigenvalue mu, and lambda_c = mu / (1 + mu). Then
     g_pr = G_rs psi_r psi_l^T G_sr / ((psi_l psi_r)(1 - lambda_c)) and g_qr = G_rs Q paths.
     """
     nodes = [(c, p) for c, p in selection]
@@ -107,9 +109,8 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
 
     # G_ss (I - G_ss)^-1 has G_ss's eigenvectors, with lambda / (1 - lambda) strictly
     # dominant also when G_ss is periodic
-    mu, psi_r = _power_iteration(lambda x: g_ss @ resolvent(x), scatter.size)
-    _, psi_l = _power_iteration(lambda x: resolvent(g_ss.T @ x, transposed=True),
-                                scatter.size)
+    mu, psi_r = _perron_vector(lambda x: g_ss @ resolvent(x), scatter.size)
+    _, psi_l = _perron_vector(lambda x: resolvent(g_ss.T @ x, transposed=True), scatter.size)
     lam = mu / (1.0 + mu)
     eigen_residual = max(float(np.abs(g_ss @ psi_r - lam * psi_r).sum()),
                          float(np.abs(g_ss.T @ psi_l - lam * psi_l).sum()))
@@ -128,23 +129,18 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
         float(lam), 0, {"solve": solve_residual, "eigen": eigen_residual, "closure": closure})
 
 
-def _power_iteration(step, n: int) -> tuple[float, np.ndarray]:
-    """Leading eigenvalue (L1 growth) and L1-normalized eigenvector of the nonnegative
-    map ``step``; (0.0, last iterate) once an iterate maps to zero."""
-    x = np.full(n, 1.0 / n)
-    for _ in range(EIGEN_MAX_ITER):
-        y = step(x)
-        mu = float(y.sum())
-        if mu <= 0.0:
-            return 0.0, x
-        y /= mu
-        delta = float(np.abs(y - x).sum())
-        x = y
-        if delta <= EIGEN_TOL:
-            return mu, x
-    raise ConvergenceError(
-        f"scattering eigenvector not converged in {EIGEN_MAX_ITER} iterations",
-        residual=delta, iterations=EIGEN_MAX_ITER)
+def _perron_vector(apply, n: int) -> tuple[float, np.ndarray]:
+    """L1 growth mu and L1-normalized fixed point of the nonnegative map ``apply``, from
+    the uniform start; (0.0, the iterate) once an iterate maps to zero."""
+    growth = [0.0]
+
+    def step(x):
+        y = apply(x)
+        growth[0] = mu = float(y.sum())
+        return x if mu <= 0.0 else y / mu  # a NaN mu gives a NaN residual
+
+    x = _iterate(step, np.full(n, 1.0 / n), EIGEN_TOL, EIGEN_MAX_ITER, "scattering eigenvector")[0]
+    return (0.0 if growth[0] <= 0.0 else growth[0]), x
 
 
 def strongest_links(m, k: int) -> list[tuple[int, int, float]]:

@@ -701,9 +701,10 @@ def _money_from_columns(exporter, importer, product, value, year, countries,
                               "sum past the largest finite float")
     columns, rows = np.divmod(unique, n)  # column of the side-by-side blocks
     indptr = np.concatenate(([0], np.cumsum(np.bincount(columns, minlength=n_p * n))))
-    # dtype: the bincount of no flows at all comes back as int64
-    blocks = sparse.csc_matrix((sums, rows, indptr), shape=(n, n_p * n), dtype=float)
-    matrices = tuple(blocks[:, p * n:(p + 1) * n] for p in range(n_p))
+    # product p's CSC is its columns' range ptr; dtype: an empty bincount comes back int64
+    matrices = tuple(sparse.csc_matrix((sums[ptr[0]:ptr[-1]], rows[ptr[0]:ptr[-1]], ptr - ptr[0]),
+                                       shape=(n, n), dtype=float)
+                     for ptr in (indptr[p * n:(p + 1) * n + 1] for p in range(n_p)))
     return MoneyMatrixSet(matrices, year, countries, products)
 
 

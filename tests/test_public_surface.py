@@ -44,8 +44,10 @@ OUTPUT_DETAILS = [
 ]
 ALPHA_DETAILS = [(("--alpha",), 0.5, float, None, False, "damping factor (default %(default)s)")]
 SOLVER_DETAILS = ALPHA_DETAILS + [
-    (("--tol",), 1e-12, float, None, False, "power-iteration L1 tolerance (default %(default)s)"),
-    (("--max-iter",), 10000, int, None, False, "power-iteration cap (default %(default)s)"),
+    (("--tol",), 1e-12, float, None, False,
+     "L1 tolerance of each iterative solve (default %(default)s)"),
+    (("--max-iter",), 10000, int, None, False,
+     "step cap of each iterative solve (default %(default)s)"),
 ]
 
 OPTION_DETAILS = {

@@ -99,6 +99,22 @@ class TestPagerank:
         with pytest.raises(ValidationError):
             pagerank(g, max_iter=0)
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("max_iter", 2.5, "max_iter must be an int of at least 1"),
+        ("max_iter", 3.0, "max_iter must be an int of at least 1"),
+        ("max_iter", True, "max_iter must be an int of at least 1"),
+        ("tol", "1e-9", "tol must be positive and finite"),
+        ("tol", True, "tol must be positive and finite"),
+    ])
+    def test_mistyped_solver_options(self, option, value, message):
+        with pytest.raises(ValidationError, match=message):
+            pagerank(build(0, 3, 1), **{option: value})
+
+    def test_numpy_scalar_solver_options(self):
+        g = build(0, 3, 1)
+        rv = pagerank(g, tol=np.float64(1e-12), max_iter=np.int64(100))
+        assert np.array_equal(rv.node_probs, pagerank(g, 1e-12, 100).node_probs)
+
     def test_rank_arrays_are_permutations(self):
         rv = pagerank(build(9))
         assert sorted(rv.country_rank) == list(range(1, len(rv.countries) + 1))

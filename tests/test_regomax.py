@@ -205,9 +205,9 @@ class TestReduce:
         psi_r = right[:, np.argmax(values.real)].real
         psi_l = left[:, np.argmax(left_values.real)].real
         eigenvectors = []
-        power_iteration = regomax_mod._power_iteration
-        monkeypatch.setattr(regomax_mod, "_power_iteration",
-                            lambda step, n: eigenvectors.append(power_iteration(step, n))
+        perron_vector = regomax_mod._perron_vector
+        monkeypatch.setattr(regomax_mod, "_perron_vector",
+                            lambda step, n: eigenvectors.append(perron_vector(step, n))
                             or eigenvectors[-1])
         r = reduce(g, selection)
         assert abs(lam - np.sqrt(5.0 / 8.0)) <= 1e-15
@@ -219,6 +219,27 @@ class TestReduce:
         projector = np.outer(psi_r, psi_l) / (psi_l @ psi_r)
         np.testing.assert_allclose(r.g_pr, g_rs @ projector @ g_sr / (1.0 - lam),
                                    rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    def test_eigen_cap_raises_with_the_last_residual(self, direction, monkeypatch):
+        g, selection = reduced_case(7, 8, 3, 2, direction)
+        assert reduce(g, selection).residuals["eigen"] <= 1e-12
+        monkeypatch.setattr(regomax_mod, "EIGEN_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="scattering eigenvector did not reach") as err:
+            reduce(g, selection)
+        assert err.value.iterations == 1
+        assert np.isfinite(err.value.residual) and err.value.residual > 0.0
+
+    def test_nan_growth_stops_at_the_first_step(self):
+        steps = []
+
+        def apply(x):
+            steps.append(x)
+            return np.full_like(x, np.nan)
+
+        with pytest.raises(ConvergenceError, match="eigenvector residual is nan") as err:
+            regomax_mod._perron_vector(apply, 3)
+        assert len(steps) == 1 and err.value.iterations == 1
 
     def test_no_dense_matrix_is_built(self, monkeypatch):
         mm = dangling_money_set(11, 100, 9)  # N = 1000, one N x N float64 is 8 MB

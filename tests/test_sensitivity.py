@@ -222,6 +222,18 @@ class TestBalanceSensitivity:
             assert {name: spy.call_count for name, spy in calls.items()} == {
                 "build_google": builds, "_block_solver": 0, "pagerank": 0}
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("max_iter", 2.5, "max_iter must be an int of at least 1"),
+        ("max_iter", 3.0, "max_iter must be an int of at least 1"),
+        ("max_iter", True, "max_iter must be an int of at least 1"),
+        ("tol", "1e-9", "tol must be positive and finite"),
+        ("tol", True, "tol must be positive and finite"),
+    ])
+    def test_mistyped_solver_options(self, option, value, message):
+        with pytest.raises(ValidationError, match=message):
+            balance_sensitivity(two_country(), Perturbation(GLOBAL_PRODUCT, product="0"),
+                                RANK_BASED, **{option: value})
+
     def test_closed_class_at_damping_one(self):
         # AAA <-> BBB alone is a closed class: the series for (I - S0)^-1 never settles
         with pytest.raises(ConvergenceError, match="response series did not reach"):

@@ -1,6 +1,6 @@
 """Rules on the package source: one owner for file I/O, one rule for duplicates,
 one owner of row and column sums, one stored form of the Google matrix, one
-registry lookup per distinct key.
+registry lookup per distinct key, one convergence loop.
 
 ``_io.py`` alone opens files and writes JSON. Duplicate flows are added only
 by the ``MoneyMatrixSet`` gate's storage-order rule, never by scipy's
@@ -15,6 +15,8 @@ Registry lookups go once per distinct key, never per row: the
 ``np.fromiter(map(`` idiom of one ``index_of`` call per flow is forbidden.
 One solver: only ``google_matrix.py``, home of the per-product block LU of
 I - damping * S0, names a sparse or dense LU factorization or solve.
+One loop for every fixed point: only ``google_matrix.py``, home of ``_iterate``, and
+``errors.py`` pass ``iterations=``, so a module with its own convergence loop fails.
 One number rule: ``trade_data._number``, which every year and value field goes
 through, owns the one ``.isascii(`` line, since ``int`` and ``float`` would take
 non-ASCII digits.
@@ -37,6 +39,7 @@ RULES = [
     (re.compile(r"\beffective_dense\("), set()),
     (re.compile(r"\bnp\.fromiter\(\s*map\("), set()),
     (re.compile(r"\b(splu|spsolve|lu_factor|dgetrf)\b"), {"google_matrix.py"}),
+    (re.compile(r"\biterations="), {"google_matrix.py", "errors.py"}),
 ]
 
 
