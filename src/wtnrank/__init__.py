@@ -44,12 +44,10 @@ from .trade_data import (
     IngestResult,
     MoneyMatrixSet,
     ProductRegistry,
-    TradeFlowRecord,
     VolumeProbabilities,
     ingest_csv,
     load_group_config,
     merge_country_group,
-    money_from_records,
     volume_probabilities,
     write_trade_csv,
 )

@@ -84,8 +84,7 @@ def build_google(mm: MoneyMatrixSet, direction: str = DIRECT,
     with each column divided by its sum, ``mm.exports`` (direct) or ``mm.imports``
     (inverted). Empty columns are dangling: they teleport by the personalization.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValidationError(f"damping must be in (0, 1], got {damping}")
+    _check_solver(damping=damping)
     if direction not in (DIRECT, INVERTED):
         raise ValidationError(f"direction must be {DIRECT!r} or {INVERTED!r}")
 
@@ -143,16 +142,28 @@ def _block_solver(g: GoogleMatrix, nodes: np.ndarray, a_links):
     return solve
 
 
+def _check_solver(**options) -> None:
+    """``ValidationError`` for the first solver option given that is out of range:
+    ``damping`` a real number in (0, 1], ``tol`` a positive finite real number,
+    ``max_iter`` an int of at least 1, none of them a bool."""
+    for name, value in options.items():
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if name == "damping" and not (real and 0.0 < value <= 1.0):
+            raise ValidationError(f"damping must be in (0, 1], got {value}")
+        if name == "tol" and not (real and 0.0 < value < math.inf):
+            raise ValidationError(f"tol must be positive and finite, got {value!r}")
+        if name == "max_iter" and not (real and isinstance(value, numbers.Integral)
+                                       and value >= 1):
+            raise ValidationError(f"max_iter must be an int of at least 1, got {value!r}")
+
+
 def _iterate(step, x: np.ndarray, tol: float, max_iter: int, name: str):
     """(x, residual, iterations) at the first x <- step(x) with L1 change at most ``tol``.
 
     ``ConvergenceError``, carrying the last residual and iteration count, at the first
     non-finite residual or after ``max_iter`` iterations above ``tol``.
     """
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise ValidationError(f"max_iter must be an int of at least 1, got {max_iter!r}")
+    _check_solver(tol=tol, max_iter=max_iter)
     residual = np.inf
     for iteration in range(1, max_iter + 1):
         x_next = step(x)

@@ -27,6 +27,7 @@ from .google_matrix import (
     DIRECT,
     INVERTED,
     _block_solver,
+    _check_solver,
     _series_solver,
     build_google,
 )
@@ -130,6 +131,7 @@ def balance_report(mm: MoneyMatrixSet, description: str, *,
                    damping: float = DEFAULT_DAMPING, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> BalanceReport:
     """Balance from either description: rank probabilities or raw volumes."""
+    _check_solver(damping=damping, tol=tol, max_iter=max_iter)
     if description == RANK_BASED:
         p = pagerank(build_google(mm, DIRECT, damping), tol, max_iter)
         p_star = pagerank(build_google(mm, INVERTED, damping), tol, max_iter)
@@ -151,6 +153,7 @@ def balance_sensitivity(mm: MoneyMatrixSet, perturbation: Perturbation,
     to L1 change ``tol`` within ``max_iter`` steps (else ``ConvergenceError``, as at
     damping 1 on a closed class); volume-based is a closed form.
     """
+    _check_solver(damping=damping, tol=tol, max_iter=max_iter)
     target, product = perturbation.target_country, perturbation.product
     t = None if target is None else mm.countries.index_of(target)
     touched = np.full(mm.n_products, product is None)
@@ -172,6 +175,7 @@ def labor_cost_matrix(mm: MoneyMatrixSet, description: str, *,
     I - damping * S0 and one solve per target; a block with no stationary solution,
     possible only at damping 1, raises ``ConvergenceError``.
     """
+    _check_solver(damping=damping)
     shocks = [(t, np.ones(mm.n_products, dtype=bool)) for t in range(mm.n_countries)]
     countries, derivatives = _response(
         mm, description, shocks, damping,

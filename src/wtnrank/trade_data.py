@@ -153,17 +153,6 @@ class CountryRegistry:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
-class TradeFlowRecord:
-    """One directed product flow: exporter -> importer, value in USD."""
-
-    year: int
-    exporter: str
-    importer: str
-    product: str
-    value_usd: float
-
-
 @dataclass(frozen=True, eq=False)
 class MoneyMatrixSet:
     """Per-product sparse money matrices over a shared country registry.
@@ -262,8 +251,9 @@ def ingest_csv(source, year: int) -> IngestResult:
 
     Parameters
     ----------
-    source : path or byte/text stream
-        UTF-8 CSV with header ``year,exporter,importer,product,value_usd``.
+    source : path, bytes, or byte/text stream
+        UTF-8 CSV with header ``year,exporter,importer,product,value_usd``. Flows
+        held in memory come in as their CSV text, encoded.
     year : int
         Rows of other years are ignored; the year must occur in the data. A year
         that is not an int, or is a bool, raises ``ValidationError``.
@@ -289,7 +279,8 @@ def ingest_csv(source, year: int) -> IngestResult:
     at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in a file that ``open_input`` opens,
     wherever a block ends.
     """
-    _check_year(year)
+    if not isinstance(year, numbers.Integral) or isinstance(year, bool):
+        raise ValidationError(f"year {year!r} is not an int")  # "2018" would match no row
     years, ids = _Keys(_year, year), _Keys(canonical_country_id)
     codes = _Keys(canonical_product_code)
     blocks = []
@@ -318,13 +309,16 @@ def ingest_csv(source, year: int) -> IngestResult:
         raise ParseError(f"the trade CSV is not UTF-8 ({exc.reason})") from None
 
     self_flows = sum(block[0] for block in blocks)
-    exporters, importers, products, values = (np.concatenate(column)
-                                              for column in zip(*[b[1:] for b in blocks]))
-    if not values.size:
+    exporter, importer, product, value = (np.concatenate(column)
+                                          for column in zip(*[b[1:] for b in blocks]))
+    if not value.size:
         raise EmptyDataError(f"no usable rows for year {year}")
-    money = _money_from_keys(ids, codes, exporters, importers, products, values, year)
+    countries, country = ids.lookup(CountryRegistry.from_ids, exporter, importer)
+    products, code = codes.lookup(ProductRegistry.from_codes, product)
+    money = _money_from_columns(country[exporter], country[importer], code[product], value,
+                                year, countries, products)
     unique_keys = sum(m.nnz for m in money.matrices)
-    return IngestResult(money, values.size, self_flows, values.size - unique_keys)
+    return IngestResult(money, value.size, self_flows, value.size - unique_keys)
 
 
 def _plain_block(text, years, ids, codes):
@@ -519,12 +513,6 @@ def _year(raw: str) -> int:
     return int(_number(raw).strip())
 
 
-def _check_year(year) -> None:
-    """``ValidationError`` unless ``year`` is an int, not a bool ("2018" matches no row)."""
-    if not isinstance(year, numbers.Integral) or isinstance(year, bool):
-        raise ValidationError(f"year {year!r} is not an int")
-
-
 def _row_loop(reader, first: int, years, ids, codes):
     """(self-flows, exporter, importer, product, value) of the rows of a ``csv.reader``
     whose first line is line ``first``; the reference that ``_plain_block`` matches.
@@ -636,31 +624,16 @@ class _Keys(dict):
         self[raw] = position = self.positions.setdefault(key, len(self.positions))
         return position
 
-    def lookup(self, registry, make, *columns):
-        """``(registry, key position -> registry position)`` for the keys ``columns`` use.
-
-        ``registry`` defaults, when None, to ``make`` of those keys. Each used key
-        takes one ``index_of``, which rejects a key outside a given registry.
-        """
+    def lookup(self, make, *columns):
+        """``(make(used keys), key position -> registry position)`` for the keys that
+        ``columns`` use; each used key takes one ``index_of``."""
         keys = list(self.positions)
         used = np.flatnonzero(np.bincount(np.concatenate(columns), minlength=len(keys)))
         used_keys = [keys[i] for i in used]
-        if registry is None:
-            registry = make(used_keys)
+        registry = make(used_keys)
         to_registry = np.zeros(len(keys), np.int64)
         to_registry[used] = [registry.index_of(key) for key in used_keys]
         return registry, to_registry
-
-
-def _money_from_keys(ids, codes, exporter, importer, product, value, year, countries=None,
-                     products=None) -> MoneyMatrixSet:
-    """Money matrices from per-flow ``_Keys`` positions of ids and codes."""
-    exporter, importer, product = (np.asarray(c, dtype=np.int64)
-                                   for c in (exporter, importer, product))
-    countries, country = ids.lookup(countries, CountryRegistry.from_ids, exporter, importer)
-    products, code = codes.lookup(products, ProductRegistry.from_codes, product)
-    return _money_from_columns(country[exporter], country[importer], code[product],
-                               np.asarray(value, dtype=float), year, countries, products)
 
 
 # _money_from_columns sums over all n_products * n**2 keys while they are at most
@@ -716,41 +689,6 @@ def _stored_flows(matrices):
     exporter, importer, value = (np.concatenate(part) for part in zip(
         *[(coo.col, coo.row, coo.data) for coo in coos]))
     return exporter, importer, product, value
-
-
-def money_from_records(records: Iterable[TradeFlowRecord], year: int,
-                       countries: CountryRegistry | None = None,
-                       products: ProductRegistry | None = None) -> MoneyMatrixSet:
-    """Assemble a money matrix set from in-memory records.
-
-    Ids and product codes are canonicalized and self-flows dropped. As in
-    ``ingest_csv``, the year must be an int and no bool, and each value a finite,
-    nonnegative number; records sharing a key are then summed.
-    """
-    _check_year(year)
-    ids, codes = _Keys(canonical_country_id), _Keys(canonical_product_code)
-    exporters, importers, flow_products, values = [], [], [], []
-    for r in records:
-        try:
-            exporter, importer, product = ids[r.exporter], ids[r.importer], codes[r.product]
-        except TypeError:  # an unhashable field is no string, so its check raises
-            canonical_country_id(r.exporter), canonical_country_id(r.importer)
-            canonical_product_code(r.product)
-            raise
-        if r.year != year or exporter == importer:
-            continue
-        if not isinstance(r.value_usd, numbers.Real) or not 0.0 <= r.value_usd < math.inf:
-            raise ValidationError(f"value {r.value_usd!r} for {canonical_country_id(r.exporter)}->"
-                                  f"{canonical_country_id(r.importer)} "
-                                  "is not a finite, nonnegative number")
-        exporters.append(exporter)
-        importers.append(importer)
-        flow_products.append(product)
-        values.append(r.value_usd)
-    if not values and (countries is None or products is None):
-        raise EmptyDataError(f"no usable records for year {year}")
-    return _money_from_keys(ids, codes, exporters, importers, flow_products, values, year,
-                            countries, products)
 
 
 def write_trade_csv(mm: MoneyMatrixSet, dest) -> None:

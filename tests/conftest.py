@@ -3,7 +3,15 @@
 import numpy as np
 from scipy import sparse
 
-from wtnrank import MoneyMatrixSet, TradeFlowRecord, balance_report, gravity_money_set
+from wtnrank import (
+    CountryRegistry,
+    MoneyMatrixSet,
+    ProductRegistry,
+    balance_report,
+    gravity_money_set,
+    ingest_csv,
+)
+from wtnrank.trade_data import CSV_HEADER
 
 
 def random_money_set(seed, min_countries=3, max_countries=30, max_products=4):
@@ -59,16 +67,47 @@ def money_sets_equal(a, b):
             and all((ma != mb).nnz == 0 for ma, mb in zip(a.matrices, b.matrices)))
 
 
+def money_set(flows, year=2018, countries=None, products=None):
+    """The money set of (exporter, importer, product, value) flows, through a public door.
+
+    Without registries, ``ingest_csv`` reads the flows as CSV rows of ``year``, each
+    value written as the repr of its float. Given a registry, the flows of each
+    product are one COO matrix, in input order, handed to the ``MoneyMatrixSet`` gate
+    with that registry, the other one built from the flows. Either door checks and
+    sums the flows: ingest drops self-flows, and the gate rejects a nonzero one.
+    """
+    flows = list(flows)
+    if countries is None and products is None:
+        rows = "".join(f"{year},{e},{i},{p},{float(v)!r}\n" for e, i, p, v in flows)
+        return ingest_csv((",".join(CSV_HEADER) + "\n" + rows).encode(), year).money
+    if countries is None:
+        countries = CountryRegistry.from_ids(x for flow in flows for x in flow[:2])
+    if products is None:
+        products = ProductRegistry.from_codes(flow[2] for flow in flows)
+    entries = [[] for _ in products.codes]  # (value, importer, exporter) of each product
+    for exporter, importer, product, value in flows:
+        entries[products.index_of(product)].append(
+            (value, countries.index_of(importer), countries.index_of(exporter)))
+    n = len(countries)
+    matrices = []
+    for part in entries:
+        value, row, col = np.array(part, float).reshape(-1, 3).T
+        matrices.append(sparse.coo_matrix((value, (row.astype(int), col.astype(int))),
+                                          shape=(n, n)))
+    return MoneyMatrixSet(tuple(matrices), year, countries, products)
+
+
 def records(mm):
-    """Every nonzero flow of ``mm.matrices`` as a ``TradeFlowRecord``, sorted by
-    (product, exporter id, importer id): the rows ``write_trade_csv`` writes."""
+    """Every nonzero flow of ``mm.matrices`` as an (exporter id, importer id, product,
+    value) tuple, sorted by (product, exporter, importer): the rows, but the year, that
+    ``write_trade_csv`` writes."""
     ids, flows = mm.countries.ids, []
     for code, m in zip(mm.products.codes, mm.matrices):
         coo = m.tocoo()
-        flows += [TradeFlowRecord(mm.year, ids[exp], ids[imp], code, value)
+        flows += [(ids[exp], ids[imp], code, value)
                   for imp, exp, value in zip(coo.row.tolist(), coo.col.tolist(),
                                              coo.data.tolist()) if value != 0.0]
-    return sorted(flows, key=lambda r: (r.product, r.exporter, r.importer))
+    return sorted(flows, key=lambda r: (r[2], r[0], r[1]))
 
 
 def node_pairs(g):

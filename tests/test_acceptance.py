@@ -17,6 +17,7 @@ import pytest
 from conftest import (
     central_difference,
     effective_dense,
+    money_set,
     money_sets_equal,
     node_pairs,
     records,
@@ -38,7 +39,6 @@ from wtnrank import (
     ingest_csv,
     load_group_config,
     merge_country_group,
-    money_from_records,
     pagerank,
     personalization_vector,
     rank_table,
@@ -46,7 +46,6 @@ from wtnrank import (
     volume_probabilities,
 )
 from wtnrank.cli import main as cli_main
-from wtnrank.trade_data import TradeFlowRecord
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 DATA_ENV = "WTN_2018_CSV"
@@ -155,8 +154,7 @@ def test_merge_conservation():
         ids = list(mm.countries.ids)
         size = int(rng.integers(2, len(ids)))
         members = set(rng.choice(ids, size=size, replace=False).tolist())
-        intra = sum(r.value_usd for r in records(mm)
-                    if r.exporter in members and r.importer in members)
+        intra = sum(v for e, i, _, v in records(mm) if e in members and i in members)
         merged = merge_country_group(mm, members, "GG1")
         expected = mm.total_volume() - intra
         if expected > 0:
@@ -192,9 +190,7 @@ def test_sensitivity_consistency():
         ratios.append(error[0.01].sum() / error[0.005].sum())
     ratio_ok &= all(3.9 <= r <= 4.1 for r in ratios)
 
-    two = money_from_records(
-        [TradeFlowRecord(2018, "AAA", "BBB", "0", 13.0),
-         TradeFlowRecord(2018, "BBB", "AAA", "0", 5.0)], 2018)
+    two = money_set([("AAA", "BBB", "0", 13.0), ("BBB", "AAA", "0", 5.0)])
     cancel = balance_sensitivity(
         two, Perturbation(GLOBAL_PRODUCT, product="0"), VOLUME_BASED)
     cancel_ok = float(np.abs(cancel.derivatives).max()) <= 1e-10
@@ -269,16 +265,19 @@ def test_cli_golden_suite(tmp_path):
     _verdict("cli golden suite", not mismatches, elapsed, detail)
 
 
-# the golden steps that go through no LAPACK call; ``regomax`` still does
-KERNEL_FREE_STEPS = ("sensitivity_global", "sensitivity_labor")
+# every golden step but ``regomax``, whose reduction still goes through LAPACK
+KERNEL_FREE_STEPS = ("ingest", "merge", "rank", "rank_json", "rank_merged", "balance",
+                     "sensitivity_global", "sensitivity_labor")
 
 
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_sensitivity_goldens_independent_of_blas_kernel(tmp_path, coretype):
-    """The sensitivity golden steps give the committed bytes under another
+def test_goldens_independent_of_blas_kernel(tmp_path, coretype):
+    """Every golden step but ``regomax`` gives the committed bytes under another
     OpenBLAS kernel, chosen by OPENBLAS_CORETYPE before numpy loads."""
     trade = str(tmp_path / "synth" / "trade.csv")
-    commands = [[a.format(trade=trade) for a in argv] + ["--out-dir", str(tmp_path / step)]
+    group = os.path.join(GOLDEN_DIR, "group.json")
+    commands = [[a.format(trade=trade, group=group) for a in argv]
+                + ["--out-dir", str(tmp_path / step)]
                 for step, argv in GOLDEN_STEPS if step in ("synth", *KERNEL_FREE_STEPS)]
     script = f"from wtnrank.cli import main\nfor argv in {commands!r}:\n    assert main(argv) == 0"
     package_root = os.path.dirname(os.path.dirname(wtnrank.__file__))

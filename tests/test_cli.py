@@ -9,9 +9,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from conftest import money_set
 
 import wtnrank
-from wtnrank import TradeFlowRecord, money_from_records, ranks, write_trade_csv
+from wtnrank import ranks, write_trade_csv
 from wtnrank.cli import main
 
 HEADER = "year,exporter,importer,product,value_usd"
@@ -509,11 +510,10 @@ def test_merge_summary_names_canonical_ids(trade_csv, tmp_path):
 
 def test_merge_with_bundled_group_config(tmp_path):
     _, members, _ = wtnrank.load_group_config(wtnrank.KEU9_CONFIG)
-    records = [TradeFlowRecord(2018, exp, "USA", "7", 1e9 + i)
-               for i, exp in enumerate(members)]
-    records += [TradeFlowRecord(2018, "USA", exp, "7", 5e8) for exp in members]
-    records += [TradeFlowRecord(2018, "FRA", "DEU", "7", 7e9)]  # intra-group
-    mm = money_from_records(records, 2018)
+    flows = [(exp, "USA", "7", 1e9 + i) for i, exp in enumerate(members)]
+    flows += [("USA", exp, "7", 5e8) for exp in members]
+    flows += [("FRA", "DEU", "7", 7e9)]  # intra-group
+    mm = money_set(flows)
     path = tmp_path / "eu.csv"
     write_trade_csv(mm, str(path))
 

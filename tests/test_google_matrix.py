@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import (
     effective_dense,
+    money_set,
     node_pairs,
     non_canonical,
     perturb_money,
@@ -25,23 +26,17 @@ from wtnrank import (
     Perturbation,
     ProductRegistry,
     RANK_BASED,
-    TradeFlowRecord,
     ValidationError,
     VOLUME_BASED,
     balance_report,
     balance_sensitivity,
     build_google,
     gravity_money_set,
-    money_from_records,
     pagerank,
     personalization_vector,
     reduce,
 )
 from wtnrank.google_matrix import _block_solver
-
-
-def rec(exp, imp, prod, value):
-    return TradeFlowRecord(2018, exp, imp, prod, value)
 
 
 def rescaled(mm, factor):
@@ -68,8 +63,7 @@ class TestPersonalization:
 
     def test_two_products_hand_computed(self):
         # product 0 carries volume 3, product 1 carries volume 1
-        mm = money_from_records(
-            [rec("AAA", "BBB", "0", 3.0), rec("AAA", "BBB", "1", 1.0)], 2018)
+        mm = money_set([("AAA", "BBB", "0", 3.0), ("AAA", "BBB", "1", 1.0)])
         v = personalization_vector(mm)
         np.testing.assert_allclose(v, [3 / 8, 3 / 8, 1 / 8, 1 / 8], atol=1e-15)
 
@@ -79,10 +73,8 @@ class TestPersonalization:
         assert abs(v.sum() - 1.0) <= 1e-12
 
     def test_zero_volume_rejected(self):
-        mm = money_from_records(
-            [], 2018,
-            countries=CountryRegistry.from_ids(["AAA", "BBB"]),
-            products=ProductRegistry.from_codes(["0"]))
+        mm = money_set([], countries=CountryRegistry.from_ids(["AAA", "BBB"]),
+                       products=ProductRegistry.from_codes(["0"]))
         with pytest.raises(EmptyDataError):
             personalization_vector(mm)
 
@@ -100,7 +92,7 @@ class TestBuild:
         assert build_google(mm).n_nodes == 18
 
     def test_dangling_column_takes_personalization(self):
-        mm = money_from_records([rec("AAA", "BBB", "0", 4.0)], 2018)
+        mm = money_set([("AAA", "BBB", "0", 4.0)])
         g = build_google(mm)
         # AAA exports: its column is a single 1 at BBB
         np.testing.assert_array_equal(g.links.toarray()[:, 0], [0.0, 1.0])
@@ -112,8 +104,8 @@ class TestBuild:
 
     def test_subnormal_column_sum_stays_finite(self):
         # 1 / 5e-324 overflows to inf, so CCC's column is divided by its sum instead
-        mm = money_from_records([rec("AAA", "BBB", "1", 13.0), rec("BBB", "AAA", "1", 5.0),
-                                 rec("CCC", "AAA", "1", 5e-324)], 2018)
+        mm = money_set([("AAA", "BBB", "1", 13.0), ("BBB", "AAA", "1", 5.0),
+                        ("CCC", "AAA", "1", 5e-324)])
         s = build_google(mm).links
         assert np.all(np.isfinite(s.data))
         np.testing.assert_array_equal(s[:, 2].toarray().ravel(), [1.0, 0.0, 0.0])
@@ -170,10 +162,8 @@ class TestBuild:
     def test_scaling_invariance(self):
         # x 1000 rounds, so this case holds to rtol=1e-14
         mm = random_money_set(9, max_countries=8)
-        scaled = money_from_records(
-            [TradeFlowRecord(r.year, r.exporter, r.importer, r.product,
-                             r.value_usd * 1000.0) for r in records(mm)],
-            mm.year, mm.countries, mm.products)
+        scaled = money_set([(e, i, p, v * 1000.0) for e, i, p, v in records(mm)],
+                           mm.year, mm.countries, mm.products)
         g1, g2 = build_google(mm), build_google(scaled)
         np.testing.assert_allclose(g2.personalization, g1.personalization, rtol=1e-14)
         np.testing.assert_allclose(g2.links.toarray(), g1.links.toarray(),
@@ -224,10 +214,8 @@ class TestBuild:
             build_google(mm, DIRECT, alpha)
 
     def test_empty_set_rejected(self):
-        mm = money_from_records(
-            [], 2018,
-            countries=CountryRegistry.from_ids(["AAA", "BBB"]),
-            products=ProductRegistry.from_codes(["0"]))
+        mm = money_set([], countries=CountryRegistry.from_ids(["AAA", "BBB"]),
+                       products=ProductRegistry.from_codes(["0"]))
         with pytest.raises(EmptyDataError):
             build_google(mm)
 
@@ -287,9 +275,9 @@ def reference_stochastic(mm, direction):
 
 def with_empty_product():
     """Product 3 has no flows (zero volume) and one stored flow is 0.0."""
-    return money_from_records(
-        [rec("AAA", "BBB", "0", 4.0), rec("BBB", "CCC", "0", 2.5), rec("CCC", "AAA", "0", 0.0),
-         rec("CCC", "BBB", "7", 1.25)], 2018, products=ProductRegistry.from_codes(["0", "3", "7"]))
+    return money_set(
+        [("AAA", "BBB", "0", 4.0), ("BBB", "CCC", "0", 2.5), ("CCC", "AAA", "0", 0.0),
+         ("CCC", "BBB", "7", 1.25)], products=ProductRegistry.from_codes(["0", "3", "7"]))
 
 
 def labor_shocked():
@@ -383,8 +371,8 @@ class TestBlockSolver:
 
     def test_singular_block_raises(self):
         # at damping 1 the direct flow's AAA <-> BBB cycle is a closed class of S0
-        mm = money_from_records([rec("AAA", "BBB", "0", 5.0), rec("BBB", "AAA", "0", 5.0),
-                                 rec("CCC", "AAA", "0", 3.0)], 2018)
+        mm = money_set([("AAA", "BBB", "0", 5.0), ("BBB", "AAA", "0", 5.0),
+                        ("CCC", "AAA", "0", 3.0)])
         g, nodes = build_google(mm, DIRECT, 1.0), np.array([0, 1])
         with pytest.raises(ConvergenceError, match="singular in product 0"):
             _block_solver(g, nodes, g.links[nodes][:, nodes])

@@ -80,11 +80,11 @@ ROOT_NAMES = {
     "DEFAULT_DAMPING", "DIRECT", "EmptyDataError", "GLOBAL_PRODUCT", "GoogleMatrix",
     "INVERTED", "IngestResult", "KEU9_CONFIG", "LABOR_COST", "LaborCostMatrix",
     "MoneyMatrixSet", "ParseError", "Perturbation", "ProductRegistry", "RANK_BASED",
-    "RankVector", "ReducedGoogleMatrix", "SensitivityReport", "TradeFlowRecord",
+    "RankVector", "ReducedGoogleMatrix", "SensitivityReport",
     "VOLUME_BASED", "ValidationError", "VolumeProbabilities", "WtnError", "assign_ranks",
     "balance", "balance_report", "balance_sensitivity", "build_google",
     "gravity_money_set", "ingest_csv", "labor_cost_matrix", "load_group_config",
-    "merge_country_group", "money_from_records", "pagerank",
+    "merge_country_group", "pagerank",
     "personalization_vector", "rank_table", "reduce",
     "strongest_links", "volume_probabilities", "write_trade_csv",
 }
@@ -105,7 +105,6 @@ FIELDS = {
                             "lambda_c", "series_terms", "residuals"),
     "SensitivityReport": ("description", "perturbation", "year", "countries", "derivatives",
                           "diagonal"),
-    "TradeFlowRecord": ("year", "exporter", "importer", "product", "value_usd"),
     "VolumeProbabilities": ("import_c", "export_c", "countries"),
 }
 
@@ -123,7 +122,6 @@ PARAMETERS = {
     "labor_cost_matrix": ("mm", "description", ("damping", 0.5)),
     "load_group_config": ("source",),
     "merge_country_group": ("mm", "members", "label", ("short", None)),
-    "money_from_records": ("records", "year", ("countries", None), ("products", None)),
     "pagerank": ("g", ("tol", 1e-12), ("max_iter", 10000)),
     "personalization_vector": ("mm",),
     "rank_table": ("direct", "inverted", "volumes", "top"),

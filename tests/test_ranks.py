@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import effective_dense, random_money_set, small_money_set
+from conftest import effective_dense, money_set, random_money_set, small_money_set
 from scipy import sparse
 
 from wtnrank import (
@@ -13,12 +13,10 @@ from wtnrank import (
     MoneyMatrixSet,
     ProductRegistry,
     RankVector,
-    TradeFlowRecord,
     ValidationError,
     VolumeProbabilities,
     assign_ranks,
     build_google,
-    money_from_records,
     pagerank,
     rank_table,
     volume_probabilities,
@@ -40,9 +38,7 @@ def build(seed, n_c=None, n_p=None, direction=DIRECT, alpha=0.5):
 
 class TestPagerank:
     def test_two_node_symmetric(self):
-        mm = money_from_records(
-            [TradeFlowRecord(2018, "AAA", "BBB", "0", 5.0),
-             TradeFlowRecord(2018, "BBB", "AAA", "0", 5.0)], 2018)
+        mm = money_set([("AAA", "BBB", "0", 5.0), ("BBB", "AAA", "0", 5.0)])
         rv = pagerank(build_google(mm))
         np.testing.assert_array_equal(rv.node_probs, [0.5, 0.5])
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import effective_dense, node_pairs, small_money_set
+from conftest import effective_dense, money_set, node_pairs, small_money_set
 from scipy import sparse
 
 from wtnrank import (
@@ -14,11 +14,9 @@ from wtnrank import (
     GoogleMatrix,
     MoneyMatrixSet,
     ProductRegistry,
-    TradeFlowRecord,
     ValidationError,
     build_google,
     merge_country_group,
-    money_from_records,
     pagerank,
     reduce,
     strongest_links,
@@ -171,8 +169,7 @@ class TestReduce:
     def test_singular_rank_one_update_raises(self, direction):
         # product 1 has no volume, so its columns teleport into product 0, whose
         # two nodes then form a closed class inside the scattering set
-        mm = money_from_records([TradeFlowRecord(2018, "AAA", "BBB", "0", 5.0)], 2018,
-                                products=ProductRegistry.from_codes(["0", "1"]))
+        mm = money_set([("AAA", "BBB", "0", 5.0)], products=ProductRegistry.from_codes(["0", "1"]))
         with pytest.raises(ConvergenceError, match="singular"):
             reduce(build_google(mm, direction, 0.5), [("AAA", "1")])
 
@@ -181,9 +178,8 @@ class TestReduce:
         # at damping 1 the cycle AAA -> BBB -> CCC -> AAA leaves the chain BBB -> CCC
         # once AAA is reduced out: G_ss is nilpotent, so both power iterations reach
         # the zero vector, and the right and left eigenvectors are orthogonal
-        mm = money_from_records([TradeFlowRecord(2018, "AAA", "BBB", "0", 5.0),
-                                 TradeFlowRecord(2018, "BBB", "CCC", "0", 4.0),
-                                 TradeFlowRecord(2018, "CCC", "AAA", "0", 3.0)], 2018)
+        mm = money_set([("AAA", "BBB", "0", 5.0), ("BBB", "CCC", "0", 4.0),
+                        ("CCC", "AAA", "0", 3.0)])
         monkeypatch.setattr(regomax_mod, "EIGEN_MAX_ITER", 10)  # it stops at once
         with pytest.raises(ConvergenceError, match="degenerate scattering eigenvectors"):
             reduce(build_google(mm, direction, 1.0), [("AAA", "0")])
@@ -193,9 +189,8 @@ class TestReduce:
         # reduced out: its eigenvalues are +-sqrt(5/8), so a power iteration on G_ss
         # alternates, while G_ss (I - G_ss)^-1 has the strictly dominant sqrt(5/8) / (1 -
         # sqrt(5/8)) with the same eigenvectors
-        mm = money_from_records([TradeFlowRecord(2018, "AAA", "BBB", "0", 5.0),
-                                 TradeFlowRecord(2018, "BBB", "AAA", "0", 5.0),
-                                 TradeFlowRecord(2018, "CCC", "AAA", "0", 3.0)], 2018)
+        mm = money_set([("AAA", "BBB", "0", 5.0), ("BBB", "AAA", "0", 5.0),
+                        ("CCC", "AAA", "0", 3.0)])
         g, selection = build_google(mm, INVERTED, 1.0), [("CCC", "0")]
         _, g_rs, g_sr, g_ss = dense_blocks(g, selection)
         np.testing.assert_array_equal(g_ss, [[0.0, 1.0], [5.0 / 8.0, 0.0]])
@@ -334,8 +329,7 @@ class TestReduce:
         # USA and USB both shorten to US; AB falls back to its id, which is
         # ABX's short code. Every node label must stay distinct.
         def product_0(flows, countries=None):
-            records = [TradeFlowRecord(2018, e, i, "0", v) for e, i, v in flows]
-            return money_from_records(records, 2018, countries)
+            return money_set([(e, i, "0", v) for e, i, v in flows], countries=countries)
 
         merged = merge_country_group(product_0(
             [("USA", "USB", 5.0), ("USB", "USA", 4.0), ("FRA", "USA", 3.0),

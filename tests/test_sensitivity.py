@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import (
     central_difference,
+    money_set,
     money_sets_equal,
     perturb_money,
     random_money_set,
@@ -22,26 +23,20 @@ from wtnrank import (
     Perturbation,
     ProductRegistry,
     RANK_BASED,
-    TradeFlowRecord,
     VOLUME_BASED,
     ValidationError,
     balance,
     balance_report,
     balance_sensitivity,
     build_google,
+    gravity_money_set,
     labor_cost_matrix,
-    money_from_records,
 )
 from wtnrank import sensitivity
 
 
-def rec(exp, imp, prod, value):
-    return TradeFlowRecord(2018, exp, imp, prod, value)
-
-
 def two_country(x=7.0, y=3.0, product="0"):
-    return money_from_records(
-        [rec("AAA", "BBB", product, x), rec("BBB", "AAA", product, y)], 2018)
+    return money_set([("AAA", "BBB", product, x), ("BBB", "AAA", product, y)])
 
 
 class TestBalance:
@@ -90,8 +85,7 @@ class TestPerturb:
         assert money_sets_equal(mm, out)
 
     def test_global_product_scales_single_entry(self):
-        mm = money_from_records(
-            [rec("AAA", "BBB", "3", 100.0), rec("AAA", "BBB", "7", 50.0)], 2018)
+        mm = money_set([("AAA", "BBB", "3", 100.0), ("AAA", "BBB", "7", 50.0)])
         out = perturb_money(mm, Perturbation(GLOBAL_PRODUCT, product="3"), 0.1)
         three, seven = (mm.products.index_of(code) for code in "37")
         assert out.matrices[three].toarray().max() == pytest.approx(110.0, rel=1e-15)
@@ -234,6 +228,31 @@ class TestBalanceSensitivity:
             balance_sensitivity(two_country(), Perturbation(GLOBAL_PRODUCT, product="0"),
                                 RANK_BASED, **{option: value})
 
+    @pytest.mark.parametrize("options, message", [
+        ({"damping": 5.0}, "damping must be in"),
+        ({"damping": np.nan}, "damping must be in"),
+        ({"damping": True}, "damping must be in"),
+        ({"tol": "x"}, "tol must be positive and finite"),
+        ({"tol": -1}, "tol must be positive and finite"),
+        ({"max_iter": 0}, "max_iter must be an int of at least 1"),
+        ({"max_iter": True}, "max_iter must be an int of at least 1"),
+        ({"damping": 5.0, "tol": "x", "max_iter": 0}, "damping must be in"),
+        ({"tol": -1, "max_iter": True}, "tol must be positive and finite"),
+    ], ids=["damping-5", "damping-nan", "damping-bool", "tol-str", "tol-negative",
+            "max_iter-0", "max_iter-bool", "damping-first", "tol-before-max_iter"])
+    @pytest.mark.parametrize("description", [RANK_BASED, VOLUME_BASED])
+    def test_every_description_checks_solver_options(self, description, options, message):
+        # checked before the description branches, though the volume one solves nothing
+        mm = gravity_money_set(1, 5, 2)
+        calls = [lambda: balance_report(mm, description, **options),
+                 lambda: balance_sensitivity(mm, Perturbation(GLOBAL_PRODUCT, product="0"),
+                                             description, **options)]
+        if set(options) == {"damping"}:
+            calls.append(lambda: labor_cost_matrix(mm, description, **options))
+        for call in calls:
+            with pytest.raises(ValidationError, match=f"^{message}"):
+                call()
+
     def test_closed_class_at_damping_one(self):
         # AAA <-> BBB alone is a closed class: the series for (I - S0)^-1 never settles
         with pytest.raises(ConvergenceError, match="response series did not reach"):
@@ -243,8 +262,8 @@ class TestBalanceSensitivity:
     @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
     def test_subnormal_only_flow_gives_finite_derivatives(self, tiny):
         # CCC's only flow is subnormal: E + I is too, and (E + I)^2 underflows to 0
-        mm = money_from_records([rec("AAA", "BBB", "1", 1.3), rec("BBB", "AAA", "1", 0.5),
-                                 rec("CCC", "AAA", "1", tiny)], 2018)
+        mm = money_set([("AAA", "BBB", "1", 1.3), ("BBB", "AAA", "1", 0.5),
+                        ("CCC", "AAA", "1", tiny)])
         assert balance_report(mm, VOLUME_BASED).countries == ("AAA", "BBB", "CCC")
         for description in (RANK_BASED, VOLUME_BASED):
             table = labor_cost_matrix(mm, description)
@@ -260,8 +279,8 @@ class TestBalanceSensitivity:
 
     def test_absent_product_gives_zero_derivatives(self):
         # product "1" is registered but carries no flows at all
-        mm = money_from_records(
-            [rec("AAA", "BBB", "0", 5.0), rec("BBB", "AAA", "0", 2.0)], 2018,
+        mm = money_set(
+            [("AAA", "BBB", "0", 5.0), ("BBB", "AAA", "0", 2.0)],
             countries=CountryRegistry.from_ids(["AAA", "BBB"]),
             products=ProductRegistry.from_codes(["0", "1"]))
         for desc in (RANK_BASED, VOLUME_BASED):
@@ -301,8 +320,8 @@ class TestBalanceSensitivity:
 
     def test_subnormal_flow_keeps_rank_sensitivity_finite(self):
         # CCC's only flow is subnormal: its Google matrix column must not hold inf
-        mm = money_from_records([rec("AAA", "BBB", "1", 13.0), rec("BBB", "AAA", "1", 5.0),
-                                 rec("CCC", "AAA", "1", 5e-324)], 2018)
+        mm = money_set([("AAA", "BBB", "1", 13.0), ("BBB", "AAA", "1", 5.0),
+                        ("CCC", "AAA", "1", 5e-324)])
         report = balance_sensitivity(mm, Perturbation(GLOBAL_PRODUCT, product="1"),
                                      RANK_BASED)
         assert report.countries == ("AAA", "BBB", "CCC")
@@ -360,9 +379,9 @@ class TestLaborCostMatrix:
     def test_shock_on_isolated_country_is_noop(self):
         # DDD sits in the registry but trades nothing
         registry = CountryRegistry.from_ids(["AAA", "BBB", "CCC", "DDD"])
-        mm = money_from_records(
-            [rec("AAA", "BBB", "0", 4.0), rec("BBB", "CCC", "0", 3.0),
-             rec("CCC", "AAA", "0", 2.0)], 2018,
+        mm = money_set(
+            [("AAA", "BBB", "0", 4.0), ("BBB", "CCC", "0", 3.0),
+             ("CCC", "AAA", "0", 2.0)],
             countries=registry, products=ProductRegistry.from_codes(["0"]))
         table = labor_cost_matrix(mm, VOLUME_BASED)
         j = table.targets.index("DDD")

@@ -1,6 +1,6 @@
 """Rules on the package source: one owner for file I/O, one rule for duplicates,
 one owner of row and column sums, one stored form of the Google matrix, one
-registry lookup per distinct key, one convergence loop.
+registry lookup per distinct key, one convergence loop, two doors for trade flows.
 
 ``_io.py`` alone opens files and writes JSON. Duplicate flows are added only
 by the ``MoneyMatrixSet`` gate's storage-order rule, never by scipy's
@@ -17,6 +17,10 @@ One solver: only ``google_matrix.py``, home of the per-product block LU of
 I - damping * S0, names a sparse or dense LU factorization or solve.
 One loop for every fixed point: only ``google_matrix.py``, home of ``_iterate``, and
 ``errors.py`` pass ``iterations=``, so a module with its own convergence loop fails.
+Two doors for trade flows: ``trade_data._money_from_columns``, which sums the flows
+of a key and builds the canonical matrices, is named only in ``ingest_csv``,
+``merge_country_group`` and ``MoneyMatrixSet.__post_init__``, the gate's rebuild, so
+in-memory flows come in as CSV text through ingest or as matrices through the gate.
 One number rule: ``trade_data._number``, which every year and value field goes
 through, owns the one ``.isascii(`` line, since ``int`` and ``float`` would take
 non-ASCII digits.
@@ -65,3 +69,23 @@ def test_one_owner_of_the_number_rule():
     owners = [node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
               if isinstance(node, ast.FunctionDef) and node.lineno <= number <= node.end_lineno]
     assert (path.name, owners) == ("trade_data.py", ["_number"])
+
+
+MONEY_BUILDERS = {("trade_data.py", name) for name in (
+    "ingest_csv", "merge_country_group", "MoneyMatrixSet.__post_init__")}
+
+
+def test_two_doors_for_trade_flows():
+    def owners(node, scope):
+        """The qualified name of the def around each use of ``_money_from_columns``."""
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Name) and node.id == "_money_from_columns"
+                or isinstance(node, ast.Attribute) and node.attr == "_money_from_columns"):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from owners(child, scope)
+
+    uses = {(path.name, owner) for path in SOURCE
+            for owner in owners(ast.parse(path.read_text(encoding="utf-8")), "")}
+    assert uses and uses <= MONEY_BUILDERS, uses - MONEY_BUILDERS

@@ -17,6 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
+    money_set,
     money_sets_equal,
     non_canonical,
     non_canonical_matrices,
@@ -39,14 +40,12 @@ from wtnrank import (
     ParseError,
     Perturbation,
     ProductRegistry,
-    TradeFlowRecord,
     ValidationError,
     build_google,
     gravity_money_set,
     ingest_csv,
     load_group_config,
     merge_country_group,
-    money_from_records,
     volume_probabilities,
     write_trade_csv,
 )
@@ -60,10 +59,6 @@ HEADER = "year,exporter,importer,product,value_usd"
 
 def csv_stream(*rows):
     return io.StringIO("\n".join([HEADER, *rows]) + "\n")
-
-
-def rec(exp, imp, prod, value, year=2018):
-    return TradeFlowRecord(year, exp, imp, prod, value)
 
 
 def good_rows(count, year=2018):
@@ -107,12 +102,6 @@ class TestIngest:
         with pytest.raises(ValidationError, match=rf"^year {re.escape(repr(year))} is not an int$"):
             ingest_csv(io.StringIO(""), year)
         assert ingest_csv(csv_stream("2018,FRA,USA,0,1"), np.int64(2018)).rows_used == 1
-
-    @pytest.mark.parametrize("year", ["2018", 2018.0, True, None])
-    def test_records_year_must_be_an_int(self, year):
-        with pytest.raises(ValidationError, match=rf"^year {re.escape(repr(year))} is not an int$"):
-            money_from_records([rec("FRA", "USA", "0", 1.0)], year)
-        assert money_from_records([rec("FRA", "USA", "0", 1.0)], np.int64(2018)).matrices[0].nnz
 
     def test_duplicate_keys_summed(self):
         rows = ["2018,FRA,USA,3,2.0", "2018,FRA,USA,3,3.0", "2018,USA,FRA,3,7.0"]
@@ -266,8 +255,7 @@ class TestIngest:
 
 def reference_trade_csv(mm, dest):
     """``write_trade_csv`` as one ``csv.writer`` row per flow: its reference."""
-    write_csv(CSV_HEADER, ([mm.year, r.exporter, r.importer, r.product, repr(r.value_usd)]
-                           for r in records(mm)), dest)
+    write_csv(CSV_HEADER, ([mm.year, e, i, p, repr(v)] for e, i, p, v in records(mm)), dest)
 
 
 class TestWriteTradeCsv:
@@ -276,10 +264,10 @@ class TestWriteTradeCsv:
 
     def test_matches_csv_writer_reference(self, tmp_path):
         ids = ("A_B", "C-D", "E_F-G", "USA")
-        records = [rec(ids[k % 4], ids[(k + 1) % 4], "07"[k // 4], value)
-                   for k, value in enumerate(self.EDGE_VALUES)]
+        flows = [(ids[k % 4], ids[(k + 1) % 4], "07"[k // 4], value)
+                 for k, value in enumerate(self.EDGE_VALUES)]
         products = ProductRegistry(("0", "3", "7"))  # no flow of product 3
-        mm = money_from_records(records, 2018, CountryRegistry(ids), products)
+        mm = money_set(flows, 2018, CountryRegistry(ids), products)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         write_trade_csv(mm, got)
         reference_trade_csv(mm, want)
@@ -325,11 +313,10 @@ def test_writer_matches_reference(ids, flows, codes, year):
     and 1e16, fractional, subnormal and huge ones, stored zeros and products with no
     flow."""
     n = len(ids)
-    records = [rec(ids[e % n], ids[i % n], p, v, year) for e, i, p, v in flows
-               if p in codes and e % n != i % n]
+    kept = [(ids[e % n], ids[i % n], p, v) for e, i, p, v in flows
+            if p in codes and e % n != i % n]
     try:
-        mm = money_from_records(records, year, CountryRegistry(ids),
-                                ProductRegistry(tuple(codes)))
+        mm = money_set(kept, year, CountryRegistry(ids), ProductRegistry(tuple(codes)))
     except ValidationError as exc:  # duplicates such as 1e308 + 2 * 3.99e307 overflow
         if not str(exc).endswith("sum past the largest finite float"):
             raise
@@ -562,8 +549,7 @@ class TestIngestBlocks:
     def test_written_values_take_the_word_path(self):
         # "N.0" of every length up to 16 bytes, as write_trade_csv writes whole values
         values = [float(int("98765432109876"[:k])) for k in range(1, 15)]
-        mm = money_from_records([rec("AAA", f"B{k:02d}", "0", v) for k, v in enumerate(values)],
-                                2018)
+        mm = money_set([("AAA", f"B{k:02d}", "0", v) for k, v in enumerate(values)])
         buf = io.StringIO()
         write_trade_csv(mm, buf)
         assert "98765432109876.0\n" in buf.getvalue()
@@ -869,9 +855,8 @@ MERGE_IDS = ("AAA", "BBB", "CAA", "DDD")
 
 class TestMerge:
     def test_basic_reattribution(self):
-        mm = money_from_records(
-            [rec("AAA", "BBB", "0", 1.0), rec("AAA", "CCC", "0", 2.0),
-             rec("BBB", "CCC", "0", 3.0)], 2018)
+        mm = money_set([("AAA", "BBB", "0", 1.0), ("AAA", "CCC", "0", 2.0),
+                        ("BBB", "CCC", "0", 3.0)])
         merged = merge_country_group(mm, {"AAA", "BBB"}, "GRP")
         assert merged.countries.ids == ("CCC", "GRP")
         m = merged.matrices[merged.products.index_of("0")].toarray()
@@ -880,18 +865,11 @@ class TestMerge:
         assert np.count_nonzero(m) == 1
 
     def test_singleton_merge_is_relabel(self):
-        mm = money_from_records(
-            [rec("AAA", "BBB", "0", 1.5), rec("BBB", "AAA", "1", 2.5)], 2018)
+        mm = money_set([("AAA", "BBB", "0", 1.5), ("BBB", "AAA", "1", 2.5)])
         merged = merge_country_group(mm, {"AAA"}, "ZZZ")
-        renamed = [
-            TradeFlowRecord(r.year, "ZZZ" if r.exporter == "AAA" else r.exporter,
-                            "ZZZ" if r.importer == "AAA" else r.importer,
-                            r.product, r.value_usd)
-            for r in records(mm)
-        ]
-        assert sorted((r.exporter, r.importer, r.product, r.value_usd)
-                      for r in records(merged)) == \
-            sorted((r.exporter, r.importer, r.product, r.value_usd) for r in renamed)
+        renamed = [tuple("ZZZ" if cid == "AAA" else cid for cid in (e, i)) + (p, v)
+                   for e, i, p, v in records(mm)]
+        assert sorted(records(merged)) == sorted(renamed)
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(MERGE_IDS), st.sampled_from(MERGE_IDS),
@@ -902,10 +880,10 @@ class TestMerge:
         # bit for bit: the merge only moves the member's rows and columns to the label's
         # sorted place, so every stored value, and every row and column sum taken in
         # the registry's order, is that of the relabelled set
-        records = [rec(e, i, p, v) for e, i, p, v in flows if e != i]
-        if not records or member not in {x for r in records for x in (r.exporter, r.importer)}:
+        flows = [flow for flow in flows if flow[0] != flow[1]]
+        if member not in {cid for flow in flows for cid in flow[:2]}:
             return
-        mm = money_from_records(records, 2018)
+        mm = money_set(flows)
         ids = [label if cid == member else cid for cid in mm.countries.ids]
         registry = CountryRegistry.from_ids(ids)
         position = np.array([registry.index_of(cid) for cid in ids])
@@ -928,8 +906,7 @@ class TestMerge:
         mm = random_money_set(seed, min_countries=6, max_countries=6, max_products=2)
         members = set(mm.countries.ids[:3])
         # oracle: classify raw records by membership
-        intra = sum(r.value_usd for r in records(mm)
-                    if r.exporter in members and r.importer in members)
+        intra = sum(v for e, i, _, v in records(mm) if e in members and i in members)
         merged = merge_country_group(mm, members, "GRP")
         assert merged.total_volume() == pytest.approx(
             mm.total_volume() - intra, rel=1e-9)
@@ -943,15 +920,15 @@ class TestMerge:
         assert money_sets_equal(a, b)
 
     def test_unknown_member(self):
-        mm = money_from_records([rec("AAA", "BBB", "0", 1.0)], 2018)
+        mm = money_set([("AAA", "BBB", "0", 1.0)])
         with pytest.raises(ValidationError):
             merge_country_group(mm, {"AAA", "XXX"}, "GRP")
 
     def test_unknown_member_named_in_the_order_given(self):
         # the error must not depend on the string hash seed, so each seed runs in its own process
         probe = ("import wtnrank\n"
-                 "mm = wtnrank.money_from_records(\n"
-                 "    [wtnrank.TradeFlowRecord(2018, 'AAA', 'BBB', '0', 1.0)], 2018)\n"
+                 "mm = wtnrank.ingest_csv(b'year,exporter,importer,product,value_usd\\n'\n"
+                 "                        b'2018,AAA,BBB,0,1.0\\n', 2018).money\n"
                  "try:\n"
                  "    wtnrank.merge_country_group(mm, ['XXA', 'XXB', 'XXC'], 'GRP')\n"
                  "except wtnrank.ValidationError as exc:\n"
@@ -966,13 +943,12 @@ class TestMerge:
         assert messages == ["unknown member id 'XXA'"] * 6
 
     def test_label_collision(self):
-        mm = money_from_records([rec("AAA", "BBB", "0", 1.0)], 2018)
+        mm = money_set([("AAA", "BBB", "0", 1.0)])
         with pytest.raises(ValidationError):
             merge_country_group(mm, {"AAA"}, "BBB")
 
     def test_short_code_override(self):
-        mm = money_from_records(
-            [rec("AAA", "BBB", "0", 1.0), rec("BBB", "CCC", "0", 1.0)], 2018)
+        mm = money_set([("AAA", "BBB", "0", 1.0), ("BBB", "CCC", "0", 1.0)])
         merged = merge_country_group(mm, {"AAA", "BBB"}, "GRP", short="EU")
         codes = merged.countries.display_codes
         assert dict(codes) == {"CCC": "CC", "GRP": "EU"}
@@ -993,7 +969,7 @@ class TestMerge:
 
 class TestVolumeProbabilities:
     def test_single_flow(self):
-        mm = money_from_records([rec("AAA", "BBB", "0", 10.0)], 2018)
+        mm = money_set([("AAA", "BBB", "0", 10.0)])
         vp = volume_probabilities(mm)
         ids = mm.countries.ids
         assert vp.export_c[ids.index("AAA")] == 1.0
@@ -1015,10 +991,8 @@ class TestVolumeProbabilities:
         assert abs(vp.export_c.sum() - 1.0) <= 1e-12
 
     def test_zero_volume_rejected(self):
-        mm = money_from_records(
-            [], 2018,
-            countries=CountryRegistry.from_ids(["AAA", "BBB"]),
-            products=ProductRegistry.from_codes(["0"]))
+        mm = money_set([], countries=CountryRegistry.from_ids(["AAA", "BBB"]),
+                       products=ProductRegistry.from_codes(["0"]))
         with pytest.raises(EmptyDataError):
             volume_probabilities(mm)
 
@@ -1200,14 +1174,6 @@ class TestRegistries:
         with pytest.raises(ValidationError):
             reg.index_of("ZZZ")
 
-    def test_records_outside_given_registries_rejected(self):
-        countries = CountryRegistry.from_ids(["AAA", "BBB"])
-        products = ProductRegistry.from_codes(["0"])
-        for bad in (rec("AAA", "CCC", "0", 1.0), rec("CCC", "AAA", "0", 1.0),
-                    rec("AAA", "BBB", "1", 1.0)):
-            with pytest.raises(ValidationError):
-                money_from_records([bad], 2018, countries, products)
-
     @pytest.mark.parametrize("cid", ["aaa", " AAA", "A B", "-AA"])
     def test_country_registry_rejects_non_canonical_ids(self, cid):
         with pytest.raises(ValidationError):
@@ -1233,19 +1199,16 @@ class TestRegistries:
         assert dict(registry.display_codes) == chain_display_codes(registry)
         assert len(set(registry.display_codes.values())) == len(ids)
 
-    def test_records_ids_canonicalized_as_in_ingest(self):
-        mm = money_from_records([rec("aaa", " bbb ", " 0", 1.0), rec("AAA", "ccc", "0", 2.0)],
-                                2018)
+    def test_in_memory_ids_canonicalized_at_ingest(self):
+        mm = money_set([("aaa", " bbb ", " 0", 1.0), ("AAA", "ccc", "0", 2.0)])
         assert (mm.countries.ids, mm.products.codes) == (("AAA", "BBB", "CCC"), ("0",))
-        assert money_sets_equal(mm, ingest_csv(csv_stream(
-            "2018,aaa, bbb , 0,1.0", "2018,AAA,ccc,0,2.0"), 2018).money)
         with pytest.raises(ValidationError, match="invalid country id"):
-            money_from_records([rec("a b", "BBB", "0", 1.0)], 2018)
-        assert money_from_records([rec("aaa", "AAA", "0", 1.0), rec("AAA", "BBB", "0", 2.0)],
-                                  2018).matrices[0].nnz == 1  # a self-flow after canonicalizing
+            money_set([("a b", "BBB", "0", 1.0)])
+        assert money_set([("aaa", "AAA", "0", 1.0), ("AAA", "BBB", "0", 2.0)]
+                         ).matrices[0].nnz == 1  # a self-flow after canonicalizing
 
 
-def gravity_by_records(seed, n_countries, n_products, density=0.75, year=2018):
+def gravity_by_flows(seed, n_countries, n_products, density=0.75, year=2018):
     """The per-flow loop that ``gravity_money_set`` vectorizes, as its reference."""
     rng = np.random.default_rng(seed)
     ids = synth_country_ids(n_countries)
@@ -1254,7 +1217,7 @@ def gravity_by_records(seed, n_countries, n_products, density=0.75, year=2018):
     product_weight = rng.lognormal(mean=0.0, sigma=0.8, size=n_products)
     distance = rng.uniform(0.5, 2.5, size=(n_countries, n_countries))
     distance = (distance + distance.T) / 2.0
-    records = []
+    flows = []
     for p, code in enumerate(codes):
         noise = rng.lognormal(mean=0.0, sigma=0.5, size=(n_countries, n_countries))
         linked = rng.random((n_countries, n_countries)) < density
@@ -1265,9 +1228,8 @@ def gravity_by_records(seed, n_countries, n_products, density=0.75, year=2018):
                 value = product_weight[p] * mass[i] * mass[j] / distance[i, j]
                 value = float(round(value * noise[i, j] * 1e7))
                 if value > 0.0:
-                    records.append(TradeFlowRecord(year, ids[i], ids[j], code, value))
-    return money_from_records(records, year, CountryRegistry.from_ids(ids),
-                              ProductRegistry.from_codes(codes))
+                    flows.append((ids[i], ids[j], code, value))
+    return money_set(flows, year, CountryRegistry.from_ids(ids), ProductRegistry.from_codes(codes))
 
 
 @pytest.mark.parametrize("args, density", [
@@ -1275,7 +1237,7 @@ def gravity_by_records(seed, n_countries, n_products, density=0.75, year=2018):
 ])
 def test_gravity_matches_per_flow_reference(args, density):
     got = gravity_money_set(*args, density=density)
-    want = gravity_by_records(*args, density=density)
+    want = gravity_by_flows(*args, density=density)
     assert money_sets_equal(got, want)
     same_bits(got, want)
 
@@ -1360,16 +1322,15 @@ def spelled(keys):
                           st.sampled_from("0479"), st.floats(0.0, 1e6)), min_size=1, max_size=30),
        st.data())
 def test_built_registries_ascend(flows, data):
-    """Ingest, ``money_from_records`` without registries, a merge whose label sorts
-    between its members, and synth all build registries of strictly ascending ids."""
+    """Ingest, a merge whose label sorts between its members, and synth all build
+    registries of strictly ascending ids."""
     flows = [flow for flow in flows if flow[0] != flow[1]]
     assume(flows)
     text = "".join(f"2018,{e},{i},{p},{v!r}\n" for e, i, p, v in flows)
-    built = [ingest_csv(io.StringIO(HEADER + "\n" + text), 2018).money,
-             money_from_records([TradeFlowRecord(2018, *flow) for flow in flows], 2018)]
-    members = data.draw(st.sets(st.sampled_from(built[1].countries.ids), min_size=2))
+    built = [ingest_csv(io.StringIO(HEADER + "\n" + text), 2018).money]
+    members = data.draw(st.sets(st.sampled_from(built[0].countries.ids), min_size=2))
     label = min(members) + "Z"  # above the least member, below the rest
-    merged = merge_country_group(built[1], members, label)
+    merged = merge_country_group(built[0], members, label)
     built += [merged, gravity_money_set(data.draw(st.integers(0, 2 ** 32)),
                                         data.draw(st.integers(2, 60)))]
     assert sorted(members)[0] < label < sorted(members)[1]
@@ -1416,17 +1377,12 @@ class TestInputOrderSums:
         assert (result.rows_used, result.duplicates_merged) == (used, used - len(flows))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_records_match_dict_reference(self, seed):
-        rows = off_grid_rows(seed)
-        records = [TradeFlowRecord(*row) for row in rows]
-        got = money_from_records(records, 2018)
-        flows = {}
-        for r in records:
-            if r.year == 2018 and r.exporter != r.importer:
-                key = (r.exporter, r.importer, r.product)
-                flows[key] = flows.get(key, 0.0) + r.value_usd
-        same_bits(got, money_by_dict(flows, 2018, got.countries, got.products))
-        assert got.countries.ids == tuple(sorted({k[0] for k in flows} | {k[1] for k in flows}))
+    def test_gate_matches_dict_reference(self, seed):
+        # the year's flows without self-flows, each product's one COO matrix in input order
+        rows = [row for row in off_grid_rows(seed) if row[0] == 2018 and row[1] != row[2]]
+        want, _ = ingest_by_dict(rows, 2018)
+        got = money_set([row[1:] for row in rows], 2018, want.countries, want.products)
+        same_bits(got, want)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(st.lists(st.tuples(spelled(("2017", "2018")), spelled(ORACLE_IDS), spelled(ORACLE_IDS),
@@ -1434,23 +1390,17 @@ class TestInputOrderSums:
     def test_raw_spellings_match_dict_reference(self, raw):
         rows = [(int(y), e, i, p, v) for (y, _), (e, _), (i, _), (p, _), v in raw]
         text = "".join(f"{y},{e},{i},{p},{v!r}\n" for (_, y), (_, e), (_, i), (_, p), v in raw)
-        records = [TradeFlowRecord(int(y), e, i, p, v)
-                   for (y, _), (_, e), (_, i), (_, p), v in raw]
         analysed = [(e, i) for y, e, i, _, _ in rows if y == 2018]
         used = sum(1 for e, i in analysed if e != i)
         if not used:
             with pytest.raises(EmptyDataError):
                 ingest_csv(io.StringIO(HEADER + "\n" + text), 2018)
-            with pytest.raises(EmptyDataError):
-                money_from_records(records, 2018)
             return
         want, flows = ingest_by_dict(rows, 2018)
         result = ingest_csv(io.StringIO(HEADER + "\n" + text), 2018)
-        got = money_from_records(records, 2018)
-        for mm in (result.money, got):
-            assert mm.countries.ids == want.countries.ids
-            assert mm.products.codes == want.products.codes
-            same_bits(mm, want)
+        assert result.money.countries.ids == want.countries.ids
+        assert result.money.products.codes == want.products.codes
+        same_bits(result.money, want)
         assert (result.rows_used, result.self_flows_dropped, result.duplicates_merged) == \
             (used, len(analysed) - used, used - len(flows))
 
@@ -1481,19 +1431,18 @@ class TestInputOrderSums:
                     min_size=1, max_size=60),
            st.sets(st.sampled_from(ORACLE_IDS), min_size=1, max_size=3))
     def test_key_sums_match_dict_reference(self, dense_keys, flows, members):
-        """Records and the merge of their set, bit for bit as an input-order dict sum,
-        whether the keys are summed by ``bincount`` over all of them or over the unique
-        ones; the default bound takes each way on some of these sets."""
-        records = [TradeFlowRecord(2018, *flow) for flow in flows]
+        """Flows through the gate and the merge of their set, bit for bit as an
+        input-order dict sum, whether the keys are summed by ``bincount`` over all of
+        them or over the unique ones; the default bound takes each way on some of
+        these sets."""
+        flows = [flow for flow in flows if flow[0] != flow[1]]  # the gate takes no self-flow
         countries, products = CountryRegistry(ORACLE_IDS), ProductRegistry.from_codes("0479")
         with mock.patch.object(trade_data, "_DENSE_KEYS", dense_keys):
-            got = money_from_records(records, 2018, countries, products)
+            got = money_set(flows, 2018, countries, products)
             merged = merge_country_group(got, members, "GRP")
         want = {}
-        for r in records:
-            if r.exporter != r.importer:
-                key = (r.exporter, r.importer, r.product)
-                want[key] = want.get(key, 0.0) + r.value_usd
+        for e, i, p, v in flows:
+            want[(e, i, p)] = want.get((e, i, p), 0.0) + v
         same_bits(got, money_by_dict(want, 2018, countries, products))
         merged_want = {}
         for code, m in zip(products.codes, got.matrices):
@@ -1538,8 +1487,6 @@ def labor_shock(mm):
 GATE_CONSTRUCTORS = {
     "ingest_csv": lambda: ingest_csv(io.StringIO(HEADER + "\n" + "".join(
         f"{y},{e},{i},{p},{v!r}\n" for y, e, i, p, v in off_grid_rows(0))), 2018).money,
-    "money_from_records": lambda: money_from_records(
-        [TradeFlowRecord(*row) for row in off_grid_rows(1)], 2018),
     "merge_country_group": lambda: merge_country_group(
         non_canonical(gravity_money_set(2, 30, 3), 2), synth_country_ids(5), "GRP"),
     "perturb_money": lambda: perturb_money(
@@ -1634,10 +1581,11 @@ class TestGate:
             with patch, pytest.raises(ValidationError, match=rf"^{OVERFLOW}$"):
                 ingest_csv(io.StringIO(text), 2018)
 
-    def test_records_name_the_key_whose_flows_overflow(self):
-        records = [rec("AAA", "CCC", "0", 1.0), *[rec("AAA", "BBB", "0", 1e308)] * 2]
-        with pytest.raises(ValidationError, match=rf"^{OVERFLOW}$"):
-            money_from_records(records, 2018)
+    def test_in_memory_flows_name_the_key_whose_flows_overflow(self):
+        flows = [("AAA", "CCC", "0", 1.0), *[("AAA", "BBB", "0", 1e308)] * 2]
+        for countries in (None, CountryRegistry.from_ids(["AAA", "BBB", "CCC"])):
+            with pytest.raises(ValidationError, match=rf"^{OVERFLOW}$"):
+                money_set(flows, countries=countries)  # through ingest, then the gate
 
     def test_rebuild_and_merge_name_the_key_whose_flows_overflow(self):
         countries = CountryRegistry.from_ids(["AAA", "BBB", "CCC"])
@@ -1645,34 +1593,6 @@ class TestGate:
         duplicate = sparse.coo_matrix(([1e308, 1e308], ([1, 1], [0, 0])), shape=(3, 3))
         with pytest.raises(ValidationError, match=rf"^{OVERFLOW}$"):
             MoneyMatrixSet((duplicate,), 2018, countries, products)
-        mm = money_from_records([rec("AAA", "CCC", "0", 1e308), rec("BBB", "CCC", "0", 1e308)],
-                                2018)
+        mm = money_set([("AAA", "CCC", "0", 1e308), ("BBB", "CCC", "0", 1e308)])
         with pytest.raises(ValidationError, match=r"^product '0': the flows GRP->CCC sum past"):
             merge_country_group(mm, ["AAA", "BBB"], "GRP")
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -3.0, "1e3", None])
-    def test_records_reject_bad_values_at_the_door(self, value):
-        records = [rec("AAA", "BBB", "0", 5.0), rec("AAA", "CCC", "0", value)]
-        with pytest.raises(ValidationError, match="AAA->CCC is not a finite, nonnegative"):
-            money_from_records(records, 2018)
-
-    @pytest.mark.parametrize("value", [-3.0, -5.0])
-    def test_records_reject_a_negative_outweighed_on_its_key(self, value):
-        # The gate sees only each key's sum (2.0 or 0.0 here), so the records
-        # check each value before summing, as ingest checks each row.
-        records = [rec("AAA", "BBB", "0", 5.0), rec("AAA", "BBB", "0", value)]
-        with pytest.raises(ValidationError, match=f"value {value!r} for AAA->BBB"):
-            money_from_records(records, 2018)
-
-    @pytest.mark.parametrize("field", range(3))
-    def test_records_reject_an_unhashable_field(self, field):
-        keys = ["AAA", "BBB", "0"]
-        keys[field] = ["AAA"]
-        with pytest.raises(ValidationError, match=r"^(invalid country id|unknown product code) "
-                                                  r"\['AAA'\]$"):
-            money_from_records([rec("AAA", "BBB", "0", 1.0), rec(*keys, 1.0)], 2018)
-
-    @pytest.mark.parametrize("cid", [None, 3])
-    def test_records_reject_a_non_string_id(self, cid):
-        with pytest.raises(ValidationError, match=f"invalid country id {cid!r}"):
-            money_from_records([rec(cid, "BBB", "0", 1.0)], 2018)
