@@ -11,7 +11,9 @@ for a whole product in the inverted one; else row t of each touched block S0*
 moves, dS0* = e_t s_t^T - S0* diag(s_t) with s_t that row. v moves through the
 product volumes. A single shock solves by a series with sparse products only,
 whose bytes do not depend on the BLAS kernel; the labor-cost matrix reuses one LU
-per product block. The volume balance is a closed form of the flow sums.
+per product block, with one solve for every target in the direct flow, whose
+right-hand sides are sums of product indicators, and one per target in the
+inverted flow. The volume balance is a closed form of the flow sums.
 """
 
 from __future__ import annotations
@@ -171,9 +173,11 @@ def labor_cost_matrix(mm: MoneyMatrixSet, description: str, *,
                       damping: float = DEFAULT_DAMPING) -> LaborCostMatrix:
     """``balance_sensitivity`` of the labor-cost shock on every target, at once.
 
-    Rank-based, each direction takes one ``build_google``, one factorization of
-    I - damping * S0 and one solve per target; a block with no stationary solution,
-    possible only at damping 1, raises ``ConvergenceError``.
+    Rank-based, each direction takes one ``build_google`` and one factorization of
+    I - damping * S0, with one solve for every target in the direct flow, whose
+    right-hand sides are sums of product indicators, and one per target in the
+    inverted flow; a block with no stationary solution, possible only at damping 1,
+    raises ``ConvergenceError``.
     """
     _check_solver(damping=damping)
     shocks = [(t, np.ones(mm.n_products, dtype=bool)) for t in range(mm.n_countries)]
@@ -212,14 +216,24 @@ def _rank_response(mm: MoneyMatrixSet, shocks, damping: float, solver):
         y = solve(g.personalization)
         total = y.sum()
         p = y / total
+        probs.append(p.reshape(n_p, n_c).sum(axis=0))
+        # dv per product, one column per shock: a whole product adds dW_p = W_p, and
+        # its scale cancels in S0 and S0*
+        weights = np.column_stack([
+            np.where(touched, g.personalization[::n_c] if t is None else dv[:, t], 0.0)
+            for t, touched in shocks])
+        if direction == DIRECT and len(shocks) > 1:
+            # dS0 = 0, so dy sums product blocks of x = (I - damping * S0)^-1 1
+            x = solve(np.ones(g.n_nodes)).reshape(n_p, n_c)
+            shifts.append((x.T @ weights - np.outer(probs[-1], x.sum(axis=1) @ weights))
+                          / total)
+            continue
         if direction == INVERTED:  # row t of every block, target-major: one slice per t
             order = np.arange(g.n_nodes).reshape(n_p, n_c).T.ravel()
             rows, a_y = g.links.tocsr()[order], a_links @ y
         dp = np.empty((n_c, len(shocks)))
         for k, (t, touched) in enumerate(shocks):
-            # a whole product adds dW_p = W_p, and its scale cancels in S0 and S0*
-            dw = g.personalization[::n_c] if t is None else dv[:, t]
-            rhs = np.repeat(np.where(touched, dw, 0.0), n_c)
+            rhs = np.repeat(weights[:, k], n_c)
             if t is not None and direction == INVERTED:
                 # + damping (e_t (S0* y)_t - S0* (s_t * y)) on the touched blocks
                 lo, hi = rows.indptr[t * n_p], rows.indptr[(t + 1) * n_p]
@@ -232,7 +246,6 @@ def _rank_response(mm: MoneyMatrixSet, shocks, damping: float, solver):
                 rhs[nodes] += a_y[nodes]
             dy = solve(rhs)
             dp[:, k] = ((dy - p * dy.sum()) / total).reshape(n_p, n_c).sum(axis=0)
-        probs.append(p.reshape(n_p, n_c).sum(axis=0))
         shifts.append(dp)
     (p, p_star), (dp, dp_star) = probs, shifts
     present = (p + p_star) > 0.0

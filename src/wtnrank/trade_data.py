@@ -158,9 +158,10 @@ class MoneyMatrixSet:
     """Per-product sparse money matrices over a shared country registry.
 
     ``matrices[p][c, c']`` is the USD flow of product ``p`` from exporter
-    ``c'`` to importer ``c``. Construction is the one gate: every matrix must
+    ``c'`` to importer ``c``. Construction is the one gate: the year must be an
+    ``Integral`` other than a bool, kept as an ``int``, and every matrix must
     be sparse and n x n, with finite, nonnegative values and no nonzero
-    diagonal entry, or ``ValidationError`` names the product. The set then
+    diagonal entry, or ``ValidationError`` names the year or product. The set then
     holds canonical float64 CSC (sorted indices, no duplicates); any other
     input is rebuilt, its duplicates added one by one in storage order from 0.0;
     a sum past the largest finite float raises ``ValidationError`` naming its key.
@@ -177,6 +178,7 @@ class MoneyMatrixSet:
     products: ProductRegistry
 
     def __post_init__(self):
+        object.__setattr__(self, "year", _check_year(self.year))
         if len(self.matrices) != len(self.products):
             raise ValidationError("matrix count does not match product registry")
         n, canonical = len(self.countries), True
@@ -279,8 +281,7 @@ def ingest_csv(source, year: int) -> IngestResult:
     at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in a file that ``open_input`` opens,
     wherever a block ends.
     """
-    if not isinstance(year, numbers.Integral) or isinstance(year, bool):
-        raise ValidationError(f"year {year!r} is not an int")  # "2018" would match no row
+    year = _check_year(year)  # "2018" would match no row
     years, ids = _Keys(_year, year), _Keys(canonical_country_id)
     codes = _Keys(canonical_product_code)
     blocks = []
@@ -506,6 +507,13 @@ def _number(raw: str) -> str:
     if "_" in raw or not raw.isascii():
         raise ValueError(raw)
     return raw
+
+
+def _check_year(year) -> int:
+    """``year`` as an int; ``ValidationError`` unless an ``Integral`` and not a bool."""
+    if not isinstance(year, numbers.Integral) or isinstance(year, bool):
+        raise ValidationError(f"year {year!r} is not an int")
+    return int(year)
 
 
 def _year(raw: str) -> int:

@@ -343,14 +343,28 @@ class TestLaborCostMatrix:
 
     @pytest.mark.parametrize("description, per_direction", [(RANK_BASED, 2), (VOLUME_BASED, 0)])
     def test_one_build_and_one_factorization_per_direction(self, description, per_direction):
+        mm, solves = small_money_set(30, 4, 2), {}
         names = ("build_google", "_block_solver", "_series_solver", "pagerank")
+        wraps = {name: getattr(sensitivity, name) for name in names}
+
+        def counted_solver(g, *args):
+            solve = wraps["_block_solver"](g, *args)
+
+            def counted(*b):
+                solves[g.direction] = solves.get(g.direction, 0) + 1
+                return solve(*b)
+            return counted
+
         with contextlib.ExitStack() as stack:
             calls = {name: stack.enter_context(mock.patch.object(
-                sensitivity, name, wraps=getattr(sensitivity, name))) for name in names}
-            labor_cost_matrix(small_money_set(30, 4, 2), description)
+                sensitivity, name, wraps=counted_solver if name == "_block_solver" else wrap))
+                for name, wrap in wraps.items()}
+            labor_cost_matrix(mm, description)
         assert {name: spy.call_count for name, spy in calls.items()} == {
             "build_google": per_direction, "_block_solver": per_direction,
             "_series_solver": 0, "pagerank": 0}
+        # the direct flow solves v and 1 for every target; the inverted one v and each target
+        assert solves == ({DIRECT: 2, INVERTED: 1 + mm.n_countries} if per_direction else {})
 
     def test_unknown_description_rejected_before_any_build(self):
         with mock.patch.object(sensitivity, "build_google") as build:

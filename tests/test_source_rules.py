@@ -1,6 +1,7 @@
 """Rules on the package source: one owner for file I/O, one rule for duplicates,
 one owner of row and column sums, one stored form of the Google matrix, one
-registry lookup per distinct key, one convergence loop, two doors for trade flows.
+registry lookup per distinct key, one convergence loop, two doors for trade flows,
+no threads.
 
 ``_io.py`` alone opens files and writes JSON. Duplicate flows are added only
 by the ``MoneyMatrixSet`` gate's storage-order rule, never by scipy's
@@ -24,6 +25,10 @@ in-memory flows come in as CSV text through ingest or as matrices through the ga
 One number rule: ``trade_data._number``, which every year and value field goes
 through, owns the one ``.isascii(`` line, since ``int`` and ``float`` would take
 non-ASCII digits.
+No threads: no module names ``threading``, ``concurrent.futures`` or
+``multiprocessing``. OpenBLAS splits its sums by whichever of its threads are
+free, so two library calls on threads of their own, such as ``reduce``'s two
+halves, give outputs whose bytes change from run to run.
 """
 
 import ast
@@ -44,6 +49,7 @@ RULES = [
     (re.compile(r"\bnp\.fromiter\(\s*map\("), set()),
     (re.compile(r"\b(splu|spsolve|lu_factor|dgetrf)\b"), {"google_matrix.py"}),
     (re.compile(r"\biterations="), {"google_matrix.py", "errors.py"}),
+    (re.compile(r"\b(threading|multiprocessing|concurrent\b.*\bfutures)\b"), set()),
 ]
 
 

@@ -34,6 +34,7 @@ from wtnrank import (
     DIRECT,
     INVERTED,
     LABOR_COST,
+    VOLUME_BASED,
     CountryRegistry,
     EmptyDataError,
     MoneyMatrixSet,
@@ -41,6 +42,7 @@ from wtnrank import (
     Perturbation,
     ProductRegistry,
     ValidationError,
+    balance_report,
     build_google,
     gravity_money_set,
     ingest_csv,
@@ -51,6 +53,7 @@ from wtnrank import (
 )
 from wtnrank import trade_data
 from wtnrank._io import write_csv
+from wtnrank.sensitivity import write_balance_json
 from wtnrank.synth import synth_country_ids
 from wtnrank.trade_data import CSV_HEADER
 
@@ -1562,6 +1565,21 @@ class TestGate:
             m = sparse.coo_matrix(([0.0, 1.0, 2.0], ([1, 0, 1], [1, 1, 1])), shape=(2, 2))
         with pytest.raises(ValidationError, match="product '0': nonzero self-flow"):
             MoneyMatrixSet((m,), 2018, countries, products)
+
+    @pytest.mark.parametrize("year", ["2018", True, 2018.5, None, np.int64(2018)])
+    def test_one_year_rule(self, year):
+        args = ((sparse.csc_matrix(np.array([[0.0, 1.0], [2.0, 0.0]])),), year,
+                CountryRegistry.from_ids(["AAA", "BBB"]), ProductRegistry.from_codes(["0"]))
+        if not isinstance(year, np.integer):
+            message = rf"^year {re.escape(repr(year))} is not an int$"  # as ingest words it
+            with pytest.raises(ValidationError, match=message):
+                MoneyMatrixSet(*args)
+            return
+        for mm in (MoneyMatrixSet(*args), ingest_csv(csv_stream("2018,AAA,BBB,0,1"), year).money):
+            assert type(mm.year) is int and mm.year == 2018
+            out = io.StringIO()
+            write_balance_json(balance_report(mm, VOLUME_BASED), out)
+            assert '"year": 2018' in out.getvalue()
 
     def test_stored_zero_on_the_diagonal_is_accepted(self):
         countries = CountryRegistry.from_ids(["AAA", "BBB"])
