@@ -6,14 +6,15 @@ product. ``balance_sensitivity`` and ``labor_cost_matrix`` give the derivative a
 zero shock, with no perturbed copy. PageRank is p = y / sum(y) with
 y = (I - damping * S0)^-1 v, and a shock moves y by the solution of the same system
 with right-hand side damping * dS0 y + dv (Golub and Meyer, SIAM J. Alg. Disc.
-Meth. 7(2), 1986). Column normalization cancels the scale in the direct flow, and
-for a whole product in the inverted one; else row t of each touched block S0*
-moves, dS0* = e_t s_t^T - S0* diag(s_t) with s_t that row. v moves through the
-product volumes. A single shock solves by a series with sparse products only,
-whose bytes do not depend on the BLAS kernel; the labor-cost matrix reuses one LU
-per product block, with one solve for every target in the direct flow, whose
-right-hand sides are sums of product indicators, and one per target in the
-inverted flow. The volume balance is a closed form of the flow sums.
+Meth. 7(2), 1986). The system is block-diagonal by product, and v and dv are
+constant on each block, so one solve of the all-ones vector per direction, x, gives
+PageRank (y = v x) and every product-volume shift. Column normalization cancels dS0
+in the direct flow, and for a whole product in the inverted one; else row t of each
+touched block S0* moves, dS0* = e_t s_t^T - S0* diag(s_t) with s_t that row, and a
+shock that names a country adds one solve in the inverted flow. A series with sparse
+products only, whose bytes do not depend on the BLAS kernel, solves for
+``balance_sensitivity``; one LU per product block for ``labor_cost_matrix``. The
+volume balance is a closed form of the flow sums.
 """
 
 from __future__ import annotations
@@ -151,9 +152,10 @@ def balance_sensitivity(mm: MoneyMatrixSet, perturbation: Perturbation,
                         max_iter: int = DEFAULT_MAX_ITER) -> SensitivityReport:
     """Exact derivative of every country's balance at zero shock, per unit shock.
 
-    Rank-based, each direction takes one ``build_google`` and two series solves, each
-    to L1 change ``tol`` within ``max_iter`` steps (else ``ConvergenceError``, as at
-    damping 1 on a closed class); volume-based is a closed form.
+    Rank-based, each direction takes one ``build_google`` and one series solve of the
+    all-ones vector, and a shock that names a country one more in the inverted flow,
+    each to L1 change ``tol`` within ``max_iter`` steps (else ``ConvergenceError``, as
+    at damping 1 on a closed class); volume-based is a closed form.
     """
     _check_solver(damping=damping, tol=tol, max_iter=max_iter)
     target, product = perturbation.target_country, perturbation.product
@@ -173,11 +175,10 @@ def labor_cost_matrix(mm: MoneyMatrixSet, description: str, *,
                       damping: float = DEFAULT_DAMPING) -> LaborCostMatrix:
     """``balance_sensitivity`` of the labor-cost shock on every target, at once.
 
-    Rank-based, each direction takes one ``build_google`` and one factorization of
-    I - damping * S0, with one solve for every target in the direct flow, whose
-    right-hand sides are sums of product indicators, and one per target in the
-    inverted flow; a block with no stationary solution, possible only at damping 1,
-    raises ``ConvergenceError``.
+    Rank-based, each direction takes one ``build_google``, one factorization of
+    I - damping * S0 and one solve of the all-ones vector, and the inverted flow one
+    more solve per target; a block with no stationary solution, possible only at
+    damping 1, raises ``ConvergenceError``.
     """
     _check_solver(damping=damping)
     shocks = [(t, np.ones(mm.n_products, dtype=bool)) for t in range(mm.n_countries)]
@@ -213,39 +214,37 @@ def _rank_response(mm: MoneyMatrixSet, shocks, damping: float, solver):
         g = build_google(mm, direction, damping)
         a_links = damping * g.links
         solve = solver(g, a_links)
-        y = solve(g.personalization)
+        # v and every dv are constant on each block of (I - damping * S0)^-1: y = v * x
+        x = solve(np.ones(g.n_nodes)).reshape(n_p, n_c)
+        v = g.personalization[::n_c]
+        y = (x * v[:, None]).ravel()
         total = y.sum()
         p = y / total
         probs.append(p.reshape(n_p, n_c).sum(axis=0))
-        # dv per product, one column per shock: a whole product adds dW_p = W_p, and
-        # its scale cancels in S0 and S0*
-        weights = np.column_stack([
-            np.where(touched, g.personalization[::n_c] if t is None else dv[:, t], 0.0)
-            for t, touched in shocks])
-        if direction == DIRECT and len(shocks) > 1:
-            # dS0 = 0, so dy sums product blocks of x = (I - damping * S0)^-1 1
-            x = solve(np.ones(g.n_nodes)).reshape(n_p, n_c)
-            shifts.append((x.T @ weights - np.outer(probs[-1], x.sum(axis=1) @ weights))
-                          / total)
-            continue
-        if direction == INVERTED:  # row t of every block, target-major: one slice per t
-            order = np.arange(g.n_nodes).reshape(n_p, n_c).T.ravel()
+        # dv per product, one column per shock: a whole product adds dW_p = W_p, and its
+        # scale cancels in S0 and S0*. einsum, unlike a BLAS matmul, sums in fixed order.
+        weights = np.column_stack([np.where(touched, v if t is None else dv[:, t], 0.0)
+                                   for t, touched in shocks])
+        dp = (np.einsum("pc,pk->ck", x, weights)
+              - np.outer(probs[-1], np.einsum("pc,pk->k", x, weights))) / total
+        if direction == INVERTED:
+            # a shock that names country t moves row t of each touched block S0*,
+            # adding damping (e_t (S0* y)_t - S0* (s_t * y)) to the right-hand side
+            order = np.arange(g.n_nodes).reshape(n_p, n_c).T.ravel()  # target-major rows
             rows, a_y = g.links.tocsr()[order], a_links @ y
-        dp = np.empty((n_c, len(shocks)))
-        for k, (t, touched) in enumerate(shocks):
-            rhs = np.repeat(weights[:, k], n_c)
-            if t is not None and direction == INVERTED:
-                # + damping (e_t (S0* y)_t - S0* (s_t * y)) on the touched blocks
+            for k, (t, touched) in enumerate(shocks):
+                if t is None:
+                    continue
                 lo, hi = rows.indptr[t * n_p], rows.indptr[(t + 1) * n_p]
-                cols = rows.indices[lo:hi]
-                s_y = np.zeros(g.n_nodes)
-                s_y[cols] = rows.data[lo:hi] * y[cols]
-                s_y.reshape(n_p, n_c)[~touched] = 0.0  # row (p, t) reaches block p only
+                s_t = np.zeros(g.n_nodes)
+                s_t[rows.indices[lo:hi]] = rows.data[lo:hi]
+                s_t.reshape(n_p, n_c)[~touched] = 0.0  # row (p, t) reaches block p only
                 nodes = order[t * n_p:(t + 1) * n_p][touched]
-                rhs -= a_links @ s_y
+                rhs = -(a_links @ (s_t * y))
                 rhs[nodes] += a_y[nodes]
-            dy = solve(rhs)
-            dp[:, k] = ((dy - p * dy.sum()) / total).reshape(n_p, n_c).sum(axis=0)
+                scale = np.abs(rhs).sum() or 1.0  # at v's L1 norm, as tol is absolute
+                dy = solve(rhs / scale) * scale
+                dp[:, k] += ((dy - p * dy.sum()) / total).reshape(n_p, n_c).sum(axis=0)
         shifts.append(dp)
     (p, p_star), (dp, dp_star) = probs, shifts
     present = (p + p_star) > 0.0

@@ -69,8 +69,12 @@ class TestPersonalization:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sums_to_one(self, seed):
-        v = personalization_vector(random_money_set(seed))
+        mm = random_money_set(seed)
+        v = personalization_vector(mm)
         assert abs(v.sum() - 1.0) <= 1e-12
+        # uniform within each product: the sensitivities take y = v * (I - damping S0)^-1 1
+        blocks = v.reshape(mm.n_products, mm.n_countries)
+        assert np.all(blocks == blocks[:, :1])
 
     def test_zero_volume_rejected(self):
         mm = money_set([], countries=CountryRegistry.from_ids(["AAA", "BBB"]),

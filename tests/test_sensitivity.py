@@ -1,4 +1,5 @@
 import contextlib
+import os
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from wtnrank import (
     balance_sensitivity,
     build_google,
     gravity_money_set,
+    ingest_csv,
     labor_cost_matrix,
 )
 from wtnrank import sensitivity
@@ -206,15 +208,56 @@ class TestBalanceSensitivity:
 
     @pytest.mark.parametrize("description, builds", [(RANK_BASED, 2), (VOLUME_BASED, 0)])
     def test_call_counts(self, description, builds):
-        names = ("build_google", "_block_solver", "pagerank")
+        names = ("build_google", "_block_solver", "_series_solver", "pagerank")
+        wraps = {name: getattr(sensitivity, name) for name in names}
         mm = small_money_set(30, 4, 2)
-        for shock in every_kind(mm).values():
+        # one solve of 1 per direction, and one more in the inverted flow for a shock
+        # that names a country
+        inverted = {GLOBAL_PRODUCT: 1, COUNTRY_PRODUCT: 2, LABOR_COST: 2}
+        for kind, shock in every_kind(mm).items():
+            solves, directions = {}, iter((DIRECT, INVERTED))  # the order they are made in
+
+            def counted_solver(*args):
+                solve, direction = wraps["_series_solver"](*args), next(directions)
+
+                def counted(b):
+                    solves[direction] = solves.get(direction, 0) + 1
+                    return solve(b)
+                return counted
+
             with contextlib.ExitStack() as stack:
                 calls = {name: stack.enter_context(mock.patch.object(
-                    sensitivity, name, wraps=getattr(sensitivity, name))) for name in names}
+                    sensitivity, name,
+                    wraps=counted_solver if name == "_series_solver" else wrap))
+                    for name, wrap in wraps.items()}
                 balance_sensitivity(mm, shock, description)
             assert {name: spy.call_count for name, spy in calls.items()} == {
-                "build_google": builds, "_block_solver": 0, "pagerank": 0}
+                "build_google": builds, "_block_solver": 0, "_series_solver": builds,
+                "pagerank": 0}
+            assert solves == ({DIRECT: 1, INVERTED: inverted[kind]} if builds else {})
+
+    def test_global_product_matches_dense_oracle(self):
+        # on the golden input: y = A^-1 v and dy = A^-1 dv per direction, A = I - damping S0
+        # solved dense, with dv = dW_p / (n_c W) - v dW / W = v (1_p - W_p / W)
+        mm = ingest_csv(os.path.join(os.path.dirname(__file__), "golden", "synth",
+                                     "trade.csv"), 2018).money
+        n_c = mm.n_countries
+        for k, code in enumerate(mm.products.codes):
+            probs, shifts = [], []
+            for direction in (DIRECT, INVERTED):
+                g = build_google(mm, direction)
+                a = np.eye(g.n_nodes) - g.damping * g.links.toarray()
+                v, in_p = g.personalization, np.arange(g.n_nodes) // n_c == k
+                y, dy = np.linalg.solve(a, v), np.linalg.solve(a, v * (in_p - v[in_p].sum()))
+                probs.append((y / y.sum()).reshape(-1, n_c).sum(axis=0))
+                shifts.append(((dy - y * dy.sum() / y.sum()) / y.sum()).reshape(-1, n_c)
+                              .sum(axis=0))
+            (p, p_star), (dp, dp_star) = probs, shifts
+            oracle = 2.0 * (p * dp_star - p_star * dp) / (p + p_star) ** 2
+            report = balance_sensitivity(mm, Perturbation(GLOBAL_PRODUCT, product=code),
+                                         RANK_BASED)
+            assert report.countries == mm.countries.ids
+            np.testing.assert_allclose(report.derivatives, oracle, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("option, value, message", [
         ("max_iter", 2.5, "max_iter must be an int of at least 1"),
@@ -363,8 +406,9 @@ class TestLaborCostMatrix:
         assert {name: spy.call_count for name, spy in calls.items()} == {
             "build_google": per_direction, "_block_solver": per_direction,
             "_series_solver": 0, "pagerank": 0}
-        # the direct flow solves v and 1 for every target; the inverted one v and each target
-        assert solves == ({DIRECT: 2, INVERTED: 1 + mm.n_countries} if per_direction else {})
+        # each direction solves 1, for PageRank and every target's volume shift; the
+        # inverted one also solves each target's row term
+        assert solves == ({DIRECT: 1, INVERTED: 1 + mm.n_countries} if per_direction else {})
 
     def test_unknown_description_rejected_before_any_build(self):
         with mock.patch.object(sensitivity, "build_google") as build:
