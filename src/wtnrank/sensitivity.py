@@ -184,7 +184,7 @@ def labor_cost_matrix(mm: MoneyMatrixSet, description: str, *,
     shocks = [(t, np.ones(mm.n_products, dtype=bool)) for t in range(mm.n_countries)]
     countries, derivatives = _response(
         mm, description, shocks, damping,
-        lambda g, a_links: _block_solver(g, np.arange(g.n_nodes), a_links))
+        lambda g, a_links: _block_solver(g, np.arange(g.n_nodes)))
     return LaborCostMatrix(description, mm.year, countries, mm.countries.ids, derivatives)
 
 

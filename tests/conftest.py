@@ -1,5 +1,7 @@
 """Shared fixtures and seeded-network helpers."""
 
+from pathlib import Path
+
 import numpy as np
 from scipy import sparse
 
@@ -54,6 +56,12 @@ def central_difference(mm, perturbation, description, step, **solver):
                                   **solver) for sign in (1.0, -1.0))
     assert plus.countries == minus.countries
     return (plus.balances - minus.balances) / (2.0 * step)
+
+
+def golden_money_set():
+    """The money set of the CLI golden suite's ``synth --seed 42`` trade file."""
+    return ingest_csv(str(Path(__file__).resolve().parent / "golden" / "synth" / "trade.csv"),
+                      2018).money
 
 
 def small_money_set(seed, n_countries, n_products, density=0.8):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import (
     effective_dense,
+    golden_money_set,
     money_set,
     node_pairs,
     non_canonical,
@@ -10,9 +11,10 @@ from conftest import (
     records,
     small_money_set,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from wtnrank import (
     ConvergenceError,
@@ -339,14 +341,16 @@ def isolated_first_country(seed, n_c, n_p):
 
 class TestBlockSolver:
     """``_block_solver`` against ``np.linalg.solve`` on the dense (I - damping * S0)
-    cut to the node set."""
+    cut to the node set, and with every node against LAPACK on slices of damping * S0."""
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(3, 7), st.integers(1, 3),
            st.sampled_from([DIRECT, INVERTED]), st.sampled_from([0.3, 0.5, 0.85, 0.99]),
            st.data())
     def test_matches_dense_solve(self, seed, n_c, n_p, direction, damping, data):
-        g = build_google(isolated_first_country(seed, n_c, n_p), direction, damping)
+        mm = isolated_first_country(seed, n_c, n_p)
+        assume(mm.total_volume() > 0.0)  # a set with no flow has no Google matrix
+        g = build_google(mm, direction, damping)
         chosen = np.array(data.draw(st.lists(st.booleans(), min_size=g.n_nodes,
                                              max_size=g.n_nodes)))
         chosen[::n_c] = True  # every product's dangling node ...
@@ -357,19 +361,25 @@ class TestBlockSolver:
             return
         assert g.dangling[nodes].any()
         dense = np.eye(nodes.size) - damping * g.links.toarray()[np.ix_(nodes, nodes)]
-        solve = _block_solver(g, nodes, damping * g.links[nodes][:, nodes])
+        solve = _block_solver(g, nodes)
         rng = np.random.default_rng(seed)
         for b in (rng.random(nodes.size), rng.random((nodes.size, 3))):
             np.testing.assert_allclose(solve(b), np.linalg.solve(dense, b),
                                        rtol=1e-10, atol=1e-13)
             np.testing.assert_allclose(solve(b, transposed=True), np.linalg.solve(dense.T, b),
                                        rtol=1e-10, atol=1e-13)
+        # columns that each live in one product: solved in that product's block only
+        products = rng.integers(0, n_p, size=4)
+        b = rng.random((nodes.size, 4)) * (nodes[:, None] // n_c == products)
+        for transposed in (False, True):
+            np.testing.assert_allclose(solve(b, transposed, products=products),
+                                       solve(b, transposed), rtol=1e-13, atol=1e-16)
 
     def test_product_without_nodes_takes_no_factor(self):
         g = build_google(isolated_first_country(3, 5, 3), DIRECT, 0.85)
         nodes = np.arange(5, 10)  # product 1 only
         dense = np.eye(5) - 0.85 * g.links.toarray()[5:10, 5:10]
-        solve = _block_solver(g, nodes, 0.85 * g.links[nodes][:, nodes])
+        solve = _block_solver(g, nodes)
         np.testing.assert_allclose(solve(np.ones(5)),
                                    np.linalg.solve(dense, np.ones(5)), rtol=1e-12)
 
@@ -379,4 +389,25 @@ class TestBlockSolver:
                         ("CCC", "AAA", "0", 3.0)])
         g, nodes = build_google(mm, DIRECT, 1.0), np.array([0, 1])
         with pytest.raises(ConvergenceError, match="singular in product 0"):
-            _block_solver(g, nodes, g.links[nodes][:, nodes])
+            _block_solver(g, nodes)
+
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    def test_every_node_solves_as_the_sliced_blocks_bitwise(self, direction):
+        # labor_cost_matrix solves with every node: its blocks, made from the links'
+        # column ranges, must equal I - (damping * S0)[lo:hi, lo:hi] bit for bit
+        g = build_google(golden_money_set(), direction)
+        n_c, a_links = len(g.countries), g.damping * g.links
+        factors = [dgetrf(np.eye(n_c) - a_links[lo:lo + n_c, lo:lo + n_c].toarray(),
+                          overwrite_a=True)[:2] for lo in range(0, g.n_nodes, n_c)]
+
+        def sliced(b, transposed):
+            x = np.empty(b.shape)
+            for lo, (lu, piv) in zip(range(0, g.n_nodes, n_c), factors):
+                x[lo:lo + n_c] = dgetrs(lu, piv, b[lo:lo + n_c], trans=int(transposed))[0]
+            return x
+
+        solve = _block_solver(g, np.arange(g.n_nodes))
+        rng = np.random.default_rng(7)
+        for b in (rng.random(g.n_nodes), rng.random((g.n_nodes, 3))):
+            for transposed in (False, True):
+                assert_same_bits(solve(b, transposed), sliced(b, transposed))

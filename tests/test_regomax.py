@@ -3,7 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import effective_dense, money_set, node_pairs, small_money_set
+from conftest import (
+    effective_dense,
+    golden_money_set,
+    money_set,
+    node_pairs,
+    small_money_set,
+)
 from scipy import sparse
 
 from wtnrank import (
@@ -157,6 +163,28 @@ class TestReduce:
             total += term
         assert np.abs(term).sum() <= 1e-12
         np.testing.assert_allclose(reduce(g, selection).g_qr, g_rs @ total, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    def test_golden_step_matches_dense_oracles(self, direction):
+        # the CLI golden step's reduction, SAA and SAB over every product, against the
+        # dense Schur complement and the eigendecomposition of the dense G_ss
+        mm = golden_money_set()
+        g = build_google(mm, direction)
+        selection = [(c, p) for c in ("SAA", "SAB") for p in mm.products.codes]
+        _, g_rs, g_sr, g_ss = dense_blocks(g, selection)
+        values, right = np.linalg.eig(g_ss)
+        left_values, left = np.linalg.eig(g_ss.T)
+        lam = values.real.max()
+        psi_r = right[:, np.argmax(values.real)].real
+        psi_l = left[:, np.argmax(left_values.real)].real
+        projector = np.outer(psi_r, psi_l) / (psi_l @ psi_r)
+        r = reduce(g, selection)
+        idx = [g.node_of(c, p) for c, p in selection]
+        np.testing.assert_allclose(r.g_r, dense_schur(effective_dense(g), idx),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(r.g_pr, g_rs @ projector @ g_sr / (1.0 - lam),
+                                   rtol=0, atol=1e-14)
+        assert abs(r.lambda_c - lam) <= 1e-14
 
     def test_oracle_fixture_reaches_the_edge_cases(self):
         g, selection = oracle_case("dangling", DIRECT, 0.5)

@@ -1,7 +1,7 @@
 """Rules on the package source: one owner for file I/O, one rule for duplicates,
 one owner of row and column sums, one stored form of the Google matrix, one
 registry lookup per distinct key, one convergence loop, two doors for trade flows,
-no threads.
+no threads, no full-size operator.
 
 ``_io.py`` alone opens files and writes JSON. Duplicate flows are added only
 by the ``MoneyMatrixSet`` gate's storage-order rule, never by scipy's
@@ -29,6 +29,10 @@ No threads: no module names ``threading``, ``concurrent.futures`` or
 ``multiprocessing``. OpenBLAS splits its sums by whichever of its threads are
 free, so two library calls on threads of their own, such as ``reduce``'s two
 halves, give outputs whose bytes change from run to run.
+No full-size operator: no module names ``aslinearoperator`` or ``LinearOperator``.
+I - damping * S0 is block-diagonal by product, so ``reduce`` solves and multiplies one
+product block at a time; an operator over the whole scattering block spent each
+eigen step on a full-size sparse product and needed an S0_ss slice to build.
 """
 
 import ast
@@ -50,6 +54,7 @@ RULES = [
     (re.compile(r"\b(splu|spsolve|lu_factor|dgetrf)\b"), {"google_matrix.py"}),
     (re.compile(r"\biterations="), {"google_matrix.py", "errors.py"}),
     (re.compile(r"\b(threading|multiprocessing|concurrent\b.*\bfutures)\b"), set()),
+    (re.compile(r"\b(aslinearoperator|LinearOperator)\b"), set()),
 ]
 
 
