@@ -123,52 +123,49 @@ def _block_solver(g: GoogleMatrix, nodes: np.ndarray):
     """Solver of (I - damping * S0) restricted to the sorted ``nodes``.
 
     ``solve(b)`` solves the system and ``solve(b, transposed=True)`` its transpose, for
-    a vector b or a matrix of right-hand sides, indexed like ``nodes``. Given
-    ``products``, the product of each of b's columns, each column must be zero outside
-    its product's nodes: each product then solves its own columns only, and the rest
-    of x is zero. The restriction is block-diagonal by product. Each product's block
-    is made dense from its ``_product_links``, with an identity row and column for each
-    of its nodes outside ``nodes``, and takes one LAPACK LU, n_countries square; a
-    product with no node in the set takes none. An exactly zero pivot, possible only at
-    damping 1 on a closed class of S0 inside ``nodes``, raises ``ConvergenceError``.
+    a vector b or a matrix of right-hand sides, indexed like ``nodes``. The restriction
+    is block-diagonal by product. Each product's block is made dense from its
+    ``_product_links``, with an identity row and column for each of its nodes outside
+    ``nodes``, and takes one LAPACK LU, n_countries square; a product with no node in
+    the set takes none. ``solve`` works out from b which columns are nonzero on each
+    product's nodes, and each product solves only those, zero-padded onto its identity
+    rows; a product whose rows of b are all zero makes no solve, and the rest of x is
+    zero. A pivot within 64 * n_countries * eps of zero, possible only at damping 1 on a
+    closed class of S0 inside ``nodes`` (rounding seldom leaves it exactly zero), raises
+    ``ConvergenceError``.
     """
     n_c, diagonal = len(g.countries), np.arange(len(g.countries))
-    bounds = np.searchsorted(nodes, np.arange(len(g.products) + 1) * n_c)
+    product, country = np.divmod(nodes, n_c)
+    factored = np.unique(product)
     blocks = []
-    for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if lo == hi:
-            continue  # dgetrf rejects a 0 x 0 matrix
+    for p in factored:
         links = _product_links(g, p)
         links.data = -(g.damping * links.data)  # unstored zeros stay +0.0
         block = links.toarray(order="F")
-        inside = nodes[lo:hi] - p * n_c
-        outside = np.setdiff1d(diagonal, inside)
+        outside = np.setdiff1d(diagonal, country[product == p])
         block[outside] = 0.0
         block[:, outside] = 0.0
         block[diagonal, diagonal] += 1.0
-        blocks.append((p, lo, hi, inside if outside.size else None, block))
+        blocks.append(block)
     # one dgetrf after another: interleaved with other numpy work, each 600-square
     # factorization took 9-97 ms on a 2-core host, against 6-8 ms back to back
-    factors = []
-    for p, lo, hi, inside, block in blocks:
-        lu, piv, info = dgetrf(block, overwrite_a=True)
-        if info > 0:
+    factors = [dgetrf(block, overwrite_a=True)[:2] for block in blocks]
+    for p, (lu, _) in zip(factored, factors):
+        if not np.abs(lu.diagonal()).min() > 64 * n_c * np.finfo(float).eps:
             raise ConvergenceError(
                 f"I - damping * S0 is singular in product {g.products.codes[p]}")
-        factors.append((p, lo, hi, inside, lu, piv))
+    at = np.searchsorted(factored, product) * n_c + country  # rows in the stacked blocks
 
-    def solve(b: np.ndarray, transposed: bool = False, products=None) -> np.ndarray:
-        x = np.zeros(b.shape)
-        for p, lo, hi, inside, lu, piv in factors:
-            cols = slice(None) if products is None else np.flatnonzero(products == p)
-            rhs = b[lo:hi][..., cols]
-            if inside is not None:  # zero on the identity rows
-                padded = np.zeros((n_c, *rhs.shape[1:]))
-                padded[inside] = rhs
-                rhs = padded
-            y = dgetrs(lu, piv, rhs, trans=int(transposed))[0]
-            x[lo:hi][..., cols] = y if inside is None else y[inside]
-        return x
+    def solve(b: np.ndarray, transposed: bool = False) -> np.ndarray:
+        x = np.zeros((len(factors) * n_c, *b.shape[1:]))  # b, zero on the identity rows
+        x[at] = b
+        nonzero = x.reshape(len(factors), n_c, -1).any(axis=1).tolist()
+        for j, (lu, columns) in enumerate(zip(factors, nonzero)):
+            if any(columns):  # solved in place; a column zero on a product stays zero
+                rows = slice(j * n_c, (j + 1) * n_c)
+                cols = ... if all(columns) else np.flatnonzero(columns)  # a view if all
+                x[rows, cols] = dgetrs(*lu, x[rows, cols], trans=int(transposed))[0]
+        return x.take(at, axis=0)
 
     return solve
 

@@ -110,10 +110,8 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
         return y + u * (_dot(rank_one, y) / denominator)
 
     # paths = b + z c^T: each column of A_sr, and so of b = (I - A)^-1 A_sr, lies
-    # inside its own product's block
-    n_c = len(g.countries)
-    products = idx // n_c
-    b = solve(a_r[scatter], products=products)
+    # inside its own product's block, which alone solves it
+    b = solve(a_r[scatter])
     c = (w[idx] + _dot(w_s, b)) / denominator
     paths = b + np.outer(z, c)
     if not np.isfinite(paths).all():
@@ -126,11 +124,12 @@ def reduce(g: GoogleMatrix, selection) -> ReducedGoogleMatrix:
         return a * ((s.T if transposed else s) @ padded)[scatter] + u * _dot(rank_one, x)
 
     # G_ss paths = A b + v_s (w_s b) + (G_ss z) c^T, with A b taken product by product
+    # on the columns of b that are nonzero there
     a_b = np.zeros((g.n_nodes, idx.size))
     a_b[scatter] = b
-    for p in np.unique(products):
-        rows, cols = slice(p * n_c, (p + 1) * n_c), products == p
-        a_b[rows, cols] = a * (_product_links(g, p) @ a_b[rows, cols])
+    for p, rows in enumerate(a_b.reshape(len(g.products), -1, idx.size)):
+        cols = np.flatnonzero(rows.any(axis=0))
+        rows[:, cols] = a * (_product_links(g, p) @ rows[:, cols])
     g_ss_paths = a_b[scatter] + np.outer(v_s, _dot(w_s, b)) + np.outer(g_ss(z), c)
     solve_residual = float(np.abs(paths - g_ss_paths - g_sr).max())
     g_r = g_rr + g_rs(paths)

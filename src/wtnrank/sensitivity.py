@@ -177,8 +177,8 @@ def labor_cost_matrix(mm: MoneyMatrixSet, description: str, *,
 
     Rank-based, each direction takes one ``build_google``, one factorization of
     I - damping * S0 and one solve of the all-ones vector, and the inverted flow one
-    more solve per target; a block with no stationary solution, possible only at
-    damping 1, raises ``ConvergenceError``.
+    more solve per target; a block singular to within rounding, possible only at
+    damping 1 on a closed class of S0, raises ``ConvergenceError``.
     """
     _check_solver(damping=damping)
     shocks = [(t, np.ones(mm.n_products, dtype=bool)) for t in range(mm.n_countries)]

@@ -191,6 +191,22 @@ def test_regomax_singular_scattering_exits_3(tmp_path, capsys):
     assert not list(out.glob("regomax_*"))
 
 
+def test_regomax_rounded_singular_pivot_exits_3(tmp_path, capsys):
+    # at damping 1 AAA, BBB and CCC trade only with each other: a closed class of the
+    # scattering set whose LU pivot rounding leaves near zero rather than at zero
+    path = tmp_path / "closed.csv"
+    flows = [("AAA", "BBB", 3.0), ("BBB", "CCC", 7.0), ("CCC", "AAA", 5.0),
+             ("AAA", "CCC", 1.1), ("BBB", "AAA", 2.3), ("CCC", "BBB", 0.7),
+             ("DDD", "AAA", 1.0), ("DDD", "EEE", 2.0), ("EEE", "DDD", 1.5)]
+    path.write_text(HEADER + "\n" + "".join(f"2018,{e},{i},0,{v}\n" for e, i, v in flows))
+    out = tmp_path / "out"
+    code = main(["regomax", "--input", str(path), "--year", "2018", "--alpha", "1",
+                 "--actors", "DDD", "--out-dir", str(out)])
+    assert code == 3
+    assert "singular" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_regomax_nilpotent_scattering_exits_3(tmp_path, capsys):
     # at damping 1 the cycle AAA -> BBB -> CCC -> AAA without AAA is the chain BBB -> CCC
     path = tmp_path / "chain.csv"

@@ -368,12 +368,16 @@ class TestBlockSolver:
                                        rtol=1e-10, atol=1e-13)
             np.testing.assert_allclose(solve(b, transposed=True), np.linalg.solve(dense.T, b),
                                        rtol=1e-10, atol=1e-13)
-        # columns that each live in one product: solved in that product's block only
+        # columns that each live in one product, as reduce's A_sr: each product solves
+        # only the columns nonzero on its nodes, as if each column came alone
         products = rng.integers(0, n_p, size=4)
         b = rng.random((nodes.size, 4)) * (nodes[:, None] // n_c == products)
-        for transposed in (False, True):
-            np.testing.assert_allclose(solve(b, transposed, products=products),
-                                       solve(b, transposed), rtol=1e-13, atol=1e-16)
+        for transposed, oracle in ((False, dense), (True, dense.T)):
+            x = solve(b, transposed)
+            np.testing.assert_allclose(x, np.linalg.solve(oracle, b), rtol=1e-10, atol=1e-13)
+            np.testing.assert_allclose(
+                x, np.column_stack([solve(column, transposed) for column in b.T]),
+                rtol=1e-13, atol=1e-16)
 
     def test_product_without_nodes_takes_no_factor(self):
         g = build_google(isolated_first_country(3, 5, 3), DIRECT, 0.85)

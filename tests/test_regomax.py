@@ -27,6 +27,7 @@ from wtnrank import (
     reduce,
     strongest_links,
 )
+from wtnrank import google_matrix
 from wtnrank import regomax as regomax_mod
 from wtnrank.regomax import write_dot, write_matrix_csv
 
@@ -200,6 +201,36 @@ class TestReduce:
         mm = money_set([("AAA", "BBB", "0", 5.0)], products=ProductRegistry.from_codes(["0", "1"]))
         with pytest.raises(ConvergenceError, match="singular"):
             reduce(build_google(mm, direction, 0.5), [("AAA", "1")])
+
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    def test_each_product_solves_its_own_actor_columns(self, direction, monkeypatch):
+        # each column of A_sr lies inside its own product's block: no LAPACK solve
+        # takes more than the k actor columns one product holds, and together the
+        # solves take every nonzero column, zero on its product's actor rows
+        g = build_google(small_money_set(5, 12, 4, density=0.7), direction)
+        actors = g.countries.ids[:3]
+        selection = [(c, p) for c in actors for p in g.products.codes]
+        calls, dgetrs = [], google_matrix.dgetrs
+
+        def spy(lu, piv, b, **options):
+            calls.append(np.array(b))
+            return dgetrs(lu, piv, b, **options)
+
+        monkeypatch.setattr(google_matrix, "dgetrs", spy)
+        reduce(g, selection)
+        assert max(b.shape[1] for b in calls if b.ndim == 2) <= len(actors)
+        solved = {column.tobytes() for b in calls if b.ndim == 2 for column in b.T}
+        n_c = len(g.countries)
+        idx = np.array([g.node_of(c, p) for c, p in selection])
+        checked = 0
+        for j in idx:
+            lo = j // n_c * n_c
+            column = g.damping * g.links[lo:lo + n_c, [j]].toarray().ravel()
+            column[idx[idx // n_c == j // n_c] - lo] = 0.0
+            if column.any():
+                assert column.tobytes() in solved
+                checked += 1
+        assert checked > len(actors)
 
     @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
     def test_nilpotent_scattering_block_is_degenerate(self, direction, monkeypatch):

@@ -12,6 +12,9 @@ from conftest import (
     random_money_set,
     small_money_set,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg.lapack import dgetrf
 
 from wtnrank import (
     COUNTRY_PRODUCT,
@@ -33,12 +36,30 @@ from wtnrank import (
     gravity_money_set,
     ingest_csv,
     labor_cost_matrix,
+    reduce,
 )
 from wtnrank import sensitivity
 
 
 def two_country(x=7.0, y=3.0, product="0"):
     return money_set([("AAA", "BBB", product, x), ("BBB", "AAA", product, y)])
+
+
+def closed_class_set(seed, n_class, n_outside):
+    """One product in which the first ``n_class`` countries each export, and only to
+    each other, and each of the other ``n_outside`` exports into the class and maybe
+    elsewhere: at damping 1 the class is a closed class of the direct flow's S0."""
+    rng = np.random.default_rng(seed)
+    n = n_class + n_outside
+    ids = [chr(ord("A") + i) * 3 for i in range(n)]
+    flows = []
+    for j in range(n):
+        reach = n_class if j < n_class else n
+        first = (j + 1) % n_class if j < n_class else int(rng.integers(n_class))
+        linked = {first} | {i for i in range(reach) if i != j and rng.random() < 0.5}
+        flows += [(ids[j], ids[i], "0", round(float(rng.uniform(0.5, 10.0)), 1))
+                  for i in sorted(linked)]
+    return money_set(flows)
 
 
 class TestBalance:
@@ -423,6 +444,43 @@ class TestLaborCostMatrix:
         # AAA <-> BBB alone is a closed class: I - S0 has no inverse
         with pytest.raises(ConvergenceError, match="singular in product 0"):
             labor_cost_matrix(two_country(), RANK_BASED, damping=1.0)
+
+    def test_closed_class_with_a_rounded_pivot_raises(self):
+        # at damping 1 rounding leaves this closed class a pivot of 1.1e-16, not 0, so
+        # LAPACK reports no singularity and the solver's pivot rule must
+        mm = money_set([("AAA", "BBB", "0", 3.0), ("BBB", "CCC", "0", 7.0),
+                        ("CCC", "AAA", "0", 5.0), ("AAA", "CCC", "0", 1.1),
+                        ("BBB", "AAA", "0", 2.3), ("CCC", "BBB", "0", 0.7),
+                        ("DDD", "AAA", "0", 1.0)])
+        g = build_google(mm, DIRECT, 1.0)
+        assert dgetrf(np.eye(g.n_nodes) - g.links.toarray())[2] == 0
+        with pytest.raises(ConvergenceError, match="singular in product 0"):
+            labor_cost_matrix(mm, RANK_BASED, damping=1.0)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(3, 8), st.integers(1, 3))
+    def test_closed_class_raises_at_damping_one_only(self, seed, n_class, n_outside):
+        # the LU (labor_cost_matrix, reduce) and the series (balance_sensitivity) both
+        # raise at damping 1; just below it the LU finds no false singularity
+        mm = closed_class_set(seed, n_class, n_outside)
+        shock = Perturbation(LABOR_COST, target_country="AAA")
+        outside = [(mm.countries.ids[-1], "0")]  # the class stays in the scattering set
+        with pytest.raises(ConvergenceError, match="singular in product 0"):
+            labor_cost_matrix(mm, RANK_BASED, damping=1.0)
+        with pytest.raises(ConvergenceError, match="singular in product 0"):
+            reduce(build_google(mm, DIRECT, 1.0), outside)
+        with pytest.raises(ConvergenceError, match="response series did not reach"):
+            balance_sensitivity(mm, shock, RANK_BASED, damping=1.0, max_iter=100)
+        table = labor_cost_matrix(mm, RANK_BASED, damping=1.0 - 1e-9)
+        assert np.isfinite(table.derivatives).all()
+        assert np.isfinite(reduce(build_google(mm, DIRECT, 1.0 - 1e-9), outside).g_r).all()
+        # the series shrinks its error by the damping per step, so it settles only
+        # further from 1; there it agrees with the LU
+        table = labor_cost_matrix(mm, RANK_BASED, damping=0.99)
+        report = balance_sensitivity(mm, shock, RANK_BASED, damping=0.99)
+        assert report.countries == table.countries
+        np.testing.assert_allclose(report.derivatives, table.derivatives[:, 0],
+                                   rtol=1e-6, atol=1e-9)
 
     def test_diagonal_reported_separately(self):
         mm = small_money_set(30, 4, 1)

@@ -15,7 +15,8 @@ every other module works on the links and the dangling mask. No module calls
 Registry lookups go once per distinct key, never per row: the
 ``np.fromiter(map(`` idiom of one ``index_of`` call per flow is forbidden.
 One solver: only ``google_matrix.py``, home of the per-product block LU of
-I - damping * S0, names a sparse or dense LU factorization or solve.
+I - damping * S0, names a sparse or dense LU factorization or an LU solve
+(``splu``, ``spsolve``, ``lu_factor``, ``lu_solve``, LAPACK's ``dgetrf`` or ``dgetrs``).
 One loop for every fixed point: only ``google_matrix.py``, home of ``_iterate``, and
 ``errors.py`` pass ``iterations=``, so a module with its own convergence loop fails.
 Two doors for trade flows: ``trade_data._money_from_columns``, which sums the flows
@@ -51,7 +52,7 @@ RULES = [
     (re.compile(r"\.stochastic\b"), {"google_matrix.py"}),
     (re.compile(r"\beffective_dense\("), set()),
     (re.compile(r"\bnp\.fromiter\(\s*map\("), set()),
-    (re.compile(r"\b(splu|spsolve|lu_factor|dgetrf)\b"), {"google_matrix.py"}),
+    (re.compile(r"\b(splu|spsolve|lu_factor|lu_solve|dgetrf|dgetrs)\b"), {"google_matrix.py"}),
     (re.compile(r"\biterations="), {"google_matrix.py", "errors.py"}),
     (re.compile(r"\b(threading|multiprocessing|concurrent\b.*\bfutures)\b"), set()),
     (re.compile(r"\b(aslinearoperator|LinearOperator)\b"), set()),
