@@ -13,6 +13,7 @@ from wtnrank import (
     gravity_money_set,
     ingest_csv,
 )
+from wtnrank.google_matrix import _iterate
 from wtnrank.trade_data import CSV_HEADER
 
 
@@ -31,6 +32,35 @@ def effective_dense(g):
     dense = g.damping * g.links.toarray()
     dense += np.outer(g.personalization, g.damping * g.dangling + (1.0 - g.damping))
     return dense
+
+
+def reference_pagerank(g, tol=1e-12, max_iter=10_000):
+    """(node_probs, residual, iterations) of power iteration on the whole Google matrix
+    from v, the oracle of ``pagerank``'s product-by-product loop: at damping 1
+    ``pagerank`` runs this very loop."""
+    x, residual, iterations = _iterate(g.apply, g.personalization, tol, max_iter,
+                                       "power iteration")
+    return x / x.sum(), residual, iterations
+
+
+def with_dangling(mm, seed, share=0.03):
+    """``mm`` with a seeded ``share`` of its (country, product) pairs exporting nothing
+    and another importing nothing, as in the benchmark's inputs, so that both flow
+    directions have dangling columns that differ from product to product."""
+    rng = np.random.default_rng(seed)
+    matrices = []
+    for m in mm.matrices:
+        importers, exporters = (sparse.diags((rng.random(mm.n_countries) >= share) * 1.0)
+                                for _ in range(2))
+        matrices.append(sparse.csc_matrix(importers @ m @ exporters))
+    return MoneyMatrixSet(tuple(matrices), mm.year, mm.countries, mm.products)
+
+
+def with_empty_product():
+    """Product 3 has no flows (zero volume) and one stored flow is 0.0."""
+    return money_set(
+        [("AAA", "BBB", "0", 4.0), ("BBB", "CCC", "0", 2.5), ("CCC", "AAA", "0", 0.0),
+         ("CCC", "BBB", "7", 1.25)], products=ProductRegistry.from_codes(["0", "3", "7"]))
 
 
 def perturb_money(mm, perturbation, magnitude):

@@ -10,6 +10,7 @@ from conftest import (
     random_money_set,
     records,
     small_money_set,
+    with_empty_product,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -277,13 +278,6 @@ def reference_stochastic(mm, direction):
         s = (s + patch.tocsc()).tocsc()
     s.sort_indices()
     return s
-
-
-def with_empty_product():
-    """Product 3 has no flows (zero volume) and one stored flow is 0.0."""
-    return money_set(
-        [("AAA", "BBB", "0", 4.0), ("BBB", "CCC", "0", 2.5), ("CCC", "AAA", "0", 0.0),
-         ("CCC", "BBB", "7", 1.25)], products=ProductRegistry.from_codes(["0", "3", "7"]))
 
 
 def labor_shocked():

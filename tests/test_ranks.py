@@ -2,7 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import effective_dense, money_set, random_money_set, small_money_set
+from conftest import (
+    effective_dense,
+    money_set,
+    random_money_set,
+    reference_pagerank,
+    small_money_set,
+    with_dangling,
+    with_empty_product,
+)
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from wtnrank import (
@@ -17,6 +27,7 @@ from wtnrank import (
     VolumeProbabilities,
     assign_ranks,
     build_google,
+    gravity_money_set,
     pagerank,
     rank_table,
     volume_probabilities,
@@ -116,6 +127,117 @@ class TestPagerank:
         assert sorted(rv.country_rank) == list(range(1, len(rv.countries) + 1))
         by_rank = rv.country_probs[np.argsort(rv.country_rank)]
         assert np.all(np.diff(by_rank) <= 0)
+
+
+def periodic_set():
+    """Product 0 is the 3-cycle AAA -> BBB -> CCC -> AAA, so its own chain is periodic,
+    and DDD trades none of it; in product 1 every country exports, but only AAA and
+    CCC import."""
+    return money_set([("AAA", "BBB", "0", 1.0), ("BBB", "CCC", "0", 1.0),
+                      ("CCC", "AAA", "0", 1.0), ("AAA", "CCC", "1", 2.0),
+                      ("BBB", "AAA", "1", 6.0), ("CCC", "AAA", "1", 3.0),
+                      ("DDD", "CCC", "1", 4.0)])
+
+
+def drawn_set(seed, n_c, n_p, density):
+    """A gravity set with a fifth of its (country, product) pairs made dangling in each
+    direction, so some products can carry no volume; hypothesis rejects an empty set."""
+    try:
+        mm = gravity_money_set(seed, n_c, n_p, density=density)
+    except ValidationError:  # no flow drawn at all
+        assume(False)
+    mm = with_dangling(mm, seed, 0.2)
+    assume(mm.total_volume() > 0.0)
+    return mm
+
+
+def pagerank_fields(g, tol, max_iter):
+    """``pagerank``'s (node_probs, residual, iterations), in ``reference_pagerank``'s form."""
+    rv = pagerank(g, tol, max_iter)
+    return rv.node_probs, rv.residual, rv.iterations
+
+
+def outcome(g, rank, max_iter):
+    """(node_probs bytes, residual, iterations) of ``rank(g)``, or of its
+    ``ConvergenceError`` with None for the bytes."""
+    try:
+        probs, residual, iterations = rank(g, 1e-12, max_iter)
+    except ConvergenceError as err:
+        return None, err.residual, err.iterations
+    return probs.tobytes(), residual, iterations
+
+
+class CountingLinks(sparse.csc_matrix):
+    """S0 that counts the products taken with it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+# the guard set: with_dangling(gravity_money_set(1, 194, 10), 1), whose dangling columns
+# differ by product, as in the benchmark's inputs; without them both loops take 12 steps
+GUARD_STEPS = {DIRECT: 12, INVERTED: 12}
+
+
+class TestProductLoop:
+    """At damping < 1 ``pagerank`` steps every product's own chain and weighs the
+    products in closed form; the oracle is power iteration on the whole matrix."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(3, 12), st.integers(1, 4),
+           st.floats(0.2, 1.0), st.floats(0.01, 0.95))
+    def test_matches_reference_loop(self, seed, n_c, n_p, density, damping):
+        # at tol 1e-13 each loop stops within 0.95 / 0.05 * 1e-13 of the fixed point
+        mm = drawn_set(seed, n_c, n_p, density)
+        for direction in (DIRECT, INVERTED):
+            g = build_google(mm, direction, damping)
+            got, want = pagerank(g, tol=1e-13), reference_pagerank(g, tol=1e-13)[0]
+            assert np.abs(got.node_probs - want).sum() <= 1e-11
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(3, 12), st.integers(1, 4),
+           st.floats(0.2, 1.0))
+    def test_damping_one_is_the_reference_loop(self, seed, n_c, n_p, density):
+        mm = drawn_set(seed, n_c, n_p, density)
+        for direction in (DIRECT, INVERTED):
+            g = build_google(mm, direction, 1.0)
+            assert (outcome(g, pagerank_fields, 2000)
+                    == outcome(g, reference_pagerank, 2000))
+
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    def test_periodic_product(self, direction):
+        """A periodic product chain: at damping 1 the loops are one, and below it the
+        product loop may take more steps than the whole matrix's (13 against 8)."""
+        g = build_google(periodic_set(), direction, 1.0)
+        assert (outcome(g, pagerank_fields, 10_000)
+                == outcome(g, reference_pagerank, 10_000))
+        g = build_google(periodic_set(), direction)
+        got, (want, _, steps) = pagerank(g), reference_pagerank(g)
+        assert np.abs(got.node_probs - want).sum() <= 1e-11
+        if direction == DIRECT:
+            assert (got.iterations, steps) == (13, 8)
+
+    @pytest.mark.parametrize("damping", [0.5, 0.85, 1.0])
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    def test_product_without_flows_gets_zero(self, direction, damping):
+        mm = with_empty_product()
+        rv = pagerank(build_google(mm, direction, damping))
+        p = mm.products.index_of("3")
+        blocks = rv.node_probs.reshape(len(mm.products), -1)
+        assert np.all(blocks[p] == 0.0) and np.all(np.delete(blocks, p, axis=0) > 0.0)
+
+    @pytest.mark.parametrize("direction", [DIRECT, INVERTED])
+    def test_step_count(self, direction):
+        g = build_google(with_dangling(gravity_money_set(1, 194, 10), 1), direction)
+        counting = CountingLinks(g.links)
+        rv = pagerank(dataclasses.replace(g, links=counting))
+        assert rv.iterations == GUARD_STEPS[direction] <= 15
+        assert counting.products == rv.iterations  # one links product per step
+        assert np.array_equal(rv.node_probs, pagerank(g).node_probs)
+        assert reference_pagerank(g)[2] >= 30
 
 
 class TestAssignRanks:
